@@ -10,14 +10,12 @@ dropped rather than starved.
 from __future__ import annotations
 
 from enum import Enum
-from typing import Callable, Iterable
 
 from .broker import compute_borrowing
 from .model import (
     BW_TOL,
     AllocationDecision,
     CellState,
-    NonIptvCall,
     ScenarioConfig,
     available_bandwidth,
 )
@@ -26,6 +24,31 @@ from .model import (
 class PolicyKind(Enum):
     NON_SLA = "nonsla"
     SLA = "sla"
+
+
+def per_channel(
+    policy: PolicyKind,
+    n: int,
+    non_iptv_mbps: float,
+    reserved_mbps: float,
+    config: ScenarioConfig,
+) -> float:
+    """Per-channel grant with n >= 1 channels on air under a policy.
+
+    Without an SLA both classes share one scale factor, so the channel
+    rate is full quality scaled by capacity over total demand.  With an
+    SLA the channels split the protected budget (the larger of the
+    leftover and the reservation, never more than capacity), capped at
+    full quality.  reserved_mbps is ignored without an SLA.  The grant
+    only improves as n shrinks.
+    """
+    cap = config.capacity_mbps
+    full = config.iptv_channel_max_bw_mbps
+    if policy is PolicyKind.NON_SLA:
+        total = full * n + non_iptv_mbps
+        return full if total <= cap + BW_TOL else cap / total * full
+    share = min(cap, max(available_bandwidth(cap, non_iptv_mbps), reserved_mbps)) / n
+    return full if share >= full else share
 
 
 def _drop_order(state: CellState) -> list[int]:
@@ -38,27 +61,32 @@ def _drop_order(state: CellState) -> list[int]:
 
 def _shed_until_viable(
     state: CellState,
+    policy: PolicyKind,
+    reserved_mbps: float,
     config: ScenarioConfig,
-    per_channel_of: Callable[[int], float],
 ) -> tuple[int, float, tuple[int, ...]]:
     """Drop channels until the survivors clear the minimum watchable rate.
 
-    per_channel_of(n) gives the per-channel grant with n channels on air,
-    which only improves as channels go, so shedding one at a time finds
-    the largest viable survivor count.  Returns (survivors, per_channel,
-    dropped_ids); with no survivors the per-channel rate is 0.0.
+    The per-channel grant only improves as channels go, so shedding one
+    at a time finds the largest viable survivor count.  The drop order is
+    only worked out when the channels on air are not viable as they are.
+    Returns (survivors, per_channel, dropped_ids); with no survivors the
+    per-channel rate is 0.0.
     """
-    min_bw = config.iptv_channel_min_bw_mbps
+    n = len(state.active_channels)
+    if n == 0:
+        return 0, 0.0, ()
+    floor = config.iptv_channel_min_bw_mbps - BW_TOL
+    non_iptv = state.non_iptv_demand_mbps
+    per = per_channel(policy, n, non_iptv, reserved_mbps, config)
+    if per >= floor:
+        return n, per, ()
     order = _drop_order(state)
-    n = len(order)
-    dropped: list[int] = []
-    while n > 0:
-        per = per_channel_of(n)
-        if per >= min_bw - BW_TOL:
-            return n, per, tuple(dropped)
-        dropped.append(order[len(dropped)])
-        n -= 1
-    return 0, 0.0, tuple(dropped)
+    for survivors in range(n - 1, 0, -1):
+        per = per_channel(policy, survivors, non_iptv, reserved_mbps, config)
+        if per >= floor:
+            return survivors, per, tuple(order[: n - survivors])
+    return 0, 0.0, tuple(order)
 
 
 def allocate_non_sla(state: CellState, config: ScenarioConfig) -> AllocationDecision:
@@ -72,13 +100,7 @@ def allocate_non_sla(state: CellState, config: ScenarioConfig) -> AllocationDeci
     full = config.iptv_channel_max_bw_mbps
     non_iptv = state.non_iptv_demand_mbps
 
-    def per_channel_of(n: int) -> float:
-        total = full * n + non_iptv
-        if total <= cap + BW_TOL:
-            return full
-        return cap / total * full
-
-    survivors, per, dropped = _shed_until_viable(state, config, per_channel_of)
+    survivors, per, dropped = _shed_until_viable(state, PolicyKind.NON_SLA, 0.0, config)
 
     total = full * survivors + non_iptv
     if total <= cap + BW_TOL:
@@ -114,16 +136,10 @@ def allocate_sla(
         raise ValueError("reservation exceeds cell capacity")
 
     cap = config.capacity_mbps
-    full = config.iptv_channel_max_bw_mbps
     non_iptv = state.non_iptv_demand_mbps
     avail = available_bandwidth(cap, non_iptv)
-    budget = min(cap, max(avail, reserved_mbps))
 
-    def per_channel_of(n: int) -> float:
-        share = budget / n
-        return full if share >= full else share
-
-    survivors, per, dropped = _shed_until_viable(state, config, per_channel_of)
+    survivors, per, dropped = _shed_until_viable(state, PolicyKind.SLA, reserved_mbps, config)
 
     spent = per * survivors
     headroom = cap - spent
@@ -155,29 +171,7 @@ def admit_channel(
     activations pass through here: a viewer joining a channel that is
     already on air never needs admission.
     """
-    n_after = len(state.active_channels) + 1
-    cap = config.capacity_mbps
-    full = config.iptv_channel_max_bw_mbps
-    non_iptv = state.non_iptv_demand_mbps
-
-    if policy is PolicyKind.NON_SLA:
-        total = full * n_after + non_iptv
-        per = full if total <= cap + BW_TOL else cap / total * full
-    else:
-        budget = min(cap, max(available_bandwidth(cap, non_iptv), reserved_mbps))
-        per = min(full, budget / n_after)
-
+    per = per_channel(
+        policy, len(state.active_channels) + 1, state.non_iptv_demand_mbps, reserved_mbps, config
+    )
     return per >= config.iptv_channel_min_bw_mbps - BW_TOL
-
-
-def apportion_call_grants(calls: Iterable[NonIptvCall], total_grant_mbps: float) -> None:
-    """Spread an aggregate non-IPTV grant over calls, pro rata to requests."""
-    calls = list(calls)
-    requested = sum(c.requested_bw_mbps for c in calls)
-    if requested <= BW_TOL:
-        for c in calls:
-            c.granted_bw_mbps = 0.0
-        return
-    ratio = min(1.0, total_grant_mbps / requested)
-    for c in calls:
-        c.granted_bw_mbps = c.requested_bw_mbps * ratio

@@ -11,24 +11,13 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from enum import Enum
 
 from .model import ScenarioConfig
-
-
-class WarmupRule(Enum):
-    """How to average while the history window is still filling up."""
-
-    # mean over whatever samples exist so far (zero when there are none)
-    USE_AVAILABLE_SAMPLES = "use_available_samples"
-    # reserve nothing until a full window of samples has accumulated
-    ZERO_UNTIL_FULL = "zero_until_full"
 
 
 @dataclass(frozen=True)
 class BrokerPolicy:
     reservation_cap_mbps: float
-    warmup_rule: WarmupRule = WarmupRule.USE_AVAILABLE_SAMPLES
 
     @classmethod
     def for_config(cls, config: ScenarioConfig) -> "BrokerPolicy":
@@ -43,15 +32,14 @@ class DemandHistory:
     reservation feed on its own throttling.
     """
 
-    def __init__(self, capacity: int, sample_interval_min: float = 1.0):
+    def __init__(self, capacity: int):
         if capacity < 1:
             raise ValueError("history capacity must be at least 1")
-        self.sample_interval_min = sample_interval_min
         self._window: deque[float] = deque(maxlen=capacity)
 
     @classmethod
     def for_config(cls, config: ScenarioConfig) -> "DemandHistory":
-        return cls(config.history_samples, config.sample_interval_min)
+        return cls(config.history_samples)
 
     @property
     def capacity(self) -> int:
@@ -75,15 +63,14 @@ class DemandHistory:
 def compute_reservation(history: DemandHistory, policy: BrokerPolicy) -> float:
     """Windowed mean of recent demand, capped by the reservation ceiling.
 
-    An empty window reserves nothing, so a cold start degrades to plain
-    leftover allocation.
+    While the window is still filling up the mean is over the samples
+    seen so far; an empty window reserves nothing, so a cold start
+    degrades to plain leftover allocation.
     """
-    samples = history.samples
-    if policy.warmup_rule is WarmupRule.ZERO_UNTIL_FULL and len(samples) < history.capacity:
+    window = history._window
+    if not window:
         return 0.0
-    if not samples:
-        return 0.0
-    return min(sum(samples) / len(samples), policy.reservation_cap_mbps)
+    return min(sum(window) / len(window), policy.reservation_cap_mbps)
 
 
 def compute_borrowing(reserved_mbps: float, available_mbps: float) -> float:

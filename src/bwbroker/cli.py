@@ -1,7 +1,9 @@
 """Command line front end: single runs and figure-style sweeps.
 
-Exit codes: 0 on success, 2 for configuration problems (bad file, bad
-key, bad value, unknown preset), 3 for runtime failures.  The env var
+Exit codes: 0 on success, 2 for bad input (bad file, bad key, a value
+that is malformed, non-finite, fractional where a whole number is due
+or out of range, a config a sweep cannot use, bad command line
+arguments), 3 for unexpected runtime failures.  The env var
 BWBROKER_SEED overrides the configured base seed; an explicit --seed
 flag beats both.
 """
@@ -57,6 +59,13 @@ _INT_FIELDS = {"num_channels_catalog", "replications", "base_seed"}
 _CONFIG_FIELDS = {f.name for f in dataclasses.fields(ScenarioConfig)}
 
 
+def _jobs(text: str) -> int:
+    jobs = int(text)
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {jobs}")
+    return jobs
+
+
 def load_config(source: str) -> ScenarioConfig:
     """Build a scenario from a preset name or a flat YAML file.
 
@@ -83,6 +92,11 @@ def load_config(source: str) -> ScenarioConfig:
     coerced = {}
     for key, raw in data.items():
         try:
+            # int() and float() would read true as 1 and truncate 2.7 to 2
+            if isinstance(raw, bool) or (
+                key in _INT_FIELDS and isinstance(raw, float) and not raw.is_integer()
+            ):
+                raise ValueError("not a number of the field's kind")
             coerced[key] = int(raw) if key in _INT_FIELDS else float(raw)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"{source}: bad value for {key}: {raw!r}") from exc
@@ -216,6 +230,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Simulate SLA-backed bandwidth reservation for IPTV in a shared cell.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # the CPUs this process may run on, which can be fewer than the machine has
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("config", help="scenario config file, or a preset name (table1)")
@@ -223,9 +239,9 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", default=".", help="output directory (default: cwd)")
     common.add_argument(
         "--jobs",
-        type=int,
-        default=os.cpu_count() or 1,
-        help="parallel replication workers (default: available cores)",
+        type=_jobs,
+        default=cpus or 1,
+        help="parallel replication workers, at least 1 (default: the CPUs this process may use)",
     )
 
     p_run = sub.add_parser("run", parents=[common], help="run one scenario")

@@ -18,7 +18,9 @@ from .broker import BrokerPolicy, DemandHistory, compute_reservation
 from .metrics import RunSummary, StepRecord, aggregate, step_satisfaction, step_utilization
 from .model import CellState, ConfigError, NonIptvCall, ScenarioConfig
 from .traffic import (
-    EventKind,
+    NON_IPTV_ARRIVE,
+    NON_IPTV_DEPART,
+    VIEWER_DEPART,
     TrafficEvent,
     TrafficGenerator,
     viewer_rate_for_mean_channels,
@@ -46,26 +48,19 @@ def run_step(
         reserved = compute_reservation(history, broker_policy)
 
     blocks = 0
+    active = state.active_channels
     for ev in events:
-        if ev.kind is EventKind.VIEWER_DEPART:
+        kind = ev.kind
+        if kind is VIEWER_DEPART:
             state.viewer_departs(ev.viewer_id)
-        elif ev.kind is EventKind.NON_IPTV_DEPART:
+        elif kind is NON_IPTV_DEPART:
             state.call_departs(ev.call_id)
-        elif ev.kind is EventKind.NON_IPTV_ARRIVE:
-            state.add_call(
-                NonIptvCall(
-                    call_id=ev.call_id,
-                    requested_bw_mbps=ev.bw_mbps,
-                    departure_time_min=ev.depart_time_min or 0.0,
-                )
-            )
-        elif ev.kind is EventKind.VIEWER_ARRIVE:
-            if ev.channel_id in state.active_channels:
-                state.admit_viewer(ev.viewer_id, ev.channel_id)
-            elif admit_channel(state, policy_kind, reserved, config):
-                state.admit_viewer(ev.viewer_id, ev.channel_id)
-            else:
-                blocks += 1
+        elif kind is NON_IPTV_ARRIVE:
+            state.add_call(NonIptvCall(ev.call_id, ev.bw_mbps))
+        elif ev.channel_id in active or admit_channel(state, policy_kind, reserved, config):
+            state.admit_viewer(ev.viewer_id, ev.channel_id)
+        else:
+            blocks += 1
 
     # offered demand of this step: what is on air now, before any drops
     offered_channels = state.active_channel_count
@@ -79,8 +74,6 @@ def run_step(
 
     for channel_id in decision.dropped_channel_ids:
         state.drop_channel(channel_id)
-    for channel in state.active_channels.values():
-        channel.allocated_bw_mbps = decision.per_channel_bw_mbps
 
     # blocked activations demanded full quality and got nothing this step
     sl_demand = offered_demand + state.channel_demand_mbps * blocks
@@ -100,7 +93,8 @@ def run_step(
     )
 
     history.record_sample(offered_demand)
-    state.time_min += config.sample_interval_min
+    state.step += 1
+    state.time_min = state.step * config.sample_interval_min
     return record
 
 
@@ -227,20 +221,28 @@ FIG5_CHANNEL_TARGETS = (5.0, 10.0, 15.0, 20.0, 25.0, 29.9)
 FIG5_NON_IPTV_LOAD_FRACTION = 0.5
 
 
+def _viewer_rate_for(config: ScenarioConfig, target_mean_channels: float) -> float:
+    if not config.num_channels_catalog > target_mean_channels:
+        raise ConfigError(
+            f"this sweep aims at a mean of {target_mean_channels:g} on-air channels and needs"
+            f" num_channels_catalog > {target_mean_channels:g}, got {config.num_channels_catalog}"
+        )
+    return viewer_rate_for_mean_channels(
+        target_mean_channels,
+        config.num_channels_catalog,
+        config.channel_popularity_skew,
+        config.iptv_viewer_mean_hold_min,
+        config.sample_interval_min,
+    )
+
+
 def fig3_sweep(config: ScenarioConfig) -> tuple[ScenarioConfig, SweepSpec]:
     """Sweep non-IPTV offered load from light to 1.5x capacity.
 
     The viewer rate is re-tuned so the mean on-air channel count is 20
     regardless of what the base config says.
     """
-    rate = viewer_rate_for_mean_channels(
-        20.0,
-        config.num_channels_catalog,
-        config.channel_popularity_skew,
-        config.iptv_viewer_mean_hold_min,
-        config.sample_interval_min,
-    )
-    tuned = replace(config, iptv_viewer_arrival_rate_per_min=rate)
+    tuned = replace(config, iptv_viewer_arrival_rate_per_min=_viewer_rate_for(config, 20.0))
     loads = tuple(f * config.capacity_mbps for f in FIG3_LOAD_FRACTIONS)
     return tuned, SweepSpec("non_iptv_offered_load", loads)
 
@@ -255,16 +257,7 @@ def fig5_sweep(config: ScenarioConfig) -> tuple[ScenarioConfig, SweepSpec]:
     """
     offered = FIG5_NON_IPTV_LOAD_FRACTION * config.capacity_mbps
     base = apply_sweep_value(config, "non_iptv_offered_load", offered)
-    rates = tuple(
-        viewer_rate_for_mean_channels(
-            target,
-            config.num_channels_catalog,
-            config.channel_popularity_skew,
-            config.iptv_viewer_mean_hold_min,
-            config.sample_interval_min,
-        )
-        for target in FIG5_CHANNEL_TARGETS
-    )
+    rates = tuple(_viewer_rate_for(config, target) for target in FIG5_CHANNEL_TARGETS)
     return base, SweepSpec("iptv_viewer_rate", rates)
 
 

@@ -11,6 +11,7 @@ Mbps, all times in minutes.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 
 # Tolerance for bandwidth comparisons, in Mbps.  The allocation rules
@@ -51,6 +52,12 @@ class ScenarioConfig:
     def validate(self) -> None:
         """Raise ConfigError unless the scenario is internally consistent."""
         c = self
+        for f in dataclasses.fields(c):
+            value = getattr(c, f.name)
+            if f.type == "int" and not isinstance(value, int):
+                raise ConfigError(f"{f.name} must be an integer, got {value!r}")
+            if f.type == "float" and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value!r}")
         if not (0 < c.iptv_channel_min_bw_mbps <= c.iptv_channel_max_bw_mbps + BW_TOL):
             raise ConfigError(
                 "need 0 < iptv_channel_min_bw_mbps <= iptv_channel_max_bw_mbps"
@@ -95,8 +102,6 @@ class ScenarioConfig:
             raise ConfigError("warmup_min must satisfy 0 <= warmup_min < sim_duration_min")
         if c.replications < 1:
             raise ConfigError("replications must be at least 1")
-        if not isinstance(c.base_seed, int):
-            raise ConfigError("base_seed must be an integer")
 
     @property
     def n_steps(self) -> int:
@@ -150,7 +155,6 @@ class ChannelState:
 
     channel_id: int
     viewer_ids: set[int] = field(default_factory=set)
-    allocated_bw_mbps: float = 0.0
 
     @property
     def viewer_count(self) -> int:
@@ -161,8 +165,6 @@ class ChannelState:
 class NonIptvCall:
     call_id: int
     requested_bw_mbps: float
-    granted_bw_mbps: float = 0.0
-    departure_time_min: float = 0.0
 
 
 class CellState:
@@ -174,8 +176,10 @@ class CellState:
     was dropped, can be recognised and ignored.
     """
 
-    def __init__(self, channel_demand_mbps: float, time_min: float = 0.0):
-        self.time_min = time_min
+    def __init__(self, channel_demand_mbps: float):
+        # steps completed; time_min is derived from it so it cannot drift
+        self.step = 0
+        self.time_min = 0.0
         # demand of one on-air channel; channels always ask for full quality
         self.channel_demand_mbps = channel_demand_mbps
         self.active_channels: dict[int, ChannelState] = {}

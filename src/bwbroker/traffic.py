@@ -20,9 +20,9 @@ import hashlib
 import math
 import random
 from bisect import bisect_right
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from typing import NamedTuple
 
 from .model import ScenarioConfig
 
@@ -34,14 +34,10 @@ class RngStream:
         self.seed = seed
         self.stream_id = stream_id
         material = f"bwbroker|{seed}|{stream_id}".encode()
-        self._rng = random.Random(int.from_bytes(hashlib.sha256(material).digest(), "big"))
-
-    def random(self) -> float:
-        """Uniform draw in [0, 1)."""
-        return self._rng.random()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"RngStream(seed={self.seed}, stream_id={self.stream_id})"
+        rng = random.Random(int.from_bytes(hashlib.sha256(material).digest(), "big"))
+        # random() -> uniform draw in [0, 1); bound straight to the
+        # generator, since it is called several times per arrival
+        self.random = rng.random
 
 
 class EventKind(Enum):
@@ -51,8 +47,13 @@ class EventKind(Enum):
     NON_IPTV_DEPART = "non_iptv_depart"
 
 
-@dataclass(frozen=True)
-class TrafficEvent:
+# plain names for the members, cheaper to look up per event than EventKind.X
+VIEWER_ARRIVE, VIEWER_DEPART, NON_IPTV_ARRIVE, NON_IPTV_DEPART = EventKind
+
+
+class TrafficEvent(NamedTuple):
+    """One arrival or departure; the fields a kind does not use keep their defaults."""
+
     time_min: float
     kind: EventKind
     channel_id: int | None = None
@@ -62,12 +63,19 @@ class TrafficEvent:
     depart_time_min: float | None = None
 
 
+# Largest mean drawn with one run of the product method: exp(-500) is far
+# from underflow, while exp(-mean) for a mean past ~745 is exactly 0.0.
+POISSON_CHUNK_MEAN = 500.0
+
+
 def gen_poisson_count(rate_per_min: float, dt_min: float, rng: RngStream) -> int:
     """Number of arrivals in an interval of length dt at the given rate.
 
-    Knuth's product method on uniform draws; exact for any mean that fits
-    in a double's exponent range (exp(-mean) must not underflow, which
-    holds for every rate this simulator uses).
+    Knuth's product method on uniform draws.  A mean above
+    POISSON_CHUNK_MEAN is split into equal chunks no larger than that,
+    whose counts add up to a Poisson count of the whole mean (sums of
+    independent Poisson variables are Poisson), so the threshold
+    exp(-chunk) never underflows and the count is exact at any mean.
     """
     if rate_per_min < 0:
         raise ValueError("rate must be non-negative")
@@ -76,12 +84,15 @@ def gen_poisson_count(rate_per_min: float, dt_min: float, rng: RngStream) -> int
     mean = rate_per_min * dt_min
     if mean == 0.0:
         return 0
-    threshold = math.exp(-mean)
+    chunks = math.ceil(mean / POISSON_CHUNK_MEAN) if mean > POISSON_CHUNK_MEAN else 1
+    threshold = math.exp(-mean / chunks)
+    draw = rng.random
     count = 0
-    product = rng.random()
-    while product > threshold:
-        count += 1
-        product *= rng.random()
+    for _ in range(chunks):
+        product = draw()
+        while product > threshold:
+            count += 1
+            product *= draw()
     return count
 
 
@@ -210,9 +221,6 @@ class TrafficGenerator:
             raise ValueError(f"t={t_min} is not aligned to the {t1} min step grid")
         return idx
 
-    def _hold_steps(self, hold_min: float) -> int:
-        return max(1, math.ceil(hold_min / self._cfg.sample_interval_min))
-
     def schedule_viewer_departure(self, step: int, viewer_id: int, channel_id: int) -> None:
         self._pending_viewer.setdefault(step, []).append((viewer_id, channel_id))
 
@@ -225,52 +233,53 @@ class TrafficGenerator:
         Order within the step is fixed: viewer departures, call
         departures, call arrivals, then viewer arrivals, so a new viewer
         is admitted against the step's already-updated background load.
+        Each call arrival draws its holding time; each viewer arrival
+        draws its channel, then its holding time, with the same single
+        draws as pick_channel and sample_holding_time.  A hold of tau
+        minutes lasts ceil(tau / t1) steps, at least one.
         """
         cfg = self._cfg
         idx = self._step_index(t_min)
         t1 = cfg.sample_interval_min
-        events: list[TrafficEvent] = []
+        ceil, log1p = math.ceil, math.log1p
+        events = [
+            TrafficEvent(t_min, VIEWER_DEPART, channel_id, viewer_id)
+            for viewer_id, channel_id in self._pending_viewer.pop(idx, ())
+        ]
+        events += [
+            TrafficEvent(t_min, NON_IPTV_DEPART, None, None, call_id)
+            for call_id in self._pending_call.pop(idx, ())
+        ]
 
-        for viewer_id, channel_id in self._pending_viewer.pop(idx, []):
+        rng = self._call_rng
+        n = gen_poisson_count(cfg.non_iptv_arrival_rate_per_min, t1, rng)
+        schedule = self.schedule_call_departure
+        bw = cfg.non_iptv_call_bw_mbps
+        mean_hold = cfg.non_iptv_mean_hold_min
+        draw = rng.random
+        first = self._next_call_id
+        self._next_call_id += n
+        for call_id in range(first, first + n):
+            depart = idx + max(1, ceil(-mean_hold * log1p(-draw()) / t1))
+            schedule(depart, call_id)
             events.append(
-                TrafficEvent(t_min, EventKind.VIEWER_DEPART, channel_id=channel_id, viewer_id=viewer_id)
+                TrafficEvent(t_min, NON_IPTV_ARRIVE, None, None, call_id, bw, depart * t1)
             )
-        for call_id in self._pending_call.pop(idx, []):
-            events.append(TrafficEvent(t_min, EventKind.NON_IPTV_DEPART, call_id=call_id))
 
-        n_calls = gen_poisson_count(cfg.non_iptv_arrival_rate_per_min, t1, self._call_rng)
-        for _ in range(n_calls):
-            call_id = self._next_call_id
-            self._next_call_id += 1
-            hold = sample_holding_time(cfg.non_iptv_mean_hold_min, self._call_rng)
-            depart = idx + self._hold_steps(hold)
-            self.schedule_call_departure(depart, call_id)
+        rng = self._viewer_rng
+        n = gen_poisson_count(cfg.iptv_viewer_arrival_rate_per_min, t1, rng)
+        schedule = self.schedule_viewer_departure
+        cdf = _popularity_cdf(cfg.num_channels_catalog, cfg.channel_popularity_skew)
+        mean_hold = cfg.iptv_viewer_mean_hold_min
+        draw = rng.random
+        first = self._next_viewer_id
+        self._next_viewer_id += n
+        for viewer_id in range(first, first + n):
+            channel = bisect_right(cdf, draw()) + 1
+            depart = idx + max(1, ceil(-mean_hold * log1p(-draw()) / t1))
+            schedule(depart, viewer_id, channel)
             events.append(
-                TrafficEvent(
-                    t_min,
-                    EventKind.NON_IPTV_ARRIVE,
-                    call_id=call_id,
-                    bw_mbps=cfg.non_iptv_call_bw_mbps,
-                    depart_time_min=depart * t1,
-                )
-            )
-
-        n_viewers = gen_poisson_count(cfg.iptv_viewer_arrival_rate_per_min, t1, self._viewer_rng)
-        for _ in range(n_viewers):
-            viewer_id = self._next_viewer_id
-            self._next_viewer_id += 1
-            channel = pick_channel(cfg.num_channels_catalog, cfg.channel_popularity_skew, self._viewer_rng)
-            hold = sample_holding_time(cfg.iptv_viewer_mean_hold_min, self._viewer_rng)
-            depart = idx + self._hold_steps(hold)
-            self.schedule_viewer_departure(depart, viewer_id, channel)
-            events.append(
-                TrafficEvent(
-                    t_min,
-                    EventKind.VIEWER_ARRIVE,
-                    channel_id=channel,
-                    viewer_id=viewer_id,
-                    depart_time_min=depart * t1,
-                )
+                TrafficEvent(t_min, VIEWER_ARRIVE, channel, viewer_id, None, 0.0, depart * t1)
             )
 
         return events

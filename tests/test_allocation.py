@@ -1,17 +1,22 @@
 """Per-step bandwidth division for both policies, plus admission control."""
 
+import random
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bwbroker import CellState, NonIptvCall, table1
+from bwbroker import CellState, NonIptvCall, available_bandwidth, table1
+from bwbroker import allocation
 from bwbroker.allocation import (
     PolicyKind,
     admit_channel,
     allocate_non_sla,
     allocate_sla,
-    apportion_call_grants,
+    per_channel,
 )
+from bwbroker.engine import run_paired
 
 BW_TOL = 1e-9
 
@@ -119,14 +124,6 @@ def test_non_sla_admits_while_floor_holds(cfg):
     assert not admit_channel(cell, PolicyKind.NON_SLA, 0.0, cfg)
 
 
-def test_apportion_grants_pro_rata():
-    calls = [NonIptvCall(0, 1.0), NonIptvCall(1, 2.0), NonIptvCall(2, 3.0)]
-    apportion_call_grants(calls, 3.0)
-    assert [c.granted_bw_mbps for c in calls] == pytest.approx([0.5, 1.0, 1.5])
-    apportion_call_grants(calls, 12.0)
-    assert [c.granted_bw_mbps for c in calls] == [1.0, 2.0, 3.0]
-
-
 channels = st.integers(min_value=0, max_value=50)
 call_load = st.floats(min_value=0.0, max_value=120.0)
 reservations = st.floats(min_value=0.0, max_value=60.0)
@@ -178,3 +175,123 @@ def test_sla_share_shrinks_as_channels_join(n, b_i, reserved):
     b = allocate_sla(make_state(n + 1, b_i), reserved, cfg)
     if a.dropped_channels == 0 and b.dropped_channels == 0:
         assert b.per_channel_bw_mbps <= a.per_channel_bw_mbps + BW_TOL
+
+
+def test_no_drop_order_is_sorted_when_nothing_is_shed(monkeypatch):
+    def no_sort(state):
+        raise AssertionError("drop order sorted on a step that sheds nothing")
+
+    monkeypatch.setattr(allocation, "_drop_order", no_sort)
+    cfg = table1()
+    out = run_paired(cfg, cfg.base_seed)
+    for records in out.values():
+        assert len(records) == cfg.n_steps
+        assert all(r.drops == 0 for r in records)
+
+
+# --- the shed rule as it was first written: one channel at a time, with the
+# per-channel rate restated per policy; kept as the reference
+
+def _ref_rate(policy, non_iptv, reserved, cfg):
+    cap, full = cfg.capacity_mbps, cfg.iptv_channel_max_bw_mbps
+    if policy is PolicyKind.NON_SLA:
+        def rate(n):
+            total = full * n + non_iptv
+            if total <= cap + BW_TOL:
+                return full
+            return cap / total * full
+    else:
+        budget = min(cap, max(available_bandwidth(cap, non_iptv), reserved))
+
+        def rate(n):
+            share = budget / n
+            return full if share >= full else share
+    return rate
+
+
+def _ref_shed(state, rate, cfg):
+    order = sorted(state.active_channels,
+                   key=lambda cid: (state.active_channels[cid].viewer_count, -cid))
+    n = len(order)
+    dropped = []
+    while n > 0:
+        per = rate(n)
+        if per >= cfg.iptv_channel_min_bw_mbps - BW_TOL:
+            return n, per, tuple(dropped)
+        dropped.append(order[len(dropped)])
+        n -= 1
+    return 0, 0.0, tuple(dropped)
+
+
+def _largest_viable(rate, cfg, limit=1000):
+    k = 0
+    while k < limit and rate(k + 1) >= cfg.iptv_channel_min_bw_mbps - BW_TOL:
+        k += 1
+    return k
+
+
+def _boundary_case(rng, policy, cfg):
+    """Demand and reservation that put m channels within a few BW_TOL of a threshold."""
+    cap, full, floor = (cfg.capacity_mbps, cfg.iptv_channel_max_bw_mbps,
+                        cfg.iptv_channel_min_bw_mbps)
+    m = rng.randint(1, 60)
+    nudge = rng.choice((-3, -1, 0, 1, 3)) * BW_TOL
+    non_iptv, reserved = rng.uniform(0.0, 1.5 * cap), rng.uniform(0.0, cap)
+    if policy is PolicyKind.NON_SLA:
+        # the floor (cap * full / (full * m + b) == floor) or the point where all fits
+        edge = cap * full / floor if rng.random() < 0.5 else cap
+        non_iptv = edge - full * m + nudge
+    elif rng.random() < 0.5:
+        reserved = floor * m + nudge              # budget/m == floor via the reservation
+        non_iptv = rng.uniform(cap - reserved, 1.5 * cap)
+    else:
+        non_iptv = cap - floor * m + nudge        # ... or via the leftover
+        reserved = rng.uniform(0.0, cap - non_iptv)
+    return max(0.0, non_iptv), min(cap, max(0.0, reserved))
+
+
+def test_per_channel_rule_matches_one_at_a_time_shed():
+    rng = random.Random(20111105)
+    base = table1()
+    checked = 0
+    for _ in range(600):
+        cap = rng.uniform(10.0, 100.0)
+        full = rng.uniform(1.0, 4.0)
+        cfg = replace(base, capacity_mbps=cap, iptv_channel_max_bw_mbps=full,
+                      iptv_channel_min_bw_mbps=rng.uniform(0.4, 1.0) * full,
+                      iptv_reservation_cap_mbps=rng.uniform(full, cap))
+        cfg.validate()
+        floor = cfg.iptv_channel_min_bw_mbps - BW_TOL
+        policy = rng.choice(list(PolicyKind))
+        if rng.random() < 0.7:
+            non_iptv, reserved = _boundary_case(rng, policy, cfg)
+        else:
+            non_iptv, reserved = rng.uniform(0.0, 1.5 * cap), rng.uniform(0.0, cap)
+        rate = _ref_rate(policy, non_iptv, reserved, cfg)
+        k = _largest_viable(rate, cfg)
+        for n in {k, k + 1, rng.randint(0, k + 5)}:
+            state = CellState.for_config(cfg)
+            viewer = 0
+            for cid in range(1, n + 1):
+                for _ in range(rng.randint(1, 3)):
+                    state.admit_viewer(viewer, cid)
+                    viewer += 1
+            if non_iptv > 0:
+                state.add_call(NonIptvCall(0, non_iptv))
+
+            if n:
+                assert per_channel(policy, n, non_iptv, reserved, cfg) == rate(n)
+            admitted = admit_channel(state, policy, reserved, cfg)
+            assert admitted == (per_channel(policy, n + 1, non_iptv, reserved, cfg) >= floor)
+            assert admitted == (n + 1 <= k)
+
+            if policy is PolicyKind.SLA:
+                d = allocate_sla(state, reserved, cfg)
+            else:
+                d = allocate_non_sla(state, cfg)
+            survivors, per, dropped = _ref_shed(state, rate, cfg)
+            assert d.num_active_channels == survivors == min(n, k)
+            assert d.per_channel_bw_mbps == per
+            assert d.dropped_channel_ids == dropped
+            checked += 1
+    assert checked > 1000

@@ -8,7 +8,6 @@ from bwbroker import table1
 from bwbroker.broker import (
     BrokerPolicy,
     DemandHistory,
-    WarmupRule,
     compute_borrowing,
     compute_reservation,
 )
@@ -52,17 +51,6 @@ def test_reservation_examples():
     for _ in range(60):
         full.record_sample(50.0)
     assert compute_reservation(full, CAP40) == 40.0  # capped
-
-
-def test_zero_until_full_warmup_rule():
-    strict = BrokerPolicy(40.0, warmup_rule=WarmupRule.ZERO_UNTIL_FULL)
-    h = DemandHistory(3)
-    h.record_sample(30.0)
-    h.record_sample(30.0)
-    assert compute_reservation(h, strict) == 0.0
-    assert compute_reservation(h, CAP40) == 30.0     # default uses what it has
-    h.record_sample(30.0)
-    assert compute_reservation(h, strict) == 30.0
 
 
 @given(samples=st.lists(st.floats(0.0, 100.0), min_size=1, max_size=60),

@@ -1,9 +1,11 @@
 """Command line entry points: config loading, outputs, exit codes."""
 
+import os
+
 import pytest
 
 from bwbroker import table1
-from bwbroker.cli import SUMMARY_CSV_HEADER, load_config, main
+from bwbroker.cli import SUMMARY_CSV_HEADER, build_parser, load_config, main
 from bwbroker.model import ConfigError
 
 TINY = """\
@@ -150,3 +152,48 @@ def test_unknown_figure_is_rejected_by_the_parser(tiny_file):
     with pytest.raises(SystemExit) as exc:
         main(["sweep", str(tiny_file), "--figure", "fig9"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("line,message", [
+    ("capacity_mbps: .nan\n", "capacity_mbps must be finite"),
+    ("sim_duration_min: .inf\n", "sim_duration_min must be finite"),
+    ("replications: 2.7\n", "replications"),
+    ("replications: true\n", "replications"),
+    ("capacity_mbps: yes\n", "capacity_mbps"),
+])
+def test_bad_values_exit_2(tmp_path, capsys, line, message):
+    p = tmp_path / "c.yaml"
+    p.write_text(line)
+    rc = main(["run", str(p), "--out", str(tmp_path / "x"), "--jobs", "1"])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+
+
+def test_whole_float_is_accepted_for_int_fields(tmp_path):
+    p = tmp_path / "c.yaml"
+    p.write_text("replications: 3.0\n")
+    assert load_config(str(p)).replications == 3
+
+
+@pytest.mark.parametrize("figure,catalog", [("fig3", 20), ("fig5", 29)])
+def test_sweep_with_too_small_catalog_exits_2(tmp_path, capsys, figure, catalog):
+    p = tmp_path / "c.yaml"
+    p.write_text(f"num_channels_catalog: {catalog}\nsim_duration_min: 30\n"
+                 "warmup_min: 10\nreplications: 1\n")
+    rc = main(["sweep", str(p), "--figure", figure, "--out", str(tmp_path / "x")])
+    assert rc == 2
+    assert "num_channels_catalog" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_jobs_below_one_is_rejected(tiny_file, tmp_path, jobs):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", str(tiny_file), "--out", str(tmp_path / "x"), "--jobs", jobs])
+    assert exc.value.code == 2
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no CPU affinity here")
+def test_jobs_default_to_the_usable_cpus():
+    args = build_parser().parse_args(["run", "table1"])
+    assert args.jobs == len(os.sched_getaffinity(0))

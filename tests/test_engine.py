@@ -81,6 +81,16 @@ def test_step_reservation_shields_channels(cfg):
     assert r.utilization == pytest.approx(1.0, abs=1e-12)
 
 
+def test_step_times_do_not_drift(short_cfg):
+    # adding 0.1 ten times gives 0.9999999999999999; step * dt gives 1.0
+    fine = replace(short_cfg, sample_interval_min=0.1, history_window_min=6.0,
+                   sim_duration_min=12.0, warmup_min=6.0)
+    fine.validate()
+    records = run_replication(fine, PolicyKind.SLA, 7)
+    assert len(records) == 120
+    assert [r.t_min for r in records] == [i * 0.1 for i in range(120)]
+
+
 def test_replication_is_reproducible(short_cfg):
     a = run_replication(short_cfg, PolicyKind.SLA, 7)
     b = run_replication(short_cfg, PolicyKind.SLA, 7)

@@ -111,6 +111,9 @@ def test_zero_arrival_rates_are_legal():
     ("warmup_min", 720.0),                        # nothing left after warmup
     ("warmup_min", -1.0),
     ("replications", 0),
+    ("replications", 2.7),                        # not a whole number
+    ("capacity_mbps", float("nan")),
+    ("non_iptv_arrival_rate_per_min", float("inf")),
 ])
 def test_validate_rejects(field, value):
     bad = dataclasses.replace(table1(), **{field: value})
@@ -149,8 +152,8 @@ def test_dropped_channel_forgets_its_viewers():
 
 def test_call_bookkeeping():
     cell = CellState(2.0)
-    cell.add_call(NonIptvCall(0, 1.0, departure_time_min=5.0))
-    cell.add_call(NonIptvCall(1, 2.5, departure_time_min=9.0))
+    cell.add_call(NonIptvCall(0, 1.0))
+    cell.add_call(NonIptvCall(1, 2.5))
     assert cell.non_iptv_demand_mbps == pytest.approx(3.5)
     cell.call_departs(0)
     assert cell.non_iptv_demand_mbps == pytest.approx(2.5)

@@ -64,6 +64,14 @@ def test_poisson_mean_converges():
     assert mean == pytest.approx(4.0, abs=3 * math.sqrt(4.0 / n))
 
 
+def test_poisson_mean_is_exact_past_exp_underflow():
+    # exp(-2000) underflows to 0.0, which a single product run cannot reach
+    r = RngStream(13, 1)
+    n = 200
+    mean = sum(gen_poisson_count(2000.0, 1.0, r) for _ in range(n)) / n
+    assert mean == pytest.approx(2000.0, abs=4 * math.sqrt(2000.0 / n))
+
+
 @given(rate=st.floats(0.0, 20.0), seed=st.integers(0, 1000))
 def test_poisson_count_is_a_nonnegative_int(rate, seed):
     k = gen_poisson_count(rate, 1.0, RngStream(seed, 0))
