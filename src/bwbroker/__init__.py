@@ -1,105 +1,3 @@
 """Discrete-time simulator for SLA-backed IPTV bandwidth reservation."""
 
-from .allocation import (
-    PolicyKind,
-    admit_channel,
-    allocate_non_sla,
-    allocate_sla,
-)
-from .broker import (
-    BrokerPolicy,
-    DemandHistory,
-    compute_borrowing,
-    compute_reservation,
-)
-from .engine import (
-    SweepPoint,
-    SweepSpec,
-    apply_sweep_value,
-    build_trace,
-    fig3_sweep,
-    fig5_sweep,
-    run_experiment,
-    run_paired,
-    run_policies,
-    run_replication,
-    run_step,
-    run_trace,
-)
-from .metrics import (
-    RunSummary,
-    StepRecord,
-    aggregate,
-    step_satisfaction,
-    step_utilization,
-)
-from .model import (
-    BW_TOL,
-    AllocationDecision,
-    CellState,
-    ChannelState,
-    ConfigError,
-    NonIptvCall,
-    ScenarioConfig,
-    available_bandwidth,
-    satisfaction_level,
-    table1,
-)
-from .traffic import (
-    EventKind,
-    RngStream,
-    TrafficEvent,
-    TrafficGenerator,
-    gen_poisson_count,
-    pick_channel,
-    sample_holding_time,
-    viewer_rate_for_mean_channels,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "AllocationDecision",
-    "BW_TOL",
-    "BrokerPolicy",
-    "CellState",
-    "ChannelState",
-    "ConfigError",
-    "DemandHistory",
-    "EventKind",
-    "NonIptvCall",
-    "PolicyKind",
-    "RngStream",
-    "RunSummary",
-    "ScenarioConfig",
-    "StepRecord",
-    "SweepPoint",
-    "SweepSpec",
-    "TrafficEvent",
-    "TrafficGenerator",
-    "admit_channel",
-    "aggregate",
-    "allocate_non_sla",
-    "allocate_sla",
-    "apply_sweep_value",
-    "available_bandwidth",
-    "build_trace",
-    "compute_borrowing",
-    "compute_reservation",
-    "fig3_sweep",
-    "fig5_sweep",
-    "gen_poisson_count",
-    "pick_channel",
-    "run_experiment",
-    "run_paired",
-    "run_policies",
-    "run_replication",
-    "run_step",
-    "run_trace",
-    "sample_holding_time",
-    "satisfaction_level",
-    "step_satisfaction",
-    "step_utilization",
-    "table1",
-    "viewer_rate_for_mean_channels",
-]

@@ -53,10 +53,8 @@ def per_channel(
 
 def _drop_order(state: CellState) -> list[int]:
     # least-watched channels go first; ties broken toward the higher id
-    return sorted(
-        state.active_channels,
-        key=lambda cid: (state.active_channels[cid].viewer_count, -cid),
-    )
+    active = state.active_channels
+    return sorted(active, key=lambda cid: (len(active[cid]), -cid))
 
 
 def _shed_until_viable(

@@ -10,18 +10,8 @@ share.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 
 from .model import ScenarioConfig
-
-
-@dataclass(frozen=True)
-class BrokerPolicy:
-    reservation_cap_mbps: float
-
-    @classmethod
-    def for_config(cls, config: ScenarioConfig) -> "BrokerPolicy":
-        return cls(reservation_cap_mbps=config.iptv_reservation_cap_mbps)
 
 
 class DemandHistory:
@@ -60,7 +50,7 @@ class DemandHistory:
         self._window.append(demand_mbps)
 
 
-def compute_reservation(history: DemandHistory, policy: BrokerPolicy) -> float:
+def compute_reservation(history: DemandHistory, cap_mbps: float) -> float:
     """Windowed mean of recent demand, capped by the reservation ceiling.
 
     While the window is still filling up the mean is over the samples
@@ -70,7 +60,7 @@ def compute_reservation(history: DemandHistory, policy: BrokerPolicy) -> float:
     window = history._window
     if not window:
         return 0.0
-    return min(sum(window) / len(window), policy.reservation_cap_mbps)
+    return min(sum(window) / len(window), cap_mbps)
 
 
 def compute_borrowing(reserved_mbps: float, available_mbps: float) -> float:

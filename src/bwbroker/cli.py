@@ -2,10 +2,10 @@
 
 Exit codes: 0 on success, 2 for bad input (bad file, bad key, a value
 that is malformed, non-finite, fractional where a whole number is due
-or out of range, a config a sweep cannot use, bad command line
-arguments), 3 for unexpected runtime failures.  The env var
-BWBROKER_SEED overrides the configured base seed; an explicit --seed
-flag beats both.
+or out of range, a run of more than model.MAX_STEPS steps, a config a
+sweep cannot use, bad command line arguments), 3 for unexpected runtime
+failures.  The env var BWBROKER_SEED overrides the configured base seed;
+an explicit --seed flag beats both.
 """
 
 from __future__ import annotations
@@ -13,9 +13,9 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
-import io
 import os
 import sys
+from collections.abc import Iterable, Iterator
 from dataclasses import replace
 from pathlib import Path
 
@@ -119,43 +119,34 @@ def _resolve_seed(config: ScenarioConfig, flag_seed: int | None) -> ScenarioConf
     return replace(config, base_seed=seed)
 
 
-def _write_text_atomic(path: Path, text: str) -> None:
+def _write_csv_atomic(path: Path, header: list[str], rows: Iterable[list]) -> None:
     # write-then-rename so a crash can never leave a half-written file
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
+    with open(tmp, "w", newline="") as f:
+        writer = csv.writer(f, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
     os.replace(tmp, path)
 
 
-def _csv_text(header: list[str], rows: list[list]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
-
-
-def _step_rows(records_by_rep: list[list[StepRecord]]) -> list[list]:
-    rows = []
+def _step_rows(records_by_rep: list[list[StepRecord]]) -> Iterator[list]:
     for rep, records in enumerate(records_by_rep):
         for r in records:
-            rows.append(
-                [
-                    rep,
-                    r.t_min,
-                    r.non_iptv_demand_mbps,
-                    r.iptv_demand_mbps,
-                    r.available_mbps,
-                    r.reserved_mbps,
-                    r.borrowed_mbps,
-                    r.active_channels,
-                    r.per_channel_bw_mbps,
-                    r.satisfaction,
-                    r.utilization,
-                    r.blocks,
-                    r.drops,
-                ]
-            )
-    return rows
+            yield [
+                rep,
+                r.t_min,
+                r.non_iptv_demand_mbps,
+                r.iptv_demand_mbps,
+                r.available_mbps,
+                r.reserved_mbps,
+                r.borrowed_mbps,
+                r.active_channels,
+                r.per_channel_bw_mbps,
+                r.satisfaction,
+                r.utilization,
+                r.blocks,
+                r.drops,
+            ]
 
 
 def _summary_row(policy: PolicyKind, s: RunSummary) -> list:
@@ -196,23 +187,27 @@ def cmd_run(args: argparse.Namespace) -> int:
     for policy in policies:
         records_by_rep = by_policy[policy]
         steps_path = out_dir / f"steps_{policy.value}.csv"
-        _write_text_atomic(steps_path, _csv_text(STEP_CSV_HEADER, _step_rows(records_by_rep)))
+        _write_csv_atomic(steps_path, STEP_CSV_HEADER, _step_rows(records_by_rep))
         summary = aggregate(records_by_rep, config.warmup_min)
         summary_rows.append(_summary_row(policy, summary))
         _print_summary(policy, summary)
-    _write_text_atomic(out_dir / "summary.csv", _csv_text(SUMMARY_CSV_HEADER, summary_rows))
+    _write_csv_atomic(out_dir / "summary.csv", SUMMARY_CSV_HEADER, summary_rows)
     return 0
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     config = _resolve_seed(load_config(args.config), args.seed)
-    base, spec = FIGURE_SWEEPS[args.figure](config)
+    try:
+        base, spec = FIGURE_SWEEPS[args.figure](config)
+    except (ArithmeticError, ValueError) as exc:
+        # the preset derives its rates from the config, which can put them out of reach
+        raise ConfigError(f"the {args.figure} sweep cannot use this config: {exc}") from exc
     points = run_experiment(base, spec, jobs=args.jobs)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = [[p.sweep_value] + _summary_row(p.policy, p.summary) for p in points]
-    _write_text_atomic(out_dir / f"sweep_{args.figure}.csv", _csv_text(SWEEP_CSV_HEADER, rows))
+    _write_csv_atomic(out_dir / f"sweep_{args.figure}.csv", SWEEP_CSV_HEADER, rows)
 
     for p in points:
         print(

@@ -14,9 +14,9 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 from .allocation import PolicyKind, admit_channel, allocate_non_sla, allocate_sla
-from .broker import BrokerPolicy, DemandHistory, compute_reservation
+from .broker import DemandHistory, compute_reservation
 from .metrics import RunSummary, StepRecord, aggregate, step_satisfaction, step_utilization
-from .model import CellState, ConfigError, NonIptvCall, ScenarioConfig
+from .model import CellState, ConfigError, ScenarioConfig
 from .traffic import (
     NON_IPTV_ARRIVE,
     NON_IPTV_DEPART,
@@ -35,30 +35,25 @@ def run_step(
     policy_kind: PolicyKind,
     config: ScenarioConfig,
     events: list[TrafficEvent],
-    broker_policy: BrokerPolicy | None = None,
 ) -> StepRecord:
     """Advance the cell by one step, mutating state and history."""
-    if broker_policy is None:
-        broker_policy = BrokerPolicy.for_config(config)
-
     # the reservation depends only on past samples, so it is fixed for the
     # whole step and already governs this step's admissions
     reserved = 0.0
     if policy_kind is PolicyKind.SLA:
-        reserved = compute_reservation(history, broker_policy)
+        reserved = compute_reservation(history, config.iptv_reservation_cap_mbps)
 
     blocks = 0
     active = state.active_channels
-    for ev in events:
-        kind = ev.kind
+    for kind, channel_id, viewer_id in events:
         if kind is VIEWER_DEPART:
-            state.viewer_departs(ev.viewer_id)
+            state.viewer_departs(viewer_id)
         elif kind is NON_IPTV_DEPART:
-            state.call_departs(ev.call_id)
+            state.call_departs()
         elif kind is NON_IPTV_ARRIVE:
-            state.add_call(NonIptvCall(ev.call_id, ev.bw_mbps))
-        elif ev.channel_id in active or admit_channel(state, policy_kind, reserved, config):
-            state.admit_viewer(ev.viewer_id, ev.channel_id)
+            state.add_call()
+        elif channel_id in active or admit_channel(state, policy_kind, reserved, config):
+            state.admit_viewer(viewer_id, channel_id)
         else:
             blocks += 1
 
@@ -70,7 +65,6 @@ def run_step(
         decision = allocate_sla(state, reserved, config)
     else:
         decision = allocate_non_sla(state, config)
-    decision.blocked_channels = blocks
 
     for channel_id in decision.dropped_channel_ids:
         state.drop_channel(channel_id)
@@ -101,19 +95,14 @@ def run_step(
 def build_trace(config: ScenarioConfig, seed: int) -> Trace:
     """Generate the full event trace of one replication."""
     gen = TrafficGenerator.from_seed(config, seed)
-    t1 = config.sample_interval_min
-    return [gen.events_for_step(i * t1) for i in range(config.n_steps)]
+    return [gen.events_for_step(step) for step in range(config.n_steps)]
 
 
 def run_trace(config: ScenarioConfig, policy_kind: PolicyKind, trace: Trace) -> list[StepRecord]:
     """Play a pre-built trace through one policy."""
     state = CellState.for_config(config)
     history = DemandHistory.for_config(config)
-    broker_policy = BrokerPolicy.for_config(config)
-    return [
-        run_step(state, history, policy_kind, config, events, broker_policy)
-        for events in trace
-    ]
+    return [run_step(state, history, policy_kind, config, events) for events in trace]
 
 
 def replication_seed(base_seed: int, replication: int) -> int:

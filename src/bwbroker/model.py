@@ -4,19 +4,24 @@ One wireless cell with a fixed downlink capacity carries two traffic
 classes.  IPTV channels are broadcast: a channel is on air while at least
 one viewer is tuned to it and always demands the full per-channel rate.
 Everything else (voice, data) is lumped into "non-IPTV" calls that each
-hold a fixed amount of bandwidth for their lifetime.  All bandwidth is in
-Mbps, all times in minutes.
+hold the same fixed bandwidth for their lifetime, so the cell tracks them
+as a count.  All bandwidth is in Mbps, all times in minutes.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 # Tolerance for bandwidth comparisons, in Mbps.  The allocation rules
 # produce non-terminating fractions, so every threshold test is fuzzy.
 BW_TOL = 1e-9
+
+# Most steps one run may take, about 1,400 times the 720 of table1.  A run
+# holds every step's events and record in memory, so a much finer grid
+# would exhaust memory instead of finishing.
+MAX_STEPS = 1_000_000
 
 
 class ConfigError(ValueError):
@@ -74,8 +79,7 @@ class ScenarioConfig:
             raise ConfigError("num_channels_catalog must be at least 1")
         if c.sample_interval_min <= 0 or c.history_window_min <= 0:
             raise ConfigError("sample_interval_min and history_window_min must be positive")
-        n = c.history_window_min / c.sample_interval_min
-        if abs(n - round(n)) > 1e-9 or round(n) < 1:
+        if not _is_whole_count(c.history_window_min / c.sample_interval_min):
             raise ConfigError(
                 "history_window_min must be a whole multiple of sample_interval_min"
             )
@@ -86,6 +90,13 @@ class ScenarioConfig:
         ):
             if getattr(c, name) < 0:
                 raise ConfigError(f"{name} must be >= 0")
+        try:
+            # channel k is weighted 1 / k^skew, as traffic._popularity_cdf does
+            c.num_channels_catalog ** c.channel_popularity_skew
+        except OverflowError:
+            raise ConfigError(
+                "channel_popularity_skew is too steep for num_channels_catalog"
+            ) from None
         for name in ("iptv_viewer_mean_hold_min", "non_iptv_mean_hold_min"):
             if getattr(c, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
@@ -94,7 +105,12 @@ class ScenarioConfig:
         if c.sim_duration_min <= 0:
             raise ConfigError("sim_duration_min must be positive")
         steps = c.sim_duration_min / c.sample_interval_min
-        if abs(steps - round(steps)) > 1e-9 or round(steps) < 1:
+        if steps > MAX_STEPS:
+            raise ConfigError(
+                f"sim_duration_min / sample_interval_min is {steps:.3g} steps,"
+                f" more than the {MAX_STEPS} a run may take"
+            )
+        if not _is_whole_count(steps):
             raise ConfigError(
                 "sim_duration_min must be a whole multiple of sample_interval_min"
             )
@@ -111,6 +127,11 @@ class ScenarioConfig:
     def history_samples(self) -> int:
         """Length of the demand history window, in samples."""
         return int(round(self.history_window_min / self.sample_interval_min))
+
+
+def _is_whole_count(ratio: float) -> bool:
+    # finite first: round() of an overflowed ratio raises OverflowError
+    return math.isfinite(ratio) and abs(ratio - round(ratio)) <= 1e-9 and round(ratio) >= 1
 
 
 def table1() -> ScenarioConfig:
@@ -149,47 +170,33 @@ PRESETS = {"table1": table1}
 # live state
 
 
-@dataclass
-class ChannelState:
-    """One on-air IPTV channel and the viewers currently tuned to it."""
-
-    channel_id: int
-    viewer_ids: set[int] = field(default_factory=set)
-
-    @property
-    def viewer_count(self) -> int:
-        return len(self.viewer_ids)
-
-
-@dataclass
-class NonIptvCall:
-    call_id: int
-    requested_bw_mbps: float
-
-
 class CellState:
     """Mutable ledger of what is active in the cell at one instant.
 
-    Tracks on-air channels, live non-IPTV calls and which admitted viewer
-    sits on which channel.  The viewer registry exists so that a departure
-    scheduled for a viewer who was blocked at admission, or whose channel
-    was dropped, can be recognised and ignored.
+    Tracks on-air channels with their viewers, the count of live non-IPTV
+    calls, and which admitted viewer sits on which channel.  The viewer
+    registry exists so that a departure scheduled for a viewer who was
+    blocked at admission, or whose channel was dropped, can be recognised
+    and ignored.
     """
 
-    def __init__(self, channel_demand_mbps: float):
+    def __init__(self, channel_demand_mbps: float, call_bw_mbps: float):
         # steps completed; time_min is derived from it so it cannot drift
         self.step = 0
         self.time_min = 0.0
         # demand of one on-air channel; channels always ask for full quality
         self.channel_demand_mbps = channel_demand_mbps
-        self.active_channels: dict[int, ChannelState] = {}
-        self.non_iptv_calls: dict[int, NonIptvCall] = {}
+        # demand of one call; every call asks for the same bandwidth
+        self.call_bw_mbps = call_bw_mbps
+        # on-air channel id -> ids of the viewers tuned to it
+        self.active_channels: dict[int, set[int]] = {}
+        self.calls = 0
         self.non_iptv_demand_mbps = 0.0
         self._viewer_channel: dict[int, int] = {}
 
     @classmethod
     def for_config(cls, config: ScenarioConfig) -> "CellState":
-        return cls(config.iptv_channel_max_bw_mbps)
+        return cls(config.iptv_channel_max_bw_mbps, config.non_iptv_call_bw_mbps)
 
     @property
     def iptv_demand_mbps(self) -> float:
@@ -201,11 +208,10 @@ class CellState:
 
     def admit_viewer(self, viewer_id: int, channel_id: int) -> None:
         """Register a viewer; activates the channel if it was off air."""
-        ch = self.active_channels.get(channel_id)
-        if ch is None:
-            ch = ChannelState(channel_id)
-            self.active_channels[channel_id] = ch
-        ch.viewer_ids.add(viewer_id)
+        viewers = self.active_channels.get(channel_id)
+        if viewers is None:
+            viewers = self.active_channels[channel_id] = set()
+        viewers.add(viewer_id)
         self._viewer_channel[viewer_id] = channel_id
 
     def viewer_departs(self, viewer_id: int) -> None:
@@ -213,27 +219,26 @@ class CellState:
         channel_id = self._viewer_channel.pop(viewer_id, None)
         if channel_id is None:
             return
-        ch = self.active_channels[channel_id]
-        ch.viewer_ids.discard(viewer_id)
-        if not ch.viewer_ids:
+        viewers = self.active_channels[channel_id]
+        viewers.discard(viewer_id)
+        if not viewers:
             del self.active_channels[channel_id]
 
     def drop_channel(self, channel_id: int) -> None:
         """Force a channel off air, discarding all of its viewers."""
-        ch = self.active_channels.pop(channel_id)
-        for viewer_id in ch.viewer_ids:
+        for viewer_id in self.active_channels.pop(channel_id):
             del self._viewer_channel[viewer_id]
 
-    def add_call(self, call: NonIptvCall) -> None:
-        self.non_iptv_calls[call.call_id] = call
-        self.non_iptv_demand_mbps += call.requested_bw_mbps
+    def add_call(self) -> None:
+        self.calls += 1
+        self.non_iptv_demand_mbps = self.calls * self.call_bw_mbps
 
-    def call_departs(self, call_id: int) -> None:
-        call = self.non_iptv_calls.pop(call_id)
-        self.non_iptv_demand_mbps -= call.requested_bw_mbps
-        if self.non_iptv_demand_mbps < 0.0:
-            # float drift guard; demand is a sum of per-call constants
-            self.non_iptv_demand_mbps = 0.0
+    def call_departs(self) -> None:
+        """End one live call; ValueError when none is live."""
+        if not self.calls:
+            raise ValueError("no call is live")
+        self.calls -= 1
+        self.non_iptv_demand_mbps = self.calls * self.call_bw_mbps
 
 
 @dataclass
@@ -252,7 +257,6 @@ class AllocationDecision:
     non_iptv_grant_mbps: float
     num_active_channels: int
     dropped_channel_ids: tuple[int, ...] = ()
-    blocked_channels: int = 0
 
     @property
     def dropped_channels(self) -> int:

@@ -52,15 +52,16 @@ VIEWER_ARRIVE, VIEWER_DEPART, NON_IPTV_ARRIVE, NON_IPTV_DEPART = EventKind
 
 
 class TrafficEvent(NamedTuple):
-    """One arrival or departure; the fields a kind does not use keep their defaults."""
+    """One arrival or departure; call events carry no ids."""
 
-    time_min: float
     kind: EventKind
     channel_id: int | None = None
     viewer_id: int | None = None
-    call_id: int | None = None
-    bw_mbps: float = 0.0
-    depart_time_min: float | None = None
+
+
+# every call is alike, so all call events are these two shared objects
+CALL_ARRIVAL = TrafficEvent(NON_IPTV_ARRIVE)
+CALL_DEPARTURE = TrafficEvent(NON_IPTV_DEPART)
 
 
 # Largest mean drawn with one run of the product method: exp(-500) is far
@@ -178,7 +179,7 @@ def viewer_rate_for_mean_channels(
     lo, hi = 0.0, 1.0
     while mean_active(hi) < target_mean_channels:
         hi *= 2.0
-        if hi > 1e12:  # pragma: no cover - unreachable for valid targets
+        if hi > 1e12:  # a steep skew leaves some channels all but never watched
             raise ValueError("calibration failed to bracket the target")
     for _ in range(200):
         mid = 0.5 * (lo + hi)
@@ -204,31 +205,25 @@ class TrafficGenerator:
         self._cfg = config
         self._viewer_rng = viewer_rng
         self._call_rng = call_rng
-        self._pending_viewer: dict[int, list[tuple[int, int]]] = {}
-        self._pending_call: dict[int, list[int]] = {}
+        # step -> the viewer departures due then, and the number of call departures
+        self._pending_viewer: dict[int, list[TrafficEvent]] = {}
+        self._pending_call: dict[int, int] = {}
         self._next_viewer_id = 0
-        self._next_call_id = 0
 
     @classmethod
     def from_seed(cls, config: ScenarioConfig, seed: int) -> "TrafficGenerator":
         # stream 0 drives viewers, stream 1 drives non-IPTV calls
         return cls(config, RngStream(seed, 0), RngStream(seed, 1))
 
-    def _step_index(self, t_min: float) -> int:
-        t1 = self._cfg.sample_interval_min
-        idx = round(t_min / t1)
-        if abs(idx * t1 - t_min) > 1e-9:
-            raise ValueError(f"t={t_min} is not aligned to the {t1} min step grid")
-        return idx
-
     def schedule_viewer_departure(self, step: int, viewer_id: int, channel_id: int) -> None:
-        self._pending_viewer.setdefault(step, []).append((viewer_id, channel_id))
+        event = TrafficEvent(VIEWER_DEPART, channel_id, viewer_id)
+        self._pending_viewer.setdefault(step, []).append(event)
 
-    def schedule_call_departure(self, step: int, call_id: int) -> None:
-        self._pending_call.setdefault(step, []).append(call_id)
+    def schedule_call_departure(self, step: int) -> None:
+        self._pending_call[step] = self._pending_call.get(step, 0) + 1
 
-    def events_for_step(self, t_min: float) -> list[TrafficEvent]:
-        """All events taking effect at step t, departures first.
+    def events_for_step(self, step: int) -> list[TrafficEvent]:
+        """All events taking effect at the given step, departures first.
 
         Order within the step is fixed: viewer departures, call
         departures, call arrivals, then viewer arrivals, so a new viewer
@@ -239,32 +234,19 @@ class TrafficGenerator:
         minutes lasts ceil(tau / t1) steps, at least one.
         """
         cfg = self._cfg
-        idx = self._step_index(t_min)
         t1 = cfg.sample_interval_min
         ceil, log1p = math.ceil, math.log1p
-        events = [
-            TrafficEvent(t_min, VIEWER_DEPART, channel_id, viewer_id)
-            for viewer_id, channel_id in self._pending_viewer.pop(idx, ())
-        ]
-        events += [
-            TrafficEvent(t_min, NON_IPTV_DEPART, None, None, call_id)
-            for call_id in self._pending_call.pop(idx, ())
-        ]
+        events = self._pending_viewer.pop(step, [])
+        events += [CALL_DEPARTURE] * self._pending_call.pop(step, 0)
 
         rng = self._call_rng
         n = gen_poisson_count(cfg.non_iptv_arrival_rate_per_min, t1, rng)
         schedule = self.schedule_call_departure
-        bw = cfg.non_iptv_call_bw_mbps
         mean_hold = cfg.non_iptv_mean_hold_min
         draw = rng.random
-        first = self._next_call_id
-        self._next_call_id += n
-        for call_id in range(first, first + n):
-            depart = idx + max(1, ceil(-mean_hold * log1p(-draw()) / t1))
-            schedule(depart, call_id)
-            events.append(
-                TrafficEvent(t_min, NON_IPTV_ARRIVE, None, None, call_id, bw, depart * t1)
-            )
+        for _ in range(n):
+            schedule(step + max(1, ceil(-mean_hold * log1p(-draw()) / t1)))
+        events += [CALL_ARRIVAL] * n
 
         rng = self._viewer_rng
         n = gen_poisson_count(cfg.iptv_viewer_arrival_rate_per_min, t1, rng)
@@ -276,10 +258,7 @@ class TrafficGenerator:
         self._next_viewer_id += n
         for viewer_id in range(first, first + n):
             channel = bisect_right(cdf, draw()) + 1
-            depart = idx + max(1, ceil(-mean_hold * log1p(-draw()) / t1))
-            schedule(depart, viewer_id, channel)
-            events.append(
-                TrafficEvent(t_min, VIEWER_ARRIVE, channel, viewer_id, None, 0.0, depart * t1)
-            )
+            schedule(step + max(1, ceil(-mean_hold * log1p(-draw()) / t1)), viewer_id, channel)
+            events.append(TrafficEvent(VIEWER_ARRIVE, channel, viewer_id))
 
         return events

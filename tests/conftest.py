@@ -2,7 +2,7 @@ from dataclasses import replace
 
 import pytest
 
-from bwbroker import table1
+from bwbroker.model import table1
 
 
 @pytest.fixture

@@ -15,12 +15,11 @@ from statistics import fmean
 
 import pytest
 
-from bwbroker import table1
 from bwbroker.allocation import PolicyKind, allocate_non_sla, allocate_sla
-from bwbroker.broker import BrokerPolicy, DemandHistory, compute_borrowing, compute_reservation
+from bwbroker.broker import DemandHistory, compute_borrowing, compute_reservation
 from bwbroker.cli import main
 from bwbroker.engine import fig3_sweep, fig5_sweep, run_experiment
-from bwbroker.model import CellState, NonIptvCall, available_bandwidth, satisfaction_level
+from bwbroker.model import CellState, available_bandwidth, satisfaction_level, table1
 from bwbroker.traffic import (
     EventKind,
     RngStream,
@@ -128,11 +127,11 @@ def _ref_sla(n, b_i, reserved, cfg):
 
 
 def _state_with(n, b_i, cfg):
-    cell = CellState.for_config(cfg)
+    cell = CellState(cfg.iptv_channel_max_bw_mbps, b_i)
     for i in range(n):
         cell.admit_viewer(i, i + 1)
     if b_i > 0:
-        cell.add_call(NonIptvCall(0, b_i))
+        cell.add_call()
     return cell
 
 
@@ -161,7 +160,7 @@ def test_criterion_equations_match_reference_oracles():
         for v in vals:
             hist.record_sample(v)
         res_cap = rng.uniform(2.0, 40.0)
-        worst = max(worst, abs(compute_reservation(hist, BrokerPolicy(res_cap))
+        worst = max(worst, abs(compute_reservation(hist, res_cap)
                                - min(fmean(vals), res_cap)))
 
         n = rng.randint(0, 50)
@@ -292,17 +291,17 @@ def test_criterion_traffic_statistics():
                   non_iptv_mean_hold_min=20.0,
                   sim_duration_min=20_000.0, warmup_min=0.0)
     gen = TrafficGenerator.from_seed(cfg, 17)
-    live = set()
+    live = 0
     total = 0
     n = 0
     for step in range(20_000):
-        for ev in gen.events_for_step(float(step)):
+        for ev in gen.events_for_step(step):
             if ev.kind is EventKind.NON_IPTV_ARRIVE:
-                live.add(ev.call_id)
+                live += 1
             elif ev.kind is EventKind.NON_IPTV_DEPART:
-                live.discard(ev.call_id)
+                live -= 1
         if step >= 500:
-            total += len(live)
+            total += live
             n += 1
     concurrency = total / n
     target = 2.5 * 20.0

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bwbroker import CellState, NonIptvCall, available_bandwidth, table1
 from bwbroker import allocation
 from bwbroker.allocation import (
     PolicyKind,
@@ -17,17 +16,18 @@ from bwbroker.allocation import (
     per_channel,
 )
 from bwbroker.engine import run_paired
+from bwbroker.model import CellState, available_bandwidth, table1
 
 BW_TOL = 1e-9
 
 
 def make_state(n_channels, call_bw, cfg=None):
     """Cell with n single-viewer channels and one call holding call_bw."""
-    cell = CellState.for_config(cfg or table1())
+    cell = CellState((cfg or table1()).iptv_channel_max_bw_mbps, call_bw)
     for k in range(n_channels):
         cell.admit_viewer(k, k + 1)
     if call_bw > 0:
-        cell.add_call(NonIptvCall(0, call_bw))
+        cell.add_call()
     return cell
 
 
@@ -211,7 +211,7 @@ def _ref_rate(policy, non_iptv, reserved, cfg):
 
 def _ref_shed(state, rate, cfg):
     order = sorted(state.active_channels,
-                   key=lambda cid: (state.active_channels[cid].viewer_count, -cid))
+                   key=lambda cid: (len(state.active_channels[cid]), -cid))
     n = len(order)
     dropped = []
     while n > 0:
@@ -270,14 +270,14 @@ def test_per_channel_rule_matches_one_at_a_time_shed():
         rate = _ref_rate(policy, non_iptv, reserved, cfg)
         k = _largest_viable(rate, cfg)
         for n in {k, k + 1, rng.randint(0, k + 5)}:
-            state = CellState.for_config(cfg)
+            state = CellState(cfg.iptv_channel_max_bw_mbps, non_iptv)
             viewer = 0
             for cid in range(1, n + 1):
                 for _ in range(rng.randint(1, 3)):
                     state.admit_viewer(viewer, cid)
                     viewer += 1
             if non_iptv > 0:
-                state.add_call(NonIptvCall(0, non_iptv))
+                state.add_call()
 
             if n:
                 assert per_channel(policy, n, non_iptv, reserved, cfg) == rate(n)

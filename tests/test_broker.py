@@ -4,15 +4,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bwbroker import table1
-from bwbroker.broker import (
-    BrokerPolicy,
-    DemandHistory,
-    compute_borrowing,
-    compute_reservation,
-)
+from bwbroker.broker import DemandHistory, compute_borrowing, compute_reservation
 
-CAP40 = BrokerPolicy(reservation_cap_mbps=40.0)
+CAP40 = 40.0
 
 
 def test_history_rejects_bad_capacity():
@@ -61,7 +55,7 @@ def test_reservation_is_capped_windowed_mean(samples, cap):
     for v in samples:
         h.record_sample(v)
         acc += v
-    got = compute_reservation(h, BrokerPolicy(cap))
+    got = compute_reservation(h, cap)
     assert got == min(acc / len(samples), cap)       # bitwise, same summation
     assert 0.0 <= got <= cap
 
@@ -76,6 +70,3 @@ def test_borrowing_examples():
 def test_borrowing_is_clamped_shortfall(reserved, available):
     assert compute_borrowing(reserved, available) == max(0.0, reserved - available)
 
-
-def test_broker_policy_from_config(cfg):
-    assert BrokerPolicy.for_config(cfg).reservation_cap_mbps == 40.0

@@ -4,9 +4,9 @@ import os
 
 import pytest
 
-from bwbroker import table1
+from bwbroker import cli
 from bwbroker.cli import SUMMARY_CSV_HEADER, build_parser, load_config, main
-from bwbroker.model import ConfigError
+from bwbroker.model import ConfigError, table1
 
 TINY = """\
 sim_duration_min: 30
@@ -185,6 +185,19 @@ def test_sweep_with_too_small_catalog_exits_2(tmp_path, capsys, figure, catalog)
     assert "num_channels_catalog" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("figure,lines", [
+    ("fig5", "channel_popularity_skew: 9.0\n"),        # 29.9 channels out of reach
+    ("fig3", "iptv_viewer_mean_hold_min: 1.0e300\n"),  # step-rounded hold divides by 0
+    ("fig5", "non_iptv_mean_hold_min: 1.0e-200\nnon_iptv_call_bw_mbps: 1.0e-200\n"),
+])
+def test_sweep_preset_out_of_reach_exits_2(tmp_path, capsys, figure, lines):
+    p = tmp_path / "c.yaml"
+    p.write_text(lines + "sim_duration_min: 30\nwarmup_min: 10\nreplications: 1\n")
+    rc = main(["sweep", str(p), "--figure", figure, "--out", str(tmp_path / "x")])
+    assert rc == 2
+    assert f"the {figure} sweep cannot use this config" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("jobs", ["0", "-2"])
 def test_jobs_below_one_is_rejected(tiny_file, tmp_path, jobs):
     with pytest.raises(SystemExit) as exc:
@@ -197,3 +210,16 @@ def test_jobs_below_one_is_rejected(tiny_file, tmp_path, jobs):
 def test_jobs_default_to_the_usable_cpus():
     args = build_parser().parse_args(["run", "table1"])
     assert args.jobs == len(os.sched_getaffinity(0))
+
+
+def test_step_count_past_the_ceiling_exits_2_without_running(tmp_path, capsys, monkeypatch):
+    def no_run(*args, **kwargs):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(cli, "run_policies", no_run)
+    p = tmp_path / "c.yaml"
+    p.write_text("sample_interval_min: 1.0e-300\n")     # about 7.2e302 steps
+    rc = main(["run", str(p), "--out", str(tmp_path / "x"), "--jobs", "1"])
+    assert rc == 2
+    assert "steps" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()

@@ -24,19 +24,14 @@ from bwbroker.engine import (
 )
 from bwbroker.metrics import aggregate
 from bwbroker.model import CellState, ConfigError
-from bwbroker.traffic import EventKind, TrafficEvent
+from bwbroker.traffic import CALL_ARRIVAL, EventKind, TrafficEvent
 
 
 def _arrivals(n_channels, n_unit_calls):
     """One step's worth of fresh traffic: calls first, then viewers."""
-    ev = [
-        TrafficEvent(0.0, EventKind.NON_IPTV_ARRIVE, call_id=i,
-                     bw_mbps=1.0, depart_time_min=999.0)
-        for i in range(n_unit_calls)
-    ]
+    ev = [CALL_ARRIVAL] * n_unit_calls
     ev += [
-        TrafficEvent(0.0, EventKind.VIEWER_ARRIVE, channel_id=k + 1,
-                     viewer_id=k, depart_time_min=999.0)
+        TrafficEvent(EventKind.VIEWER_ARRIVE, channel_id=k + 1, viewer_id=k)
         for k in range(n_channels)
     ]
     return ev

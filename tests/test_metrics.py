@@ -2,9 +2,8 @@
 
 import pytest
 
-from bwbroker import table1
 from bwbroker.metrics import RunSummary, StepRecord, aggregate, step_satisfaction, step_utilization
-from bwbroker.model import AllocationDecision
+from bwbroker.model import AllocationDecision, table1
 
 
 def decision(per, n, grant=0.0, drops=()):

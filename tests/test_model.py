@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bwbroker import (
+from bwbroker.model import (
+    MAX_STEPS,
     CellState,
     ConfigError,
-    NonIptvCall,
     available_bandwidth,
     satisfaction_level,
     table1,
@@ -105,6 +105,7 @@ def test_zero_arrival_rates_are_legal():
     ("history_window_min", -1.0),
     ("iptv_viewer_arrival_rate_per_min", -0.1),
     ("channel_popularity_skew", -0.5),
+    ("channel_popularity_skew", 1e300),           # 30 ** skew overflows
     ("iptv_viewer_mean_hold_min", 0.0),
     ("non_iptv_call_bw_mbps", 0.0),
     ("sim_duration_min", 0.5),                    # not a whole number of steps
@@ -114,6 +115,9 @@ def test_zero_arrival_rates_are_legal():
     ("replications", 2.7),                        # not a whole number
     ("capacity_mbps", float("nan")),
     ("non_iptv_arrival_rate_per_min", float("inf")),
+    ("sample_interval_min", 1.0e-300),            # 7.2e302 steps, past MAX_STEPS
+    ("sample_interval_min", 5e-324),              # the step ratio overflows to inf
+    ("sim_duration_min", 60.0 * (MAX_STEPS + 1)),  # one step past MAX_STEPS
 ])
 def test_validate_rejects(field, value):
     bad = dataclasses.replace(table1(), **{field: value})
@@ -121,14 +125,18 @@ def test_validate_rejects(field, value):
         bad.validate()
 
 
+def test_max_steps_itself_is_accepted():
+    dataclasses.replace(table1(), sim_duration_min=float(MAX_STEPS)).validate()
+
+
 def test_cell_tracks_channels_and_demand():
-    cell = CellState(2.0)
+    cell = CellState(2.0, 1.0)
     cell.admit_viewer(0, 5)
     cell.admit_viewer(1, 5)
     cell.admit_viewer(2, 9)
     assert cell.active_channel_count == 2
     assert cell.iptv_demand_mbps == 4.0
-    assert cell.active_channels[5].viewer_count == 2
+    assert len(cell.active_channels[5]) == 2
 
     cell.viewer_departs(0)
     assert cell.active_channel_count == 2   # channel 5 still has a viewer
@@ -139,7 +147,7 @@ def test_cell_tracks_channels_and_demand():
 
 
 def test_dropped_channel_forgets_its_viewers():
-    cell = CellState(2.0)
+    cell = CellState(2.0, 1.0)
     cell.admit_viewer(0, 3)
     cell.admit_viewer(1, 3)
     cell.drop_channel(3)
@@ -151,17 +159,22 @@ def test_dropped_channel_forgets_its_viewers():
 
 
 def test_call_bookkeeping():
-    cell = CellState(2.0)
-    cell.add_call(NonIptvCall(0, 1.0))
-    cell.add_call(NonIptvCall(1, 2.5))
-    assert cell.non_iptv_demand_mbps == pytest.approx(3.5)
-    cell.call_departs(0)
+    cell = CellState(2.0, 2.5)
+    cell.add_call()
+    cell.add_call()
+    assert cell.calls == 2
+    assert cell.non_iptv_demand_mbps == pytest.approx(5.0)
+    cell.call_departs()
     assert cell.non_iptv_demand_mbps == pytest.approx(2.5)
-    cell.call_departs(1)
+    cell.call_departs()
     assert cell.non_iptv_demand_mbps == 0.0
+    with pytest.raises(ValueError):
+        cell.call_departs()                 # no call is live
 
 
 def test_for_config_uses_full_channel_rate(cfg):
     cell = CellState.for_config(cfg)
     cell.admit_viewer(0, 1)
     assert cell.iptv_demand_mbps == cfg.iptv_channel_max_bw_mbps
+    cell.add_call()
+    assert cell.non_iptv_demand_mbps == cfg.non_iptv_call_bw_mbps

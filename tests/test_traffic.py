@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bwbroker import table1
+from bwbroker.model import table1
 from bwbroker.traffic import (
     EventKind,
     RngStream,
@@ -180,65 +180,65 @@ def _quiet(cfg):
 
 def test_zero_rates_produce_no_events():
     gen = TrafficGenerator.from_seed(_quiet(table1()), 1)
-    assert gen.events_for_step(0.0) == []
-    assert gen.events_for_step(1.0) == []
+    assert gen.events_for_step(0) == []
+    assert gen.events_for_step(1) == []
 
 
 def test_first_step_events_are_frozen():
     gen = TrafficGenerator.from_seed(table1(), 1)
-    ev = gen.events_for_step(0.0)
+    ev = gen.events_for_step(0)
     assert [e.kind for e in ev] == [
         EventKind.NON_IPTV_ARRIVE, EventKind.NON_IPTV_ARRIVE,
         EventKind.NON_IPTV_ARRIVE, EventKind.VIEWER_ARRIVE,
         EventKind.VIEWER_ARRIVE, EventKind.VIEWER_ARRIVE,
     ]
-    assert [e.call_id for e in ev[:3]] == [0, 1, 2]
-    assert [e.depart_time_min for e in ev[:3]] == [2.0, 36.0, 4.0]
-    assert all(e.bw_mbps == 1.0 for e in ev[:3])
+    assert all(e.channel_id is None and e.viewer_id is None for e in ev[:3])
     assert [(e.viewer_id, e.channel_id) for e in ev[3:]] == [(0, 16), (1, 19), (2, 13)]
-    assert [e.depart_time_min for e in ev[3:]] == [2.0, 16.0, 10.0]
+    # the departure steps the arrivals scheduled: one call each at 2, 36
+    # and 4; viewers 0, 1, 2 at 2, 16 and 10 respectively
+    assert gen._pending_call == {2: 1, 36: 1, 4: 1}
+    assert gen._pending_viewer == {
+        2: [(EventKind.VIEWER_DEPART, 16, 0)],
+        16: [(EventKind.VIEWER_DEPART, 19, 1)],
+        10: [(EventKind.VIEWER_DEPART, 13, 2)],
+    }
 
 
 def test_scheduled_departures_fire_on_time():
     gen = TrafficGenerator.from_seed(_quiet(table1()), 1)
     gen.schedule_viewer_departure(2, viewer_id=7, channel_id=4)
-    gen.schedule_call_departure(3, call_id=9)
-    assert gen.events_for_step(0.0) == []
-    assert gen.events_for_step(1.0) == []
-    ev2 = gen.events_for_step(2.0)
+    gen.schedule_call_departure(3)
+    assert gen.events_for_step(0) == []
+    assert gen.events_for_step(1) == []
+    ev2 = gen.events_for_step(2)
     assert len(ev2) == 1
     assert ev2[0].kind is EventKind.VIEWER_DEPART
     assert ev2[0].viewer_id == 7 and ev2[0].channel_id == 4
-    assert ev2[0].time_min == 2.0
-    ev3 = gen.events_for_step(3.0)
+    ev3 = gen.events_for_step(3)
     assert len(ev3) == 1
     assert ev3[0].kind is EventKind.NON_IPTV_DEPART
-    assert ev3[0].call_id == 9
-
-
-def test_misaligned_step_time_is_rejected():
-    gen = TrafficGenerator.from_seed(table1(), 1)
-    with pytest.raises(ValueError):
-        gen.events_for_step(0.25)
 
 
 def test_every_arrival_departs_exactly_once():
     cfg = replace(table1(), non_iptv_arrival_rate_per_min=0.0,
                   sim_duration_min=400.0, warmup_min=0.0)
     gen = TrafficGenerator.from_seed(cfg, 9)
-    announced = {}
+    arrived = {}
     departed = set()
     for step in range(400):
-        for ev in gen.events_for_step(float(step)):
+        for ev in gen.events_for_step(step):
             if ev.kind is EventKind.VIEWER_ARRIVE:
-                assert ev.depart_time_min > ev.time_min
-                announced[ev.viewer_id] = ev.depart_time_min
+                arrived[ev.viewer_id] = (step, ev.channel_id)
             elif ev.kind is EventKind.VIEWER_DEPART:
-                assert ev.time_min == announced[ev.viewer_id]
+                assert arrived[ev.viewer_id][0] < step
+                assert arrived[ev.viewer_id][1] == ev.channel_id
                 assert ev.viewer_id not in departed
                 departed.add(ev.viewer_id)
-    due = {v for v, t in announced.items() if t < 400.0}
-    assert due == departed
+    # whoever has not left yet is scheduled past the last step, once
+    pending = [ev.viewer_id for step, evs in gen._pending_viewer.items()
+               for ev in evs if step >= 400]
+    assert sum(map(len, gen._pending_viewer.values())) == len(pending)
+    assert sorted(pending) == sorted(set(arrived) - departed)
 
 
 def test_call_concurrency_matches_littles_law():
@@ -247,17 +247,17 @@ def test_call_concurrency_matches_littles_law():
                   non_iptv_mean_hold_min=20.0,
                   sim_duration_min=10_000.0, warmup_min=0.0)
     gen = TrafficGenerator.from_seed(cfg, 3)
-    live = set()
+    live = 0
     total = 0
     n = 0
     for step in range(10_000):
-        for ev in gen.events_for_step(float(step)):
+        for ev in gen.events_for_step(step):
             if ev.kind is EventKind.NON_IPTV_ARRIVE:
-                live.add(ev.call_id)
+                live += 1
             elif ev.kind is EventKind.NON_IPTV_DEPART:
-                live.discard(ev.call_id)
+                live -= 1
         if step >= 200:
-            total += len(live)
+            total += live
             n += 1
     # holds are rounded up to whole steps, so the effective mean hold is
     # slightly above the nominal one; compare against the stretched value
