@@ -15,39 +15,35 @@ from .model import ScenarioConfig
 
 
 class DemandHistory:
-    """Ring buffer of the most recent IPTV demand samples.
+    """Ring buffer of the most recent on-air channel counts.
 
-    Samples record offered demand (full per-channel rate times on-air
-    channels), not what was granted; recording grants would make the
-    reservation feed on its own throttling.
+    A sample is one step's offered IPTV demand: the full per-channel rate
+    times the channels on air, not what was granted; recording grants
+    would make the reservation feed on its own throttling.  Only the
+    integer count is kept, with a running total of the window, so the
+    windowed mean is exact and takes one division.
     """
 
-    def __init__(self, capacity: int):
+    def __init__(self, capacity: int, channel_demand_mbps: float):
         if capacity < 1:
             raise ValueError("history capacity must be at least 1")
-        self._window: deque[float] = deque(maxlen=capacity)
+        self._window: deque[int] = deque(maxlen=capacity)
+        self._total = 0
+        self._channel_demand_mbps = channel_demand_mbps
 
     @classmethod
     def for_config(cls, config: ScenarioConfig) -> "DemandHistory":
-        return cls(config.history_samples)
+        return cls(config.history_samples, config.iptv_channel_max_bw_mbps)
 
-    @property
-    def capacity(self) -> int:
-        return self._window.maxlen  # type: ignore[return-value]
-
-    @property
-    def samples(self) -> tuple[float, ...]:
-        """Window contents, oldest first."""
-        return tuple(self._window)
-
-    def __len__(self) -> int:
-        return len(self._window)
-
-    def record_sample(self, demand_mbps: float) -> None:
-        """Append one demand sample, evicting the oldest on overflow."""
-        if demand_mbps < 0:
-            raise ValueError("demand must be non-negative")
-        self._window.append(demand_mbps)
+    def record_sample(self, channels: int) -> None:
+        """Append one step's on-air channel count, evicting the oldest on overflow."""
+        if channels < 0:
+            raise ValueError("channel count must be non-negative")
+        window = self._window
+        if len(window) == window.maxlen:
+            self._total -= window[0]
+        window.append(channels)
+        self._total += channels
 
 
 def compute_reservation(history: DemandHistory, cap_mbps: float) -> float:
@@ -57,10 +53,10 @@ def compute_reservation(history: DemandHistory, cap_mbps: float) -> float:
     seen so far; an empty window reserves nothing, so a cold start
     degrades to plain leftover allocation.
     """
-    window = history._window
-    if not window:
+    n = len(history._window)
+    if not n:
         return 0.0
-    return min(sum(window) / len(window), cap_mbps)
+    return min(history._channel_demand_mbps * history._total / n, cap_mbps)
 
 
 def compute_borrowing(reserved_mbps: float, available_mbps: float) -> float:

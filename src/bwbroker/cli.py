@@ -2,10 +2,12 @@
 
 Exit codes: 0 on success, 2 for bad input (bad file, bad key, a value
 that is malformed, non-finite, fractional where a whole number is due
-or out of range, a run of more than model.MAX_STEPS steps, a config a
-sweep cannot use, bad command line arguments), 3 for unexpected runtime
-failures.  The env var BWBROKER_SEED overrides the configured base seed;
-an explicit --seed flag beats both.
+or out of range, a run or history window of more than model.MAX_STEPS
+steps, more than model.MAX_ARRIVALS expected arrivals a replication, a
+config a sweep or one of its points cannot use, bad command line
+arguments), 3 for unexpected runtime failures.  The env var
+BWBROKER_SEED overrides the configured base seed; an explicit --seed
+flag beats both.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from pathlib import Path
 import yaml
 
 from .allocation import PolicyKind
-from .engine import FIGURE_SWEEPS, run_experiment, run_policies
+from .engine import FIGURE_SWEEPS, apply_sweep_value, run_experiment, run_policies
 from .metrics import RunSummary, StepRecord, aggregate
 from .model import PRESETS, ConfigError, ScenarioConfig
 
@@ -199,6 +201,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     config = _resolve_seed(load_config(args.config), args.seed)
     try:
         base, spec = FIGURE_SWEEPS[args.figure](config)
+        for value in spec.values:
+            apply_sweep_value(base, spec.axis, value).validate()
     except (ArithmeticError, ValueError) as exc:
         # the preset derives its rates from the config, which can put them out of reach
         raise ConfigError(f"the {args.figure} sweep cannot use this config: {exc}") from exc

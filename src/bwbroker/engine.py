@@ -21,12 +21,11 @@ from .traffic import (
     NON_IPTV_ARRIVE,
     NON_IPTV_DEPART,
     VIEWER_DEPART,
+    Trace,
     TrafficEvent,
-    TrafficGenerator,
+    build_trace,
     viewer_rate_for_mean_channels,
 )
-
-Trace = list[list[TrafficEvent]]
 
 
 def run_step(
@@ -47,7 +46,7 @@ def run_step(
     active = state.active_channels
     for kind, channel_id, viewer_id in events:
         if kind is VIEWER_DEPART:
-            state.viewer_departs(viewer_id)
+            state.viewer_departs(viewer_id, channel_id)
         elif kind is NON_IPTV_DEPART:
             state.call_departs()
         elif kind is NON_IPTV_ARRIVE:
@@ -58,7 +57,7 @@ def run_step(
             blocks += 1
 
     # offered demand of this step: what is on air now, before any drops
-    offered_channels = state.active_channel_count
+    offered_channels = len(state.active_channels)
     offered_demand = state.iptv_demand_mbps
 
     if policy_kind is PolicyKind.SLA:
@@ -72,7 +71,7 @@ def run_step(
     # blocked activations demanded full quality and got nothing this step
     sl_demand = offered_demand + state.channel_demand_mbps * blocks
     record = StepRecord(
-        t_min=state.time_min,
+        t_min=state.step * config.sample_interval_min,
         non_iptv_demand_mbps=state.non_iptv_demand_mbps,
         iptv_demand_mbps=offered_demand,
         available_mbps=decision.available_mbps,
@@ -86,16 +85,9 @@ def run_step(
         drops=decision.dropped_channels,
     )
 
-    history.record_sample(offered_demand)
+    history.record_sample(offered_channels)
     state.step += 1
-    state.time_min = state.step * config.sample_interval_min
     return record
-
-
-def build_trace(config: ScenarioConfig, seed: int) -> Trace:
-    """Generate the full event trace of one replication."""
-    gen = TrafficGenerator.from_seed(config, seed)
-    return [gen.events_for_step(step) for step in range(config.n_steps)]
 
 
 def run_trace(config: ScenarioConfig, policy_kind: PolicyKind, trace: Trace) -> list[StepRecord]:
@@ -107,12 +99,6 @@ def run_trace(config: ScenarioConfig, policy_kind: PolicyKind, trace: Trace) -> 
 
 def replication_seed(base_seed: int, replication: int) -> int:
     return base_seed + replication
-
-
-def run_replication(config: ScenarioConfig, policy_kind: PolicyKind, seed: int) -> list[StepRecord]:
-    """One full seeded run of one policy; bit-identical for equal inputs."""
-    config.validate()
-    return run_trace(config, policy_kind, build_trace(config, seed))
 
 
 def run_paired(config: ScenarioConfig, seed: int) -> dict[PolicyKind, list[StepRecord]]:
@@ -133,7 +119,7 @@ def run_policies(
     out: dict[PolicyKind, list[list[StepRecord]]] = {p: [] for p in policies}
     if jobs > 1 and len(seeds) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_paired_task, [(config, s) for s in seeds]))
+            results = list(pool.map(run_paired, [config] * len(seeds), seeds))
     else:
         results = [run_paired(config, s) for s in seeds]
     for by_policy in results:
@@ -142,16 +128,8 @@ def run_policies(
     return out
 
 
-def _paired_task(args: tuple[ScenarioConfig, int]) -> dict[PolicyKind, list[StepRecord]]:
-    config, seed = args
-    return run_paired(config, seed)
-
-
 # ---------------------------------------------------------------------------
 # sweeps
-
-SWEEP_AXES = ("non_iptv_offered_load", "iptv_viewer_rate")
-
 
 @dataclass(frozen=True)
 class SweepSpec:

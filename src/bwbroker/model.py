@@ -23,6 +23,10 @@ BW_TOL = 1e-9
 # would exhaust memory instead of finishing.
 MAX_STEPS = 1_000_000
 
+# Most arrivals one replication may expect, about 780 times fig5's top point.
+# Each costs draws and trace events, so far higher rates would never finish.
+MAX_ARRIVALS = 10_000_000
+
 
 class ConfigError(ValueError):
     """A scenario configuration failed validation."""
@@ -79,7 +83,8 @@ class ScenarioConfig:
             raise ConfigError("num_channels_catalog must be at least 1")
         if c.sample_interval_min <= 0 or c.history_window_min <= 0:
             raise ConfigError("sample_interval_min and history_window_min must be positive")
-        if not _is_whole_count(c.history_window_min / c.sample_interval_min):
+        samples = c.history_window_min / c.sample_interval_min
+        if not _is_whole_count(samples):
             raise ConfigError(
                 "history_window_min must be a whole multiple of sample_interval_min"
             )
@@ -105,14 +110,23 @@ class ScenarioConfig:
         if c.sim_duration_min <= 0:
             raise ConfigError("sim_duration_min must be positive")
         steps = c.sim_duration_min / c.sample_interval_min
-        if steps > MAX_STEPS:
-            raise ConfigError(
-                f"sim_duration_min / sample_interval_min is {steps:.3g} steps,"
-                f" more than the {MAX_STEPS} a run may take"
-            )
+        for name, ratio in (("sim_duration_min", steps), ("history_window_min", samples)):
+            if ratio > MAX_STEPS:
+                raise ConfigError(
+                    f"{name} / sample_interval_min is {ratio:.3g} steps,"
+                    f" more than the {MAX_STEPS} a run may take"
+                )
         if not _is_whole_count(steps):
             raise ConfigError(
                 "sim_duration_min must be a whole multiple of sample_interval_min"
+            )
+        arrivals = (
+            c.iptv_viewer_arrival_rate_per_min + c.non_iptv_arrival_rate_per_min
+        ) * c.sim_duration_min
+        if arrivals > MAX_ARRIVALS:
+            raise ConfigError(
+                f"the arrival rates expect {arrivals:.3g} arrivals a replication,"
+                f" more than the {MAX_ARRIVALS} one may take"
             )
         if c.warmup_min < 0 or c.warmup_min >= c.sim_duration_min:
             raise ConfigError("warmup_min must satisfy 0 <= warmup_min < sim_duration_min")
@@ -173,26 +187,23 @@ PRESETS = {"table1": table1}
 class CellState:
     """Mutable ledger of what is active in the cell at one instant.
 
-    Tracks on-air channels with their viewers, the count of live non-IPTV
-    calls, and which admitted viewer sits on which channel.  The viewer
-    registry exists so that a departure scheduled for a viewer who was
-    blocked at admission, or whose channel was dropped, can be recognised
-    and ignored.
+    Tracks on-air channels with their viewers and the count of live
+    non-IPTV calls.  A departure names the viewer's channel, so one
+    scheduled for a viewer who was blocked at admission, or whose
+    channel was dropped, finds no such viewer there and is ignored.
     """
 
     def __init__(self, channel_demand_mbps: float, call_bw_mbps: float):
-        # steps completed; time_min is derived from it so it cannot drift
+        # steps completed; simulated time is step * sample interval
         self.step = 0
-        self.time_min = 0.0
         # demand of one on-air channel; channels always ask for full quality
         self.channel_demand_mbps = channel_demand_mbps
         # demand of one call; every call asks for the same bandwidth
         self.call_bw_mbps = call_bw_mbps
-        # on-air channel id -> ids of the viewers tuned to it
+        # on-air channel id -> ids of the viewers tuned to it, never empty
         self.active_channels: dict[int, set[int]] = {}
         self.calls = 0
         self.non_iptv_demand_mbps = 0.0
-        self._viewer_channel: dict[int, int] = {}
 
     @classmethod
     def for_config(cls, config: ScenarioConfig) -> "CellState":
@@ -202,32 +213,24 @@ class CellState:
     def iptv_demand_mbps(self) -> float:
         return self.channel_demand_mbps * len(self.active_channels)
 
-    @property
-    def active_channel_count(self) -> int:
-        return len(self.active_channels)
-
     def admit_viewer(self, viewer_id: int, channel_id: int) -> None:
         """Register a viewer; activates the channel if it was off air."""
         viewers = self.active_channels.get(channel_id)
         if viewers is None:
             viewers = self.active_channels[channel_id] = set()
         viewers.add(viewer_id)
-        self._viewer_channel[viewer_id] = channel_id
 
-    def viewer_departs(self, viewer_id: int) -> None:
-        """Remove a viewer if it was admitted; unknown ids are ignored."""
-        channel_id = self._viewer_channel.pop(viewer_id, None)
-        if channel_id is None:
-            return
-        viewers = self.active_channels[channel_id]
-        viewers.discard(viewer_id)
-        if not viewers:
-            del self.active_channels[channel_id]
+    def viewer_departs(self, viewer_id: int, channel_id: int) -> None:
+        """Remove a viewer from its channel; a viewer not on it is ignored."""
+        viewers = self.active_channels.get(channel_id)
+        if viewers is not None:
+            viewers.discard(viewer_id)
+            if not viewers:
+                del self.active_channels[channel_id]
 
     def drop_channel(self, channel_id: int) -> None:
         """Force a channel off air, discarding all of its viewers."""
-        for viewer_id in self.active_channels.pop(channel_id):
-            del self._viewer_channel[viewer_id]
+        del self.active_channels[channel_id]
 
     def add_call(self) -> None:
         self.calls += 1

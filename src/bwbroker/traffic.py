@@ -31,12 +31,9 @@ class RngStream:
     """An independent, portable random stream named by (seed, stream_id)."""
 
     def __init__(self, seed: int, stream_id: int = 0):
-        self.seed = seed
-        self.stream_id = stream_id
         material = f"bwbroker|{seed}|{stream_id}".encode()
         rng = random.Random(int.from_bytes(hashlib.sha256(material).digest(), "big"))
-        # random() -> uniform draw in [0, 1); bound straight to the
-        # generator, since it is called several times per arrival
+        # uniform draw in [0, 1), bound once: it is called per arrival
         self.random = rng.random
 
 
@@ -62,6 +59,8 @@ class TrafficEvent(NamedTuple):
 # every call is alike, so all call events are these two shared objects
 CALL_ARRIVAL = TrafficEvent(NON_IPTV_ARRIVE)
 CALL_DEPARTURE = TrafficEvent(NON_IPTV_DEPART)
+
+Trace = list[list[TrafficEvent]]  # one list of events per step
 
 
 # Largest mean drawn with one run of the product method: exp(-500) is far
@@ -122,26 +121,6 @@ def channel_probabilities(catalog_size: int, skew: float) -> tuple[float, ...]:
     return tuple(probs)
 
 
-def pick_channel(catalog_size: int, skew: float, rng: RngStream) -> int:
-    """Draw a channel id in 1..catalog_size, popularity-weighted.
-
-    Consumes exactly one uniform draw (inverse CDF lookup).
-    """
-    if catalog_size < 1:
-        raise ValueError("catalog_size must be at least 1")
-    if skew < 0:
-        raise ValueError("skew must be non-negative")
-    cdf = _popularity_cdf(catalog_size, skew)
-    return bisect_right(cdf, rng.random()) + 1
-
-
-def sample_holding_time(mean_min: float, rng: RngStream) -> float:
-    """Exponential holding time with the given mean, one uniform draw."""
-    if mean_min <= 0:
-        raise ValueError("mean must be positive")
-    return -mean_min * math.log1p(-rng.random())
-
-
 def effective_hold_min(mean_hold_min: float, sample_interval_min: float) -> float:
     """Mean residency of an exponential hold once rounded up to whole steps.
 
@@ -190,75 +169,54 @@ def viewer_rate_for_mean_channels(
     return 0.5 * (lo + hi)
 
 
-class TrafficGenerator:
-    """Emits the merged, ordered event list of each simulation step.
+def build_trace(config: ScenarioConfig, seed: int) -> Trace:
+    """The ordered event list of every step of one replication.
 
-    The generator is policy-blind: it draws and emits every arrival and
-    the matching departure unconditionally.  Whether a viewer actually got
-    on air is the engine's business; the engine simply ignores departures
-    of viewers it never admitted.  That keeps the draw sequence identical
-    across allocation policies, which is what makes paired comparisons on
-    a common trace possible.
+    The trace is policy-blind: it holds every arrival and its departure,
+    and the engine ignores departures of viewers it never admitted, so
+    both policies can be compared on one trace.  Within a step come
+    viewer departures, call departures, call arrivals, then viewer
+    arrivals, so a new viewer meets the step's updated background load.
+    Per step the call stream draws the arrival count, then each hold;
+    the viewer stream the count, then each viewer's channel and hold.
+    A hold of tau minutes lasts ceil(tau / t1) steps, at least one; a
+    hold of n_steps steps or more (even inf) is dropped unrounded, since
+    its departure would fall past the last step.
     """
+    n_steps = config.n_steps
+    t1 = config.sample_interval_min
+    ceil, log1p = math.ceil, math.log1p
+    # stream 0 drives viewers, stream 1 drives non-IPTV calls
+    viewer_rng, call_rng = RngStream(seed, 0), RngStream(seed, 1)
+    viewer_draw, call_draw = viewer_rng.random, call_rng.random
+    viewer_hold = config.iptv_viewer_mean_hold_min
+    call_hold = config.non_iptv_mean_hold_min
+    cdf = _popularity_cdf(config.num_channels_catalog, config.channel_popularity_skew)
 
-    def __init__(self, config: ScenarioConfig, viewer_rng: RngStream, call_rng: RngStream):
-        self._cfg = config
-        self._viewer_rng = viewer_rng
-        self._call_rng = call_rng
-        # step -> the viewer departures due then, and the number of call departures
-        self._pending_viewer: dict[int, list[TrafficEvent]] = {}
-        self._pending_call: dict[int, int] = {}
-        self._next_viewer_id = 0
+    # viewer departures are appended to their step's list when drawn
+    trace: Trace = [[] for _ in range(n_steps)]
+    call_departures = [0] * n_steps
+    next_viewer_id = 0
+    for step, events in enumerate(trace):
+        events += [CALL_DEPARTURE] * call_departures[step]
 
-    @classmethod
-    def from_seed(cls, config: ScenarioConfig, seed: int) -> "TrafficGenerator":
-        # stream 0 drives viewers, stream 1 drives non-IPTV calls
-        return cls(config, RngStream(seed, 0), RngStream(seed, 1))
-
-    def schedule_viewer_departure(self, step: int, viewer_id: int, channel_id: int) -> None:
-        event = TrafficEvent(VIEWER_DEPART, channel_id, viewer_id)
-        self._pending_viewer.setdefault(step, []).append(event)
-
-    def schedule_call_departure(self, step: int) -> None:
-        self._pending_call[step] = self._pending_call.get(step, 0) + 1
-
-    def events_for_step(self, step: int) -> list[TrafficEvent]:
-        """All events taking effect at the given step, departures first.
-
-        Order within the step is fixed: viewer departures, call
-        departures, call arrivals, then viewer arrivals, so a new viewer
-        is admitted against the step's already-updated background load.
-        Each call arrival draws its holding time; each viewer arrival
-        draws its channel, then its holding time, with the same single
-        draws as pick_channel and sample_holding_time.  A hold of tau
-        minutes lasts ceil(tau / t1) steps, at least one.
-        """
-        cfg = self._cfg
-        t1 = cfg.sample_interval_min
-        ceil, log1p = math.ceil, math.log1p
-        events = self._pending_viewer.pop(step, [])
-        events += [CALL_DEPARTURE] * self._pending_call.pop(step, 0)
-
-        rng = self._call_rng
-        n = gen_poisson_count(cfg.non_iptv_arrival_rate_per_min, t1, rng)
-        schedule = self.schedule_call_departure
-        mean_hold = cfg.non_iptv_mean_hold_min
-        draw = rng.random
+        n = gen_poisson_count(config.non_iptv_arrival_rate_per_min, t1, call_rng)
         for _ in range(n):
-            schedule(step + max(1, ceil(-mean_hold * log1p(-draw()) / t1)))
+            hold_steps = -call_hold * log1p(-call_draw()) / t1
+            if hold_steps < n_steps:
+                depart = step + max(1, ceil(hold_steps))
+                if depart < n_steps:
+                    call_departures[depart] += 1
         events += [CALL_ARRIVAL] * n
 
-        rng = self._viewer_rng
-        n = gen_poisson_count(cfg.iptv_viewer_arrival_rate_per_min, t1, rng)
-        schedule = self.schedule_viewer_departure
-        cdf = _popularity_cdf(cfg.num_channels_catalog, cfg.channel_popularity_skew)
-        mean_hold = cfg.iptv_viewer_mean_hold_min
-        draw = rng.random
-        first = self._next_viewer_id
-        self._next_viewer_id += n
-        for viewer_id in range(first, first + n):
-            channel = bisect_right(cdf, draw()) + 1
-            schedule(step + max(1, ceil(-mean_hold * log1p(-draw()) / t1)), viewer_id, channel)
+        n = gen_poisson_count(config.iptv_viewer_arrival_rate_per_min, t1, viewer_rng)
+        for viewer_id in range(next_viewer_id, next_viewer_id + n):
+            channel = bisect_right(cdf, viewer_draw()) + 1
+            hold_steps = -viewer_hold * log1p(-viewer_draw()) / t1
+            if hold_steps < n_steps:
+                depart = step + max(1, ceil(hold_steps))
+                if depart < n_steps:
+                    trace[depart].append(TrafficEvent(VIEWER_DEPART, channel, viewer_id))
             events.append(TrafficEvent(VIEWER_ARRIVE, channel, viewer_id))
-
-        return events
+        next_viewer_id += n
+    return trace

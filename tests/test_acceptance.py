@@ -23,10 +23,9 @@ from bwbroker.model import CellState, available_bandwidth, satisfaction_level, t
 from bwbroker.traffic import (
     EventKind,
     RngStream,
-    TrafficGenerator,
+    build_trace,
     channel_probabilities,
     gen_poisson_count,
-    pick_channel,
 )
 
 EQ_TOL = 1e-9     # closed-form agreement
@@ -155,13 +154,14 @@ def test_criterion_equations_match_reference_oracles():
         a = rng.uniform(0.0, 60.0)
         worst = max(worst, abs(compute_borrowing(r, a) - max(0.0, r - a)))
 
-        hist = DemandHistory(60)
-        vals = [rng.uniform(0.0, 80.0) for _ in range(rng.randint(1, 60))]
-        for v in vals:
-            hist.record_sample(v)
+        full = cfg.iptv_channel_max_bw_mbps
+        hist = DemandHistory(60, full)
+        counts = [rng.randint(0, 40) for _ in range(rng.randint(1, 60))]
+        for k in counts:
+            hist.record_sample(k)
         res_cap = rng.uniform(2.0, 40.0)
         worst = max(worst, abs(compute_reservation(hist, res_cap)
-                               - min(fmean(vals), res_cap)))
+                               - min(fmean(full * k for k in counts), res_cap)))
 
         n = rng.randint(0, 50)
         b_i = rng.uniform(0.0, 120.0)
@@ -290,12 +290,11 @@ def test_criterion_traffic_statistics():
                   non_iptv_arrival_rate_per_min=2.5,
                   non_iptv_mean_hold_min=20.0,
                   sim_duration_min=20_000.0, warmup_min=0.0)
-    gen = TrafficGenerator.from_seed(cfg, 17)
     live = 0
     total = 0
     n = 0
-    for step in range(20_000):
-        for ev in gen.events_for_step(step):
+    for step, events in enumerate(build_trace(cfg, 17)):
+        for ev in events:
             if ev.kind is EventKind.NON_IPTV_ARRIVE:
                 live += 1
             elif ev.kind is EventKind.NON_IPTV_DEPART:
@@ -312,9 +311,14 @@ def test_criterion_traffic_statistics():
     poisson_mean = sum(gen_poisson_count(3.0, 1.0, r) for _ in range(draws)) / draws
     poisson_bound = 3 * math.sqrt(3.0 / draws)
 
-    picks = 30_000
-    r = RngStream(77, 0)
-    counts = Counter(pick_channel(10, 1.0, r) for _ in range(picks))
+    # channel popularity, counted on the viewer arrivals of a trace
+    viewers = replace(table1(), num_channels_catalog=10, channel_popularity_skew=1.0,
+                      iptv_viewer_arrival_rate_per_min=30.0,
+                      non_iptv_arrival_rate_per_min=0.0,
+                      sim_duration_min=1000.0, warmup_min=0.0)
+    counts = Counter(ev.channel_id for events in build_trace(viewers, 77)
+                     for ev in events if ev.kind is EventKind.VIEWER_ARRIVE)
+    picks = sum(counts.values())
     probs = channel_probabilities(10, 1.0)
     zipf_worst = max(abs(counts.get(k + 1, 0) / picks - p)
                      - 3 * math.sqrt(p * (1 - p) / picks)

@@ -1,5 +1,6 @@
 """Command line entry points: config loading, outputs, exit codes."""
 
+import hashlib
 import os
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from bwbroker import cli
 from bwbroker.cli import SUMMARY_CSV_HEADER, build_parser, load_config, main
 from bwbroker.model import ConfigError, table1
+from bwbroker.traffic import EventKind, build_trace
 
 TINY = """\
 sim_duration_min: 30
@@ -189,6 +191,9 @@ def test_sweep_with_too_small_catalog_exits_2(tmp_path, capsys, figure, catalog)
     ("fig5", "channel_popularity_skew: 9.0\n"),        # 29.9 channels out of reach
     ("fig3", "iptv_viewer_mean_hold_min: 1.0e300\n"),  # step-rounded hold divides by 0
     ("fig5", "non_iptv_mean_hold_min: 1.0e-200\nnon_iptv_call_bw_mbps: 1.0e-200\n"),
+    # the load points divide by hold * bandwidth, which underflows to 0
+    ("fig3", "non_iptv_mean_hold_min: 1.0e-200\nnon_iptv_call_bw_mbps: 1.0e-200\n"),
+    ("fig3", "channel_popularity_skew: 9.0\n"),        # a viewer rate of 3.2e10 a minute
 ])
 def test_sweep_preset_out_of_reach_exits_2(tmp_path, capsys, figure, lines):
     p = tmp_path / "c.yaml"
@@ -223,3 +228,55 @@ def test_step_count_past_the_ceiling_exits_2_without_running(tmp_path, capsys, m
     assert rc == 2
     assert "steps" in capsys.readouterr().err
     assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("line,message", [
+    ("history_window_min: 1.0e300\n", "history_window_min"),
+    ("non_iptv_arrival_rate_per_min: 1.0e12\n", "arrivals"),
+])
+def test_config_past_a_ceiling_exits_2_without_running(tmp_path, capsys, monkeypatch,
+                                                        line, message):
+    def no_run(*args, **kwargs):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(cli, "run_policies", no_run)
+    p = tmp_path / "c.yaml"
+    p.write_text(line)
+    rc = main(["run", str(p), "--out", str(tmp_path / "x"), "--jobs", "1"])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("field,departure", [
+    ("iptv_viewer_mean_hold_min", EventKind.VIEWER_DEPART),
+    ("non_iptv_mean_hold_min", EventKind.NON_IPTV_DEPART),
+])
+def test_holds_that_outlast_the_run_are_never_emitted(tmp_path, field, departure):
+    # most holds drawn at this mean overflow to inf minutes
+    p = tmp_path / "c.yaml"
+    p.write_text(f"{field}: 1.0e308\nsim_duration_min: 30\nwarmup_min: 10\nreplications: 1\n")
+    assert main(["run", str(p), "--out", str(tmp_path / "x"), "--jobs", "1"]) == 0
+    kinds = [ev.kind for events in build_trace(load_config(str(p)), 42) for ev in events]
+    assert kinds and departure not in kinds
+
+
+# SHA-256 of the outputs of a run that blocks, drops and borrows: 101 blocks
+# and 40 drops under nonsla, 216 borrowing steps under sla.  Any change to a
+# draw, a rule or a number format shows up here.
+HEAVY_DIGESTS = {
+    "steps_sla.csv": "9d3ad60b0ff645b262821a6f36f52bea1151d07435d26b995ddfb9c504af47d1",
+    "steps_nonsla.csv": "ecd4827e6fca991c38f05888c071bf598e8fa5275e301656ac85ac60153e0092",
+    "summary.csv": "f6f319c05ddf5c0935a8a0a93e9e4a3be9d97a0f9b03ca3cff37579c24b796c7",
+}
+
+
+def test_run_outputs_match_pinned_digests(tmp_path):
+    p = tmp_path / "heavy.yaml"
+    p.write_text("sim_duration_min: 120\nwarmup_min: 60\nreplications: 2\n"
+                 "non_iptv_arrival_rate_per_min: 4.5\n")
+    out = tmp_path / "out"
+    assert main(["run", str(p), "--out", str(out), "--seed", "7", "--jobs", "1"]) == 0
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+               for name in HEAVY_DIGESTS}
+    assert digests == HEAVY_DIGESTS

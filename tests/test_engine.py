@@ -5,26 +5,24 @@ from dataclasses import replace
 import pytest
 
 from bwbroker.allocation import PolicyKind
-from bwbroker.broker import DemandHistory
+from bwbroker.broker import DemandHistory, compute_reservation
 from bwbroker.engine import (
     FIG3_LOAD_FRACTIONS,
     FIG5_CHANNEL_TARGETS,
     SweepSpec,
     apply_sweep_value,
-    build_trace,
     fig3_sweep,
     fig5_sweep,
     replication_seed,
     run_experiment,
     run_paired,
     run_policies,
-    run_replication,
     run_step,
     run_trace,
 )
 from bwbroker.metrics import aggregate
 from bwbroker.model import CellState, ConfigError
-from bwbroker.traffic import CALL_ARRIVAL, EventKind, TrafficEvent
+from bwbroker.traffic import CALL_ARRIVAL, EventKind, TrafficEvent, build_trace
 
 
 def _arrivals(n_channels, n_unit_calls):
@@ -45,8 +43,11 @@ def test_idle_step(cfg):
     assert r.utilization == 0.0
     assert r.reserved_mbps == 0.0
     assert r.active_channels == 0
-    assert history.samples == (0.0,)
-    assert state.time_min == 1.0
+    assert r.t_min == 0.0
+    assert state.step == 1
+    # one sample of no channels was recorded: it halves the next mean
+    history.record_sample(10)
+    assert compute_reservation(history, 60.0) == 10.0
 
 
 def test_step_equal_degradation(cfg):
@@ -60,14 +61,14 @@ def test_step_equal_degradation(cfg):
     assert r.borrowed_mbps == 0.0
     assert r.active_channels == 20
     assert r.blocks == 0 and r.drops == 0
-    assert history.samples == (40.0,)
+    assert compute_reservation(history, 60.0) == 40.0
 
 
 def test_step_reservation_shields_channels(cfg):
     state = CellState.for_config(cfg)
     history = DemandHistory.for_config(cfg)
     for _ in range(60):
-        history.record_sample(40.0)
+        history.record_sample(20)
     r = run_step(state, history, PolicyKind.SLA, cfg, _arrivals(20, 30))
     assert r.reserved_mbps == 40.0
     assert r.per_channel_bw_mbps == 2.0
@@ -81,14 +82,14 @@ def test_step_times_do_not_drift(short_cfg):
     fine = replace(short_cfg, sample_interval_min=0.1, history_window_min=6.0,
                    sim_duration_min=12.0, warmup_min=6.0)
     fine.validate()
-    records = run_replication(fine, PolicyKind.SLA, 7)
+    records = run_trace(fine, PolicyKind.SLA, build_trace(fine, 7))
     assert len(records) == 120
     assert [r.t_min for r in records] == [i * 0.1 for i in range(120)]
 
 
 def test_replication_is_reproducible(short_cfg):
-    a = run_replication(short_cfg, PolicyKind.SLA, 7)
-    b = run_replication(short_cfg, PolicyKind.SLA, 7)
+    a = run_trace(short_cfg, PolicyKind.SLA, build_trace(short_cfg, 7))
+    b = run_trace(short_cfg, PolicyKind.SLA, build_trace(short_cfg, 7))
     assert a == b
     assert len(a) == short_cfg.n_steps
 
@@ -131,7 +132,7 @@ def test_step_records_respect_capacity_and_floors(short_cfg):
     heavy = replace(short_cfg, non_iptv_arrival_rate_per_min=4.5)
     saw_drops = False
     for kind in PolicyKind:
-        for r in run_replication(heavy, kind, 3):
+        for r in run_trace(heavy, kind, build_trace(heavy, 3)):
             assert r.utilization <= 1.0 + 1e-9
             assert r.per_channel_bw_mbps <= heavy.iptv_channel_max_bw_mbps + 1e-9
             survivors = r.active_channels - r.drops

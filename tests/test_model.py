@@ -118,6 +118,8 @@ def test_zero_arrival_rates_are_legal():
     ("sample_interval_min", 1.0e-300),            # 7.2e302 steps, past MAX_STEPS
     ("sample_interval_min", 5e-324),              # the step ratio overflows to inf
     ("sim_duration_min", 60.0 * (MAX_STEPS + 1)),  # one step past MAX_STEPS
+    ("history_window_min", 1.0e300),              # a window past MAX_STEPS samples
+    ("non_iptv_arrival_rate_per_min", 1.0e12),    # 7.2e14 arrivals, past MAX_ARRIVALS
 ])
 def test_validate_rejects(field, value):
     bad = dataclasses.replace(table1(), **{field: value})
@@ -134,16 +136,16 @@ def test_cell_tracks_channels_and_demand():
     cell.admit_viewer(0, 5)
     cell.admit_viewer(1, 5)
     cell.admit_viewer(2, 9)
-    assert cell.active_channel_count == 2
+    assert len(cell.active_channels) == 2
     assert cell.iptv_demand_mbps == 4.0
     assert len(cell.active_channels[5]) == 2
 
-    cell.viewer_departs(0)
-    assert cell.active_channel_count == 2   # channel 5 still has a viewer
-    cell.viewer_departs(1)
-    assert cell.active_channel_count == 1   # channel 5 off air
-    cell.viewer_departs(1)                  # repeated departure is a no-op
-    assert cell.active_channel_count == 1
+    cell.viewer_departs(0, 5)
+    assert len(cell.active_channels) == 2   # channel 5 still has a viewer
+    cell.viewer_departs(1, 5)
+    assert len(cell.active_channels) == 1   # channel 5 off air
+    cell.viewer_departs(1, 5)               # repeated departure is a no-op
+    assert len(cell.active_channels) == 1
 
 
 def test_dropped_channel_forgets_its_viewers():
@@ -151,11 +153,15 @@ def test_dropped_channel_forgets_its_viewers():
     cell.admit_viewer(0, 3)
     cell.admit_viewer(1, 3)
     cell.drop_channel(3)
-    assert cell.active_channel_count == 0
+    assert len(cell.active_channels) == 0
     # a departure for a viewer lost in the drop must not resurrect anything
-    cell.viewer_departs(0)
-    assert cell.active_channel_count == 0
+    cell.viewer_departs(0, 3)
+    assert len(cell.active_channels) == 0
     assert cell.iptv_demand_mbps == 0.0
+    # nor take a viewer off the channel once it is back on air for another
+    cell.admit_viewer(2, 3)
+    cell.viewer_departs(1, 3)
+    assert cell.active_channels == {3: {2}}
 
 
 def test_call_bookkeeping():

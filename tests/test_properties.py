@@ -11,9 +11,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bwbroker import cli
-from bwbroker.engine import build_trace, replication_seed, run_paired
+from bwbroker.engine import replication_seed, run_paired
 from bwbroker.model import ScenarioConfig
-from bwbroker.traffic import NON_IPTV_ARRIVE, NON_IPTV_DEPART
+from bwbroker.traffic import NON_IPTV_ARRIVE, NON_IPTV_DEPART, build_trace
 from test_acceptance import EQ_TOL, StepMonitor
 
 

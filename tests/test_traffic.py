@@ -11,12 +11,10 @@ from bwbroker.model import table1
 from bwbroker.traffic import (
     EventKind,
     RngStream,
-    TrafficGenerator,
+    build_trace,
     channel_probabilities,
     effective_hold_min,
     gen_poisson_count,
-    pick_channel,
-    sample_holding_time,
     viewer_rate_for_mean_channels,
 )
 
@@ -93,61 +91,91 @@ def test_channel_probabilities_skewed():
     assert probs[2] == pytest.approx(2 / 11, abs=1e-12)
 
 
+def _viewers_only(cfg, **fields):
+    return replace(cfg, non_iptv_arrival_rate_per_min=0.0, warmup_min=0.0, **fields)
+
+
+def _arrival_channels(trace):
+    return [ev.channel_id for events in trace for ev in events
+            if ev.kind is EventKind.VIEWER_ARRIVE]
+
+
 def test_pick_channel_single_channel_catalog():
-    r = RngStream(1, 0)
-    assert all(pick_channel(1, 0.0, r) == 1 for _ in range(20))
-
-
-def test_pick_channel_values_are_frozen():
-    r = RngStream(7, 2)
-    assert [pick_channel(30, 0.0, r) for _ in range(8)] == [13, 21, 8, 8, 30, 18, 15, 5]
+    cfg = _viewers_only(table1(), num_channels_catalog=1, sim_duration_min=20.0)
+    channels = _arrival_channels(build_trace(cfg, 1))
+    assert channels and all(c == 1 for c in channels)
 
 
 @given(catalog=st.integers(1, 50), skew=st.floats(0.0, 3.0),
        seed=st.integers(0, 10_000))
 def test_pick_channel_stays_in_catalog(catalog, skew, seed):
-    r = RngStream(seed, 0)
-    for _ in range(5):
-        assert 1 <= pick_channel(catalog, skew, r) <= catalog
+    cfg = _viewers_only(table1(), num_channels_catalog=catalog,
+                        channel_popularity_skew=skew, sim_duration_min=5.0)
+    for channel in _arrival_channels(build_trace(cfg, seed)):
+        assert 1 <= channel <= catalog
 
 
 def test_pick_channel_frequencies_uniform():
-    r = RngStream(19, 0)
-    n = 5000
+    cfg = _viewers_only(table1(), num_channels_catalog=10,
+                        iptv_viewer_arrival_rate_per_min=5.0, sim_duration_min=1000.0)
+    channels = _arrival_channels(build_trace(cfg, 19))
+    n = len(channels)
+    assert n > 4500
     counts = [0] * 10
-    for _ in range(n):
-        counts[pick_channel(10, 0.0, r) - 1] += 1
+    for c in channels:
+        counts[c - 1] += 1
+    probs = channel_probabilities(10, 0.0)
     bound = 3 * math.sqrt(0.1 * 0.9 / n)
-    for c in counts:
-        assert c / n == pytest.approx(0.1, abs=bound)
+    for c, p in zip(counts, probs):
+        assert c / n == pytest.approx(p, abs=bound)
 
 
 def test_pick_channel_frequencies_skewed():
-    r = RngStream(23, 0)
-    n = 3000
-    hits = sum(pick_channel(3, 1.0, r) == 1 for _ in range(n))
-    p = 6 / 11
+    cfg = _viewers_only(table1(), num_channels_catalog=3, channel_popularity_skew=1.0,
+                        iptv_viewer_arrival_rate_per_min=3.0, sim_duration_min=1000.0)
+    channels = _arrival_channels(build_trace(cfg, 23))
+    n = len(channels)
+    assert n > 2700
+    hits = channels.count(1)
+    p = channel_probabilities(3, 1.0)[0]
     assert hits / n == pytest.approx(p, abs=3 * math.sqrt(p * (1 - p) / n))
 
 
-def test_holding_times_are_frozen():
-    r = RngStream(7, 1)
-    got = [sample_holding_time(10.0, r) for _ in range(3)]
-    assert got == pytest.approx(
-        [0.007476574472931331, 1.67228695298674, 7.029282906606057], rel=1e-12)
-
-
 def test_holding_time_mean_converges():
-    r = RngStream(31, 0)
-    n = 2000
-    mean = sum(sample_holding_time(10.0, r) for _ in range(n)) / n
-    assert mean == pytest.approx(10.0, abs=3 * 10.0 / math.sqrt(n))
+    # arrivals before step 1000 of 1200: a hold of 200 minutes at a mean
+    # of 10 has probability e^-20, so every one of them departs in the trace
+    cfg = _viewers_only(table1(), iptv_viewer_arrival_rate_per_min=2.0,
+                        sim_duration_min=1200.0)
+    arrived = {}
+    residency = []
+    for step, events in enumerate(build_trace(cfg, 31)):
+        for ev in events:
+            if ev.kind is EventKind.VIEWER_ARRIVE and step < 1000:
+                arrived[ev.viewer_id] = step
+            elif ev.kind is EventKind.VIEWER_DEPART and ev.viewer_id in arrived:
+                residency.append(step - arrived[ev.viewer_id])
+    n = len(residency)
+    assert n == len(arrived) > 1800
+    # residency is the hold rounded up to whole steps of 1 minute
+    assert sum(residency) / n == pytest.approx(effective_hold_min(10.0, 1.0),
+                                               abs=3 * 10.0 / math.sqrt(n))
 
 
 @given(mean=st.floats(0.1, 100.0), seed=st.integers(0, 1000))
 def test_holding_time_is_positive_and_finite(mean, seed):
-    tau = sample_holding_time(mean, RngStream(seed, 0))
-    assert 0.0 <= tau < math.inf
+    # every hold lasts at least one step: nothing departs in its arrival step
+    cfg = replace(table1(), iptv_viewer_mean_hold_min=mean, non_iptv_mean_hold_min=mean,
+                  sim_duration_min=30.0, warmup_min=0.0)
+    viewers = set()
+    calls = 0
+    for events in build_trace(cfg, seed):
+        calls -= sum(ev.kind is EventKind.NON_IPTV_DEPART for ev in events)
+        assert calls >= 0
+        for ev in events:
+            if ev.kind is EventKind.VIEWER_DEPART:
+                viewers.remove(ev.viewer_id)
+        calls += sum(ev.kind is EventKind.NON_IPTV_ARRIVE for ev in events)
+        viewers.update(ev.viewer_id for ev in events if ev.kind is EventKind.VIEWER_ARRIVE)
 
 
 def test_effective_hold_accounts_for_step_rounding():
@@ -179,14 +207,13 @@ def _quiet(cfg):
 
 
 def test_zero_rates_produce_no_events():
-    gen = TrafficGenerator.from_seed(_quiet(table1()), 1)
-    assert gen.events_for_step(0) == []
-    assert gen.events_for_step(1) == []
+    cfg = _quiet(table1())
+    assert build_trace(cfg, 1) == [[] for _ in range(cfg.n_steps)]
 
 
 def test_first_step_events_are_frozen():
-    gen = TrafficGenerator.from_seed(table1(), 1)
-    ev = gen.events_for_step(0)
+    trace = build_trace(table1(), 1)
+    ev = trace[0]
     assert [e.kind for e in ev] == [
         EventKind.NON_IPTV_ARRIVE, EventKind.NON_IPTV_ARRIVE,
         EventKind.NON_IPTV_ARRIVE, EventKind.VIEWER_ARRIVE,
@@ -194,39 +221,32 @@ def test_first_step_events_are_frozen():
     ]
     assert all(e.channel_id is None and e.viewer_id is None for e in ev[:3])
     assert [(e.viewer_id, e.channel_id) for e in ev[3:]] == [(0, 16), (1, 19), (2, 13)]
-    # the departure steps the arrivals scheduled: one call each at 2, 36
-    # and 4; viewers 0, 1, 2 at 2, 16 and 10 respectively
-    assert gen._pending_call == {2: 1, 36: 1, 4: 1}
-    assert gen._pending_viewer == {
-        2: [(EventKind.VIEWER_DEPART, 16, 0)],
-        16: [(EventKind.VIEWER_DEPART, 19, 1)],
-        10: [(EventKind.VIEWER_DEPART, 13, 2)],
-    }
-
-
-def test_scheduled_departures_fire_on_time():
-    gen = TrafficGenerator.from_seed(_quiet(table1()), 1)
-    gen.schedule_viewer_departure(2, viewer_id=7, channel_id=4)
-    gen.schedule_call_departure(3)
-    assert gen.events_for_step(0) == []
-    assert gen.events_for_step(1) == []
-    ev2 = gen.events_for_step(2)
-    assert len(ev2) == 1
-    assert ev2[0].kind is EventKind.VIEWER_DEPART
-    assert ev2[0].viewer_id == 7 and ev2[0].channel_id == 4
-    ev3 = gen.events_for_step(3)
-    assert len(ev3) == 1
-    assert ev3[0].kind is EventKind.NON_IPTV_DEPART
+    # viewers 0, 1, 2 depart at steps 2, 16 and 10 respectively
+    departs = {e.viewer_id: (step, e.channel_id)
+               for step, events in enumerate(trace) for e in events
+               if e.kind is EventKind.VIEWER_DEPART and e.viewer_id < 3}
+    assert departs == {0: (2, 16), 1: (16, 19), 2: (10, 13)}
+    # call departures of steps 1-40; the calls of step 0 leave at 2, 36 and 4
+    assert [sum(e.kind is EventKind.NON_IPTV_DEPART for e in trace[step])
+            for step in range(1, 41)] == [
+        0, 1, 1, 1, 0, 0, 2, 1, 2, 1, 2, 3, 0, 0, 2, 1, 1, 0, 0, 1,
+        0, 0, 1, 2, 2, 0, 1, 4, 0, 1, 1, 1, 2, 0, 0, 2, 0, 0, 3, 0,
+    ]
 
 
 def test_every_arrival_departs_exactly_once():
     cfg = replace(table1(), non_iptv_arrival_rate_per_min=0.0,
                   sim_duration_min=400.0, warmup_min=0.0)
-    gen = TrafficGenerator.from_seed(cfg, 9)
+    short = build_trace(cfg, 9)
+    longer = build_trace(replace(cfg, sim_duration_min=800.0), 9)
+    # a longer run draws the same events; it only emits more of them
+    assert longer[:400] == short
     arrived = {}
     departed = set()
-    for step in range(400):
-        for ev in gen.events_for_step(step):
+    for step, events in enumerate(longer):
+        if step == 400:
+            on_air = set(arrived) - departed
+        for ev in events:
             if ev.kind is EventKind.VIEWER_ARRIVE:
                 arrived[ev.viewer_id] = (step, ev.channel_id)
             elif ev.kind is EventKind.VIEWER_DEPART:
@@ -234,11 +254,8 @@ def test_every_arrival_departs_exactly_once():
                 assert arrived[ev.viewer_id][1] == ev.channel_id
                 assert ev.viewer_id not in departed
                 departed.add(ev.viewer_id)
-    # whoever has not left yet is scheduled past the last step, once
-    pending = [ev.viewer_id for step, evs in gen._pending_viewer.items()
-               for ev in evs if step >= 400]
-    assert sum(map(len, gen._pending_viewer.values())) == len(pending)
-    assert sorted(pending) == sorted(set(arrived) - departed)
+    # a hold of 400 minutes at a mean of 10 has probability e^-40
+    assert on_air and on_air <= departed
 
 
 def test_call_concurrency_matches_littles_law():
@@ -246,12 +263,11 @@ def test_call_concurrency_matches_littles_law():
                   non_iptv_arrival_rate_per_min=2.5,
                   non_iptv_mean_hold_min=20.0,
                   sim_duration_min=10_000.0, warmup_min=0.0)
-    gen = TrafficGenerator.from_seed(cfg, 3)
     live = 0
     total = 0
     n = 0
-    for step in range(10_000):
-        for ev in gen.events_for_step(step):
+    for step, events in enumerate(build_trace(cfg, 3)):
+        for ev in events:
             if ev.kind is EventKind.NON_IPTV_ARRIVE:
                 live += 1
             elif ev.kind is EventKind.NON_IPTV_DEPART:
