@@ -4,10 +4,10 @@ Exit codes: 0 on success, 2 for bad input (bad file, bad key, a value
 that is malformed, non-finite, fractional where a whole number is due
 or out of range, a run or history window of more than model.MAX_STEPS
 steps, more than model.MAX_ARRIVALS expected arrivals a replication, a
-config a sweep or one of its points cannot use, bad command line
-arguments), 3 for unexpected runtime failures.  The env var
-BWBROKER_SEED overrides the configured base seed; an explicit --seed
-flag beats both.
+catalog of more than model.MAX_CHANNELS channels, a config a sweep or
+one of its points cannot use, bad command line arguments), 3 for
+unexpected runtime failures.  The env var BWBROKER_SEED overrides the
+configured base seed; an explicit --seed flag beats both.
 """
 
 from __future__ import annotations
@@ -17,14 +17,14 @@ import csv
 import dataclasses
 import os
 import sys
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import replace
 from pathlib import Path
 
 import yaml
 
 from .allocation import PolicyKind
-from .engine import FIGURE_SWEEPS, apply_sweep_value, run_experiment, run_policies
+from .engine import FIGURE_SWEEPS, run_experiment, run_policies, sweep_configs
 from .metrics import RunSummary, StepRecord, aggregate
 from .model import PRESETS, ConfigError, ScenarioConfig
 
@@ -121,7 +121,7 @@ def _resolve_seed(config: ScenarioConfig, flag_seed: int | None) -> ScenarioConf
     return replace(config, base_seed=seed)
 
 
-def _write_csv_atomic(path: Path, header: list[str], rows: Iterable[list]) -> None:
+def _write_csv_atomic(path: Path, header: list[str], rows: Iterable[Sequence]) -> None:
     # write-then-rename so a crash can never leave a half-written file
     tmp = path.with_name(path.name + ".tmp")
     with open(tmp, "w", newline="") as f:
@@ -131,24 +131,10 @@ def _write_csv_atomic(path: Path, header: list[str], rows: Iterable[list]) -> No
     os.replace(tmp, path)
 
 
-def _step_rows(records_by_rep: list[list[StepRecord]]) -> Iterator[list]:
+def _step_rows(records_by_rep: list[list[StepRecord]]) -> Iterator[tuple]:
     for rep, records in enumerate(records_by_rep):
         for r in records:
-            yield [
-                rep,
-                r.t_min,
-                r.non_iptv_demand_mbps,
-                r.iptv_demand_mbps,
-                r.available_mbps,
-                r.reserved_mbps,
-                r.borrowed_mbps,
-                r.active_channels,
-                r.per_channel_bw_mbps,
-                r.satisfaction,
-                r.utilization,
-                r.blocks,
-                r.drops,
-            ]
+            yield (rep, *r)
 
 
 def _summary_row(policy: PolicyKind, s: RunSummary) -> list:
@@ -201,8 +187,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     config = _resolve_seed(load_config(args.config), args.seed)
     try:
         base, spec = FIGURE_SWEEPS[args.figure](config)
-        for value in spec.values:
-            apply_sweep_value(base, spec.axis, value).validate()
+        sweep_configs(base, spec)
     except (ArithmeticError, ValueError) as exc:
         # the preset derives its rates from the config, which can put them out of reach
         raise ConfigError(f"the {args.figure} sweep cannot use this config: {exc}") from exc
@@ -240,7 +225,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs",
         type=_jobs,
         default=cpus or 1,
-        help="parallel replication workers, at least 1 (default: the CPUs this process may use)",
+        help="parallel replication workers, at least 1 and never more than the replications"
+        " to run (default: the CPUs this process may use)",
     )
 
     p_run = sub.add_parser("run", parents=[common], help="run one scenario")

@@ -15,7 +15,8 @@ from dataclasses import dataclass, replace
 
 from .allocation import PolicyKind, admit_channel, allocate_non_sla, allocate_sla
 from .broker import DemandHistory, compute_reservation
-from .metrics import RunSummary, StepRecord, aggregate, step_satisfaction, step_utilization
+from .metrics import ReplicationMeans, RunSummary, StepRecord, aggregate, replication_means
+from .metrics import step_satisfaction, step_utilization, summarize
 from .model import CellState, ConfigError, ScenarioConfig
 from .traffic import (
     NON_IPTV_ARRIVE,
@@ -71,18 +72,18 @@ def run_step(
     # blocked activations demanded full quality and got nothing this step
     sl_demand = offered_demand + state.channel_demand_mbps * blocks
     record = StepRecord(
-        t_min=state.step * config.sample_interval_min,
-        non_iptv_demand_mbps=state.non_iptv_demand_mbps,
-        iptv_demand_mbps=offered_demand,
-        available_mbps=decision.available_mbps,
-        reserved_mbps=decision.reserved_mbps,
-        borrowed_mbps=decision.borrowed_mbps,
-        active_channels=offered_channels,
-        per_channel_bw_mbps=decision.per_channel_bw_mbps,
-        satisfaction=step_satisfaction(decision, sl_demand),
-        utilization=step_utilization(decision, config),
-        blocks=blocks,
-        drops=decision.dropped_channels,
+        state.step * config.sample_interval_min,
+        state.non_iptv_demand_mbps,
+        offered_demand,
+        decision.available_mbps,
+        decision.reserved_mbps,
+        decision.borrowed_mbps,
+        offered_channels,
+        decision.per_channel_bw_mbps,
+        step_satisfaction(decision, sl_demand),
+        step_utilization(decision, config),
+        blocks,
+        decision.dropped_channels,
     )
 
     history.record_sample(offered_channels)
@@ -101,11 +102,27 @@ def replication_seed(base_seed: int, replication: int) -> int:
     return base_seed + replication
 
 
-def run_paired(config: ScenarioConfig, seed: int) -> dict[PolicyKind, list[StepRecord]]:
-    """Run both policies over one shared traffic trace (paired comparison)."""
+def run_paired(
+    config: ScenarioConfig, seed: int, policies: tuple[PolicyKind, ...] = tuple(PolicyKind)
+) -> dict[PolicyKind, list[StepRecord]]:
+    """Run the given policies over one shared traffic trace (paired comparison)."""
     config.validate()
     trace = build_trace(config, seed)
-    return {kind: run_trace(config, kind, trace) for kind in PolicyKind}
+    return {kind: run_trace(config, kind, trace) for kind in policies}
+
+
+def paired_means(config: ScenarioConfig, seed: int) -> list[ReplicationMeans]:
+    """Each policy's means over one paired replication, in PolicyKind order: a sweep task."""
+    return [replication_means(r, config.warmup_min) for r in run_paired(config, seed).values()]
+
+
+def _map(fn, jobs: int, *arg_lists: list) -> list:
+    """fn over the zipped argument lists; if jobs > 1, on a pool of at most one worker a task."""
+    tasks = len(arg_lists[0])
+    if jobs > 1 and tasks > 1:
+        with ProcessPoolExecutor(max_workers=min(jobs, tasks)) as pool:
+            return list(pool.map(fn, *arg_lists))
+    return list(map(fn, *arg_lists))
 
 
 def run_policies(
@@ -115,17 +132,10 @@ def run_policies(
 ) -> dict[PolicyKind, list[list[StepRecord]]]:
     """All configured replications of the given policies on shared traces."""
     config.validate()
-    seeds = [replication_seed(config.base_seed, r) for r in range(config.replications)]
-    out: dict[PolicyKind, list[list[StepRecord]]] = {p: [] for p in policies}
-    if jobs > 1 and len(seeds) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(run_paired, [config] * len(seeds), seeds))
-    else:
-        results = [run_paired(config, s) for s in seeds]
-    for by_policy in results:
-        for p in policies:
-            out[p].append(by_policy[p])
-    return out
+    n = config.replications
+    seeds = [replication_seed(config.base_seed, r) for r in range(n)]
+    results = _map(run_paired, jobs, [config] * n, seeds, [policies] * n)
+    return {p: [by_policy[p] for by_policy in results] for p in policies}
 
 
 # ---------------------------------------------------------------------------
@@ -156,6 +166,15 @@ def apply_sweep_value(config: ScenarioConfig, axis: str, value: float) -> Scenar
     raise ConfigError(f"unknown sweep axis: {axis}")
 
 
+def sweep_configs(config: ScenarioConfig, spec: SweepSpec) -> list[ScenarioConfig]:
+    """The config of every sweep point, each one validated."""
+    config.validate()
+    configs = [apply_sweep_value(config, spec.axis, value) for value in spec.values]
+    for cfg in configs:
+        cfg.validate()
+    return configs
+
+
 def run_experiment(
     config: ScenarioConfig,
     spec: SweepSpec,
@@ -164,21 +183,30 @@ def run_experiment(
 ) -> list[SweepPoint]:
     """Run every sweep point with paired replications and aggregate.
 
+    Every point's config is validated first.  Then all (point, seed)
+    replications share one pool, whose workers return only their means.
+
     record_hook, when given, is called as
     record_hook(sweep_value, policy, replication, records) for every run,
-    before the records are folded into the point summary.
+    before the records are folded into the point summary; the runs then
+    take place in the calling process.
     """
-    config.validate()
+    configs = sweep_configs(config, spec)
     points: list[SweepPoint] = []
-    for value in spec.values:
-        cfg = apply_sweep_value(config, spec.axis, value)
-        by_policy = run_policies(cfg, jobs=jobs)
-        for policy in PolicyKind:
-            if record_hook is not None:
-                for rep, records in enumerate(by_policy[policy]):
+    if record_hook is not None:
+        for value, cfg in zip(spec.values, configs):
+            for policy, reps in run_policies(cfg).items():
+                for rep, records in enumerate(reps):
                     record_hook(value, policy, rep, records)
-            summary = aggregate(by_policy[policy], cfg.warmup_min)
-            points.append(SweepPoint(value, policy, summary))
+                points.append(SweepPoint(value, policy, aggregate(reps, cfg.warmup_min)))
+        return points
+
+    n = config.replications
+    seeds = [replication_seed(config.base_seed, r) for r in range(n)]
+    means = _map(paired_means, jobs, [cfg for cfg in configs for _ in seeds], seeds * len(configs))
+    for i, value in enumerate(spec.values):
+        by_policy = zip(*means[i * n : (i + 1) * n])  # per policy, its replications
+        points += [SweepPoint(value, p, summarize(m)) for p, m in zip(PolicyKind, by_policy)]
     return points
 
 

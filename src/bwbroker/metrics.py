@@ -5,18 +5,18 @@ from __future__ import annotations
 import math
 import statistics
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .model import BW_TOL, AllocationDecision, ScenarioConfig
 
 
-@dataclass(frozen=True)
-class StepRecord:
+class StepRecord(NamedTuple):
     """One simulated step of one policy, everything a later plot needs.
 
-    active_channels counts the channels that were on air when allocation
-    ran, including any the allocator then dropped, so iptv_demand_mbps is
-    always the per-channel demand times active_channels.
+    The fields are in the column order of the steps CSV.  active_channels
+    counts the channels that were on air when allocation ran, including
+    any the allocator then dropped, so iptv_demand_mbps is always the
+    per-channel demand times active_channels.
     """
 
     t_min: float
@@ -71,51 +71,58 @@ def step_utilization(decision: AllocationDecision, config: ScenarioConfig) -> fl
     return used / config.capacity_mbps
 
 
-def aggregate(
-    records_by_replication: Sequence[Sequence[StepRecord]], warmup_min: float
-) -> RunSummary:
-    """Drop the warmup, average within each replication, then across them."""
-    if not records_by_replication:
-        raise ValueError("need at least one replication")
+class ReplicationMeans(NamedTuple):
+    """Post-warmup step count and per-step means of one policy in one replication."""
 
-    per_rep: list[tuple[float, float, float, float, float]] = []
-    post_counts: set[int] = set()
-    for records in records_by_replication:
-        post = [r for r in records if r.t_min >= warmup_min - 1e-9]
-        if not post:
-            raise ValueError("no post-warmup steps in a replication")
-        post_counts.add(len(post))
-        per_rep.append(
-            (
-                statistics.fmean(r.satisfaction for r in post),
-                statistics.fmean(r.utilization for r in post),
-                statistics.fmean(r.blocks for r in post),
-                statistics.fmean(r.drops for r in post),
-                statistics.fmean(r.active_channels for r in post),
-            )
-        )
-    if len(post_counts) != 1:
+    steps: int
+    satisfaction: float
+    utilization: float
+    blocks: float
+    drops: float
+    active_channels: float
+
+
+def replication_means(records: Sequence[StepRecord], warmup_min: float) -> ReplicationMeans:
+    """Drop the warmup and average each column, exactly as statistics.fmean would."""
+    post = [r for r in records if r.t_min >= warmup_min - 1e-9]
+    if not post:
+        raise ValueError("no post-warmup steps in a replication")
+    n = len(post)
+    column = StepRecord._make(zip(*post))
+    # the integer columns sum exactly, so their int sum is fmean's float sum
+    return ReplicationMeans(
+        n,
+        math.fsum(column.satisfaction) / n,
+        math.fsum(column.utilization) / n,
+        sum(column.blocks) / n,
+        sum(column.drops) / n,
+        sum(column.active_channels) / n,
+    )
+
+
+def summarize(per_rep: Sequence[ReplicationMeans]) -> RunSummary:
+    """Average the per-replication means across replications."""
+    if not per_rep:
+        raise ValueError("need at least one replication")
+    column = ReplicationMeans._make(zip(*per_rep))
+    if len(set(column.steps)) != 1:
         raise ValueError("replications disagree on post-warmup step count")
 
-    def mean_se(values: list[float]) -> tuple[float, float]:
-        mean = statistics.fmean(values)
-        if len(values) < 2:
-            return mean, 0.0
-        return mean, statistics.stdev(values) / math.sqrt(len(values))
-
-    sl_mean, sl_se = mean_se([v[0] for v in per_rep])
-    util_mean, util_se = mean_se([v[1] for v in per_rep])
-    blocks_mean, _ = mean_se([v[2] for v in per_rep])
-    drops_mean, _ = mean_se([v[3] for v in per_rep])
-    n_mean, _ = mean_se([v[4] for v in per_rep])
+    def se(values: tuple[float, ...]) -> float:
+        return statistics.stdev(values) / math.sqrt(len(values)) if len(values) > 1 else 0.0
 
     return RunSummary(
-        mean_satisfaction=sl_mean,
-        se_satisfaction=sl_se,
-        mean_utilization=util_mean,
-        se_utilization=util_se,
-        block_rate=blocks_mean,
-        drop_rate=drops_mean,
-        mean_active_channels=n_mean,
+        mean_satisfaction=statistics.fmean(column.satisfaction),
+        se_satisfaction=se(column.satisfaction),
+        mean_utilization=statistics.fmean(column.utilization),
+        se_utilization=se(column.utilization),
+        block_rate=statistics.fmean(column.blocks),
+        drop_rate=statistics.fmean(column.drops),
+        mean_active_channels=statistics.fmean(column.active_channels),
         replications=len(per_rep),
     )
+
+
+def aggregate(records_by_rep: Sequence[Sequence[StepRecord]], warmup_min: float) -> RunSummary:
+    """Drop the warmup, average within each replication, then across them."""
+    return summarize([replication_means(r, warmup_min) for r in records_by_rep])

@@ -18,10 +18,14 @@ from dataclasses import dataclass
 # produce non-terminating fractions, so every threshold test is fuzzy.
 BW_TOL = 1e-9
 
-# Most steps one run may take, about 1,400 times the 720 of table1.  A run
-# holds every step's events and record in memory, so a much finer grid
-# would exhaust memory instead of finishing.
+# Most steps one run may take, about 1,400 times the 720 of table1.  Each
+# replication holds its events and records in memory, and `run` keeps the
+# records of all of them, so a much finer grid would exhaust memory.
 MAX_STEPS = 1_000_000
+
+# Largest channel catalog, about 3,300 times table1's 30.  Each replication
+# builds a popularity table of about 85 bytes a channel: 1e9 would need 85 GB.
+MAX_CHANNELS = 100_000
 
 # Most arrivals one replication may expect, about 780 times fig5's top point.
 # Each costs draws and trace events, so far higher rates would never finish.
@@ -79,8 +83,8 @@ class ScenarioConfig:
             raise ConfigError("iptv_reservation_cap_mbps exceeds capacity_mbps")
         if c.capacity_mbps <= 0:
             raise ConfigError("capacity_mbps must be positive")
-        if c.num_channels_catalog < 1:
-            raise ConfigError("num_channels_catalog must be at least 1")
+        if not 1 <= c.num_channels_catalog <= MAX_CHANNELS:
+            raise ConfigError(f"num_channels_catalog must be between 1 and {MAX_CHANNELS}")
         if c.sample_interval_min <= 0 or c.history_window_min <= 0:
             raise ConfigError("sample_interval_min and history_window_min must be positive")
         samples = c.history_window_min / c.sample_interval_min

@@ -5,7 +5,8 @@ import os
 
 import pytest
 
-from bwbroker import cli
+from bwbroker import cli, engine
+from bwbroker.allocation import PolicyKind
 from bwbroker.cli import SUMMARY_CSV_HEADER, build_parser, load_config, main
 from bwbroker.model import ConfigError, table1
 from bwbroker.traffic import EventKind, build_trace
@@ -96,6 +97,23 @@ def test_run_single_policy(tiny_file, tmp_path):
     assert (out / "steps_sla.csv").is_file()
     assert not (out / "steps_nonsla.csv").exists()
     assert len((out / "summary.csv").read_text().splitlines()) == 2
+
+
+def test_single_policy_run_plays_only_that_policy(tiny_file, tmp_path, monkeypatch):
+    played = []
+    run_trace = engine.run_trace
+
+    def recording_run_trace(config, policy_kind, trace):
+        played.append(policy_kind)
+        return run_trace(config, policy_kind, trace)
+
+    monkeypatch.setattr(engine, "run_trace", recording_run_trace)
+    both, sla = tmp_path / "both", tmp_path / "sla"
+    assert main(["run", str(tiny_file), "--out", str(both), "--jobs", "1"]) == 0
+    played.clear()
+    assert main(["run", str(tiny_file), "--out", str(sla), "--jobs", "1", "--policy", "sla"]) == 0
+    assert played == [PolicyKind.SLA] * 2       # once for each of the two replications
+    assert (sla / "steps_sla.csv").read_bytes() == (both / "steps_sla.csv").read_bytes()
 
 
 def test_repeat_runs_are_byte_identical(tiny_file, tmp_path):
@@ -233,6 +251,7 @@ def test_step_count_past_the_ceiling_exits_2_without_running(tmp_path, capsys, m
 @pytest.mark.parametrize("line,message", [
     ("history_window_min: 1.0e300\n", "history_window_min"),
     ("non_iptv_arrival_rate_per_min: 1.0e12\n", "arrivals"),
+    ("num_channels_catalog: 1000000000\n", "num_channels_catalog"),
 ])
 def test_config_past_a_ceiling_exits_2_without_running(tmp_path, capsys, monkeypatch,
                                                         line, message):

@@ -1,9 +1,11 @@
 """Step composition, paired runs, sweeps and reproducibility."""
 
+import pickle
 from dataclasses import replace
 
 import pytest
 
+from bwbroker import engine
 from bwbroker.allocation import PolicyKind
 from bwbroker.broker import DemandHistory, compute_reservation
 from bwbroker.engine import (
@@ -13,6 +15,7 @@ from bwbroker.engine import (
     apply_sweep_value,
     fig3_sweep,
     fig5_sweep,
+    paired_means,
     replication_seed,
     run_experiment,
     run_paired,
@@ -20,7 +23,7 @@ from bwbroker.engine import (
     run_step,
     run_trace,
 )
-from bwbroker.metrics import aggregate
+from bwbroker.metrics import aggregate, replication_means
 from bwbroker.model import CellState, ConfigError
 from bwbroker.traffic import CALL_ARRIVAL, EventKind, TrafficEvent, build_trace
 
@@ -147,6 +150,57 @@ def test_step_records_respect_capacity_and_floors(short_cfg):
 
 def test_parallel_execution_matches_serial(short_cfg):
     assert run_policies(short_cfg, jobs=2) == run_policies(short_cfg, jobs=1)
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: notes each pool made, runs its tasks in this process."""
+
+    def __init__(self, made, max_workers):
+        made.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *arg_lists):
+        return map(fn, *arg_lists)
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """The max_workers of every pool the engine makes; no process is started."""
+    made = []
+    monkeypatch.setattr(engine, "ProcessPoolExecutor",
+                        lambda max_workers: _RecordingPool(made, max_workers))
+    return made
+
+
+def test_pool_is_capped_at_the_replication_count(short_cfg, pools):
+    run_policies(short_cfg, jobs=64)
+    assert pools == [short_cfg.replications]
+
+
+def test_sweep_starts_one_pool_for_all_replications(short_cfg, pools):
+    spec = SweepSpec("iptv_viewer_rate", (0.8, 2.0, 3.0))
+    run_experiment(short_cfg, spec, jobs=64)
+    assert pools == [3 * short_cfg.replications]
+    pools.clear()
+    run_experiment(short_cfg, spec, jobs=4)
+    assert pools == [4]
+
+
+def test_parallel_sweep_matches_serial(short_cfg):
+    spec = SweepSpec("iptv_viewer_rate", (0.8, 3.0))
+    assert run_experiment(short_cfg, spec, jobs=2) == run_experiment(short_cfg, spec, jobs=1)
+
+
+def test_sweep_worker_returns_only_the_means(short_cfg):
+    means = paired_means(short_cfg, 7)
+    by_policy = run_paired(short_cfg, 7)
+    assert means == [replication_means(by_policy[p], short_cfg.warmup_min) for p in PolicyKind]
+    assert len(pickle.dumps(means)) < 1024
 
 
 def test_replication_seeds_are_consecutive():

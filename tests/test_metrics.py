@@ -1,8 +1,18 @@
 """Per-step scoring and cross-replication aggregation."""
 
+import random
+import statistics
+
 import pytest
 
-from bwbroker.metrics import RunSummary, StepRecord, aggregate, step_satisfaction, step_utilization
+from bwbroker.metrics import (
+    RunSummary,
+    StepRecord,
+    aggregate,
+    replication_means,
+    step_satisfaction,
+    step_utilization,
+)
 from bwbroker.model import AllocationDecision, table1
 
 
@@ -95,6 +105,36 @@ def test_aggregate_rejects_degenerate_input():
         aggregate([[rec(0.0, 1.0)]], warmup_min=1.0)       # nothing post-warmup
     with pytest.raises(ValueError):
         aggregate([[rec(0.0, 1.0), rec(1.0, 1.0)], [rec(1.0, 1.0)]], 0.0)
+
+
+def _fmean_means(records, warmup_min):
+    """The per-replication means as statistics.fmean over the post-warmup steps gives them."""
+    post = [r for r in records if r.t_min >= warmup_min - 1e-9]
+    return (
+        len(post),
+        statistics.fmean(r.satisfaction for r in post),
+        statistics.fmean(r.utilization for r in post),
+        statistics.fmean(r.blocks for r in post),
+        statistics.fmean(r.drops for r in post),
+        statistics.fmean(r.active_channels for r in post),
+    )
+
+
+def test_replication_means_equal_fmean_bit_for_bit():
+    rng = random.Random(5)
+    for _ in range(300):
+        dt = rng.choice([1.0, 0.1, 0.25, 1 / 3])
+        n = rng.randint(2, 400)
+        warmup = rng.randint(0, n - 1) * dt
+        times = [i * dt for i in range(n)]
+        # at, just inside the 1e-9 slack below, and just under the warmup
+        times += [warmup, warmup - 5e-10, warmup - 1e-9, warmup - 2e-9, warmup - 1e-6]
+        records = [
+            rec(t, rng.random(), util=rng.random(), blocks=rng.randint(0, 9),
+                drops=rng.randint(0, 3), n=rng.randint(0, 30))
+            for t in sorted(times)
+        ]
+        assert tuple(replication_means(records, warmup)) == _fmean_means(records, warmup)
 
 
 def test_summary_is_a_plain_value_object():

@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from bwbroker.model import (
+    MAX_CHANNELS,
     MAX_STEPS,
     CellState,
     ConfigError,
@@ -100,6 +101,7 @@ def test_zero_arrival_rates_are_legal():
     ("iptv_reservation_cap_mbps", 61.0),          # cap above cell capacity
     ("capacity_mbps", 0.0),
     ("num_channels_catalog", 0),
+    ("num_channels_catalog", MAX_CHANNELS + 1),   # a popularity table past the ceiling
     ("sample_interval_min", 0.0),
     ("sample_interval_min", 7.0),                 # does not divide the window
     ("history_window_min", -1.0),
