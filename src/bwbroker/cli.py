@@ -4,9 +4,10 @@ Exit codes: 0 on success, 2 for bad input (bad file, bad key, a value
 that is malformed, non-finite, fractional where a whole number is due
 or out of range, a run or history window of more than model.MAX_STEPS
 steps, more than model.MAX_ARRIVALS expected arrivals a replication, a
-catalog of more than model.MAX_CHANNELS channels, a config a sweep or
-one of its points cannot use, bad command line arguments), 3 for
-unexpected runtime failures.  The env var BWBROKER_SEED overrides the
+catalog of more than model.MAX_CHANNELS channels, more than
+model.MAX_REPLICATIONS replications, a config a sweep or one of its
+points cannot use, bad command line arguments), 3 for unexpected
+runtime failures.  The env var BWBROKER_SEED overrides the
 configured base seed; an explicit --seed flag beats both.
 """
 
@@ -253,7 +254,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001 - CLI boundary
-        print(f"runtime error: {exc}", file=sys.stderr)
+        # some exceptions, such as MemoryError, carry no message
+        print(f"runtime error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 3
 
 

@@ -15,18 +15,12 @@ from dataclasses import dataclass, replace
 
 from .allocation import PolicyKind, admit_channel, allocate_non_sla, allocate_sla
 from .broker import DemandHistory, compute_reservation
-from .metrics import ReplicationMeans, RunSummary, StepRecord, aggregate, replication_means
+from .metrics import ReplicationMeans, RunSummary, StepRecord, replication_means
 from .metrics import step_satisfaction, step_utilization, summarize
+from .metrics import aggregate  # noqa: F401 - uncalled; perfbench/layers.py wraps engine.aggregate
 from .model import CellState, ConfigError, ScenarioConfig
-from .traffic import (
-    NON_IPTV_ARRIVE,
-    NON_IPTV_DEPART,
-    VIEWER_DEPART,
-    Trace,
-    TrafficEvent,
-    build_trace,
-    viewer_rate_for_mean_channels,
-)
+from .traffic import NON_IPTV_ARRIVE, NON_IPTV_DEPART, VIEWER_DEPART, Trace, TrafficEvent
+from .traffic import build_trace, viewer_rate_for_mean_channels
 
 
 def run_step(
@@ -175,35 +169,18 @@ def sweep_configs(config: ScenarioConfig, spec: SweepSpec) -> list[ScenarioConfi
     return configs
 
 
-def run_experiment(
-    config: ScenarioConfig,
-    spec: SweepSpec,
-    jobs: int = 1,
-    record_hook=None,
-) -> list[SweepPoint]:
+def run_experiment(config: ScenarioConfig, spec: SweepSpec, jobs: int = 1) -> list[SweepPoint]:
     """Run every sweep point with paired replications and aggregate.
 
     Every point's config is validated first.  Then all (point, seed)
-    replications share one pool, whose workers return only their means.
-
-    record_hook, when given, is called as
-    record_hook(sweep_value, policy, replication, records) for every run,
-    before the records are folded into the point summary; the runs then
-    take place in the calling process.
+    replications share one pool, whose workers return only their
+    reductions (metrics.replication_means).
     """
     configs = sweep_configs(config, spec)
-    points: list[SweepPoint] = []
-    if record_hook is not None:
-        for value, cfg in zip(spec.values, configs):
-            for policy, reps in run_policies(cfg).items():
-                for rep, records in enumerate(reps):
-                    record_hook(value, policy, rep, records)
-                points.append(SweepPoint(value, policy, aggregate(reps, cfg.warmup_min)))
-        return points
-
     n = config.replications
     seeds = [replication_seed(config.base_seed, r) for r in range(n)]
     means = _map(paired_means, jobs, [cfg for cfg in configs for _ in seeds], seeds * len(configs))
+    points: list[SweepPoint] = []
     for i, value in enumerate(spec.values):
         by_policy = zip(*means[i * n : (i + 1) * n])  # per policy, its replications
         points += [SweepPoint(value, p, summarize(m)) for p, m in zip(PolicyKind, by_policy)]

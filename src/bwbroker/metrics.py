@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import math
+import operator
 import statistics
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import compress
 from typing import NamedTuple, Sequence
 
 from .model import BW_TOL, AllocationDecision, ScenarioConfig
@@ -38,7 +41,9 @@ class RunSummary:
     """Post-warmup means of one policy, averaged across replications.
 
     block_rate and drop_rate are mean events per step.  Standard errors
-    are across replications (0.0 for a single replication).
+    are across replications (0.0 for a single replication).  The last six
+    fields span all steps, warmup included: their count and the capacity
+    extremes (min_survivor_per_channel_mbps is inf if none kept a channel).
     """
 
     mean_satisfaction: float
@@ -49,6 +54,12 @@ class RunSummary:
     drop_rate: float
     mean_active_channels: float
     replications: int
+    scanned_steps: int
+    max_utilization: float
+    max_per_channel_mbps: float
+    min_survivor_per_channel_mbps: float
+    min_reserved_mbps: float
+    max_reserved_mbps: float
 
 
 def step_satisfaction(decision: AllocationDecision, demand_mbps: float) -> float:
@@ -72,7 +83,7 @@ def step_utilization(decision: AllocationDecision, config: ScenarioConfig) -> fl
 
 
 class ReplicationMeans(NamedTuple):
-    """Post-warmup step count and per-step means of one policy in one replication."""
+    """One policy in one replication, in RunSummary's terms: its means and its extremes."""
 
     steps: int
     satisfaction: float
@@ -80,28 +91,43 @@ class ReplicationMeans(NamedTuple):
     blocks: float
     drops: float
     active_channels: float
+    scanned_steps: int
+    max_utilization: float
+    max_per_channel_mbps: float
+    min_survivor_per_channel_mbps: float
+    min_reserved_mbps: float
+    max_reserved_mbps: float
 
 
 def replication_means(records: Sequence[StepRecord], warmup_min: float) -> ReplicationMeans:
-    """Drop the warmup and average each column, exactly as statistics.fmean would."""
-    post = [r for r in records if r.t_min >= warmup_min - 1e-9]
-    if not post:
+    """Average each post-warmup column exactly as statistics.fmean would,
+    and take the extremes over every step."""
+    if not records or records[-1].t_min < warmup_min - 1e-9:
         raise ValueError("no post-warmup steps in a replication")
-    n = len(post)
-    column = StepRecord._make(zip(*post))
+    column = StepRecord._make(zip(*records))
+    # the records are in time order, so the warmup is a prefix
+    start = bisect_left(column.t_min, warmup_min - 1e-9)
+    n = len(records) - start
+    survivors = map(operator.gt, column.active_channels, column.drops)
     # the integer columns sum exactly, so their int sum is fmean's float sum
     return ReplicationMeans(
         n,
-        math.fsum(column.satisfaction) / n,
-        math.fsum(column.utilization) / n,
-        sum(column.blocks) / n,
-        sum(column.drops) / n,
-        sum(column.active_channels) / n,
+        math.fsum(column.satisfaction[start:]) / n,
+        math.fsum(column.utilization[start:]) / n,
+        sum(column.blocks[start:]) / n,
+        sum(column.drops[start:]) / n,
+        sum(column.active_channels[start:]) / n,
+        len(records),
+        max(column.utilization),
+        max(column.per_channel_bw_mbps),
+        min(compress(column.per_channel_bw_mbps, survivors), default=math.inf),
+        min(column.reserved_mbps),
+        max(column.reserved_mbps),
     )
 
 
 def summarize(per_rep: Sequence[ReplicationMeans]) -> RunSummary:
-    """Average the per-replication means across replications."""
+    """Average the per-replication means, and fold their extremes, across replications."""
     if not per_rep:
         raise ValueError("need at least one replication")
     column = ReplicationMeans._make(zip(*per_rep))
@@ -120,6 +146,12 @@ def summarize(per_rep: Sequence[ReplicationMeans]) -> RunSummary:
         drop_rate=statistics.fmean(column.drops),
         mean_active_channels=statistics.fmean(column.active_channels),
         replications=len(per_rep),
+        scanned_steps=sum(column.scanned_steps),
+        max_utilization=max(column.max_utilization),
+        max_per_channel_mbps=max(column.max_per_channel_mbps),
+        min_survivor_per_channel_mbps=min(column.min_survivor_per_channel_mbps),
+        min_reserved_mbps=min(column.min_reserved_mbps),
+        max_reserved_mbps=max(column.max_reserved_mbps),
     )
 
 

@@ -31,6 +31,10 @@ MAX_CHANNELS = 100_000
 # Each costs draws and trace events, so far higher rates would never finish.
 MAX_ARRIVALS = 10_000_000
 
+# Most replications, 500 times table1's 20.  `run` keeps every replication's
+# step records, 0.47 MB each at table1's size: 10,000 need about 5 GB.
+MAX_REPLICATIONS = 10_000
+
 
 class ConfigError(ValueError):
     """A scenario configuration failed validation."""
@@ -134,8 +138,8 @@ class ScenarioConfig:
             )
         if c.warmup_min < 0 or c.warmup_min >= c.sim_duration_min:
             raise ConfigError("warmup_min must satisfy 0 <= warmup_min < sim_duration_min")
-        if c.replications < 1:
-            raise ConfigError("replications must be at least 1")
+        if not 1 <= c.replications <= MAX_REPLICATIONS:
+            raise ConfigError(f"replications must be between 1 and {MAX_REPLICATIONS}")
 
     @property
     def n_steps(self) -> int:
@@ -288,18 +292,3 @@ def available_bandwidth(capacity_mbps: float, non_iptv_demand_mbps: float) -> fl
         raise ValueError("capacity and demand must be non-negative")
     leftover = capacity_mbps - non_iptv_demand_mbps
     return leftover if leftover > 0.0 else 0.0
-
-
-def satisfaction_level(available_mbps: float, iptv_demand_mbps: float) -> float:
-    """Fraction of IPTV demand that the available bandwidth covers.
-
-    1.0 when demand is met (or when there is no demand at all), otherwise
-    the served fraction, so the value always lands in [0, 1].
-    """
-    if available_mbps < 0 or iptv_demand_mbps < 0:
-        raise ValueError("available and demand must be non-negative")
-    if iptv_demand_mbps <= BW_TOL:
-        return 1.0
-    if available_mbps + BW_TOL >= iptv_demand_mbps:
-        return 1.0
-    return available_mbps / iptv_demand_mbps

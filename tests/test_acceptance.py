@@ -7,6 +7,7 @@ curve-level comparisons of replication means carry a +/-0.05 band.
 """
 
 import math
+import os
 import random
 import time
 from collections import Counter
@@ -19,7 +20,8 @@ from bwbroker.allocation import PolicyKind, allocate_non_sla, allocate_sla
 from bwbroker.broker import DemandHistory, compute_borrowing, compute_reservation
 from bwbroker.cli import main
 from bwbroker.engine import fig3_sweep, fig5_sweep, run_experiment
-from bwbroker.model import CellState, available_bandwidth, satisfaction_level, table1
+from bwbroker.metrics import step_satisfaction
+from bwbroker.model import AllocationDecision, CellState, available_bandwidth, table1
 from bwbroker.traffic import (
     EventKind,
     RngStream,
@@ -30,38 +32,6 @@ from bwbroker.traffic import (
 
 EQ_TOL = 1e-9     # closed-form agreement
 SL_TOL = 0.05     # band on comparisons of replication means
-
-
-class StepMonitor:
-    """Streaming invariant scan over every simulated step of a sweep."""
-
-    def __init__(self, config):
-        self.floor = config.iptv_channel_min_bw_mbps
-        self.ceiling = config.iptv_channel_max_bw_mbps
-        self.reservation_cap = config.iptv_reservation_cap_mbps
-        self.steps = 0
-        self.max_utilization = 0.0
-        self.max_per_channel = 0.0
-        self.min_floor_margin = math.inf
-        self.min_reserved = 0.0
-        self.max_reserved = 0.0
-
-    def __call__(self, value, policy, replication, records):
-        for r in records:
-            self.steps += 1
-            if r.utilization > self.max_utilization:
-                self.max_utilization = r.utilization
-            if r.per_channel_bw_mbps > self.max_per_channel:
-                self.max_per_channel = r.per_channel_bw_mbps
-            survivors = r.active_channels - r.drops
-            if survivors > 0:
-                margin = r.per_channel_bw_mbps - self.floor
-                if margin < self.min_floor_margin:
-                    self.min_floor_margin = margin
-            if r.reserved_mbps < self.min_reserved:
-                self.min_reserved = r.reserved_mbps
-            if r.reserved_mbps > self.max_reserved:
-                self.max_reserved = r.reserved_mbps
 
 
 def _by_policy(points):
@@ -75,18 +45,16 @@ def _by_policy(points):
 def load_sweep():
     """Full non-IPTV load sweep at a mean of 20 on-air channels."""
     tuned, spec = fig3_sweep(table1())
-    monitor = StepMonitor(tuned)
-    points = run_experiment(tuned, spec, record_hook=monitor)
-    return tuned, spec, _by_policy(points), monitor
+    points = run_experiment(tuned, spec, jobs=len(os.sched_getaffinity(0)))
+    return tuned, spec, _by_policy(points)
 
 
 @pytest.fixture(scope="module")
 def channel_sweep():
     """Viewer-rate sweep pushing the mean channel count toward the catalog."""
     base, spec = fig5_sweep(table1())
-    monitor = StepMonitor(base)
-    points = run_experiment(base, spec, record_hook=monitor)
-    return base, spec, _by_policy(points), monitor
+    points = run_experiment(base, spec, jobs=len(os.sched_getaffinity(0)))
+    return base, spec, _by_policy(points)
 
 
 # --- reference implementations, derived independently of the package code ---
@@ -147,7 +115,8 @@ def test_criterion_equations_match_reference_oracles():
 
         avail = rng.uniform(0.0, 100.0)
         dem = rng.uniform(0.0, 100.0)
-        worst = max(worst, abs(satisfaction_level(avail, dem)
+        delivers_avail = AllocationDecision(avail, 0.0, 0.0, 0.0, 0.0, 1)
+        worst = max(worst, abs(step_satisfaction(delivers_avail, dem)
                                - _ref_satisfaction(avail, dem)))
 
         r = rng.uniform(0.0, 60.0)
@@ -187,7 +156,7 @@ def test_criterion_equations_match_reference_oracles():
 
 
 def test_criterion_satisfaction_curves_separate_policies(load_sweep):
-    _, spec, by_policy, _ = load_sweep
+    _, spec, by_policy = load_sweep
     sla, non = by_policy[PolicyKind.SLA], by_policy[PolicyKind.NON_SLA]
     sla_min = min(s.mean_satisfaction for s in sla.values())
     top = max(spec.values)
@@ -204,7 +173,7 @@ def test_criterion_satisfaction_curves_separate_policies(load_sweep):
 
 
 def test_criterion_utilization_parity(load_sweep):
-    _, spec, by_policy, _ = load_sweep
+    _, spec, by_policy = load_sweep
     sla, non = by_policy[PolicyKind.SLA], by_policy[PolicyKind.NON_SLA]
     worst = max(abs(sla[v].mean_utilization - non[v].mean_utilization)
                 for v in spec.values)
@@ -215,7 +184,7 @@ def test_criterion_utilization_parity(load_sweep):
 
 
 def test_criterion_satisfaction_tracks_channel_count(channel_sweep):
-    base, spec, by_policy, _ = channel_sweep
+    base, spec, by_policy = channel_sweep
     full = base.iptv_channel_max_bw_mbps
     cap = base.iptv_reservation_cap_mbps
     knee = cap / full    # channel count at which the reservation saturates
@@ -260,14 +229,17 @@ def test_criterion_reruns_are_byte_identical(tmp_path):
 
 
 def test_criterion_capacity_conservation(load_sweep, channel_sweep):
-    monitors = (load_sweep[3], channel_sweep[3])
+    # every policy at every point, each scanned over all of its steps by the sweep's workers
+    summaries = [s for sweep in (load_sweep, channel_sweep)
+                 for by_value in sweep[2].values() for s in by_value.values()]
     cfg = table1()
-    steps = sum(m.steps for m in monitors)
-    max_util = max(m.max_utilization for m in monitors)
-    max_per = max(m.max_per_channel for m in monitors)
-    floor_margin = min(m.min_floor_margin for m in monitors)
-    min_res = min(m.min_reserved for m in monitors)
-    max_res = max(m.max_reserved for m in monitors)
+    steps = sum(s.scanned_steps for s in summaries)
+    max_util = max(s.max_utilization for s in summaries)
+    max_per = max(s.max_per_channel_mbps for s in summaries)
+    floor_margin = (min(s.min_survivor_per_channel_mbps for s in summaries)
+                    - cfg.iptv_channel_min_bw_mbps)
+    min_res = min(s.min_reserved_mbps for s in summaries)
+    max_res = max(s.max_reserved_mbps for s in summaries)
     ok = (max_util <= 1.0 + EQ_TOL
           and max_per <= cfg.iptv_channel_max_bw_mbps + EQ_TOL
           and floor_margin >= -EQ_TOL

@@ -252,6 +252,7 @@ def test_step_count_past_the_ceiling_exits_2_without_running(tmp_path, capsys, m
     ("history_window_min: 1.0e300\n", "history_window_min"),
     ("non_iptv_arrival_rate_per_min: 1.0e12\n", "arrivals"),
     ("num_channels_catalog: 1000000000\n", "num_channels_catalog"),
+    ("replications: 1000000000\n", "replications"),
 ])
 def test_config_past_a_ceiling_exits_2_without_running(tmp_path, capsys, monkeypatch,
                                                         line, message):
@@ -265,6 +266,16 @@ def test_config_past_a_ceiling_exits_2_without_running(tmp_path, capsys, monkeyp
     assert rc == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "x").exists()
+
+
+def test_runtime_error_without_a_message_names_its_type(tmp_path, capsys, monkeypatch):
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "run_policies", out_of_memory)
+    rc = main(["run", "table1", "--out", str(tmp_path), "--jobs", "1"])
+    assert rc == 3
+    assert capsys.readouterr().err == "runtime error: MemoryError\n"
 
 
 @pytest.mark.parametrize("field,departure", [

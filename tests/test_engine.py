@@ -227,16 +227,6 @@ def test_experiment_matches_manual_loop(short_cfg):
         assert p.summary == manual
 
 
-def test_experiment_hook_sees_every_run(short_cfg):
-    spec = SweepSpec("iptv_viewer_rate", (1.0,))
-    calls = []
-    run_experiment(short_cfg, spec,
-                   record_hook=lambda v, p, r, recs: calls.append((v, p, r, len(recs))))
-    assert len(calls) == 2 * short_cfg.replications
-    assert {c[1] for c in calls} == set(PolicyKind)
-    assert all(c[3] == short_cfg.n_steps for c in calls)
-
-
 def test_fig3_preset_covers_load_grid(cfg):
     tuned, spec = fig3_sweep(cfg)
     assert spec.axis == "non_iptv_offered_load"

@@ -1,9 +1,12 @@
 """Per-step scoring and cross-replication aggregation."""
 
+import math
 import random
 import statistics
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from bwbroker.metrics import (
     RunSummary,
@@ -14,6 +17,8 @@ from bwbroker.metrics import (
     step_utilization,
 )
 from bwbroker.model import AllocationDecision, table1
+
+bw = st.floats(min_value=0.0, max_value=1e6, allow_nan=False)
 
 
 def decision(per, n, grant=0.0, drops=()):
@@ -48,6 +53,17 @@ def test_step_satisfaction_examples():
 def test_step_satisfaction_rejects_negative_demand():
     with pytest.raises(ValueError):
         step_satisfaction(decision(1.0, 1), -1.0)
+
+
+@given(delivered=bw, demand=bw)
+def test_step_satisfaction_in_unit_interval(delivered, demand):
+    assert 0.0 <= step_satisfaction(decision(delivered, 1), demand) <= 1.0
+
+
+@given(demand=st.floats(min_value=1.0, max_value=1e6), a=bw, b=bw)
+def test_step_satisfaction_monotone_in_delivered(demand, a, b):
+    lo, hi = sorted((a, b))
+    assert step_satisfaction(decision(lo, 1), demand) <= step_satisfaction(decision(hi, 1), demand)
 
 
 def test_step_utilization_examples(cfg):
@@ -134,9 +150,40 @@ def test_replication_means_equal_fmean_bit_for_bit():
                 drops=rng.randint(0, 3), n=rng.randint(0, 30))
             for t in sorted(times)
         ]
-        assert tuple(replication_means(records, warmup)) == _fmean_means(records, warmup)
+        # the fields past the means are the extremes, checked on their own below
+        assert replication_means(records, warmup)[:6] == _fmean_means(records, warmup)
+
+
+def test_extremes_cover_every_step_and_only_survivors():
+    def step(t, util, reserved, per, n=10, drops=0):
+        return rec(t, 1.0, util=util, n=n, drops=drops)._replace(
+            reserved_mbps=reserved, per_channel_bw_mbps=per)
+
+    records = [
+        step(0.0, util=0.9, reserved=4.0, per=1.5),            # warmup, still scanned
+        step(1.0, util=0.4, reserved=9.0, per=0.0, drops=10),  # every channel dropped
+        step(2.0, util=0.6, reserved=6.0, per=1.8),
+        step(3.0, util=0.5, reserved=5.0, per=0.0, n=0),       # nothing on air
+    ]
+    m = replication_means(records, warmup_min=1.0)
+    assert (m.steps, m.scanned_steps) == (3, 4)
+    assert m.utilization == 0.5                    # the means still skip the warmup
+    assert m.max_utilization == 0.9
+    assert (m.min_reserved_mbps, m.max_reserved_mbps) == (4.0, 9.0)
+    assert m.max_per_channel_mbps == 1.8
+    assert m.min_survivor_per_channel_mbps == 1.5
+
+    none_kept = [step(float(t), util=0.2, reserved=0.0, per=0.0, drops=10) for t in range(4)]
+    assert replication_means(none_kept, 1.0).min_survivor_per_channel_mbps == math.inf
+
+    # across replications the extremes fold with min and max, the step counts add up
+    s = aggregate([records, none_kept], warmup_min=1.0)
+    assert s.scanned_steps == 8
+    assert (s.max_utilization, s.max_per_channel_mbps) == (0.9, 1.8)
+    assert s.min_survivor_per_channel_mbps == 1.5
+    assert (s.min_reserved_mbps, s.max_reserved_mbps) == (0.0, 9.0)
 
 
 def test_summary_is_a_plain_value_object():
-    s = RunSummary(1.0, 0.0, 0.5, 0.0, 0.0, 0.0, 10.0, 1)
-    assert s == RunSummary(1.0, 0.0, 0.5, 0.0, 0.0, 0.0, 10.0, 1)
+    s = RunSummary(1.0, 0.0, 0.5, 0.0, 0.0, 0.0, 10.0, 1, 720, 0.5, 2.0, 2.0, 0.0, 40.0)
+    assert s == RunSummary(1.0, 0.0, 0.5, 0.0, 0.0, 0.0, 10.0, 1, 720, 0.5, 2.0, 2.0, 0.0, 40.0)

@@ -1,4 +1,4 @@
-"""Core state containers and the two closed-form bandwidth relations."""
+"""Core state containers and the closed-form leftover bandwidth."""
 
 import dataclasses
 
@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 
 from bwbroker.model import (
     MAX_CHANNELS,
+    MAX_REPLICATIONS,
     MAX_STEPS,
     CellState,
     ConfigError,
     available_bandwidth,
-    satisfaction_level,
     table1,
 )
 
@@ -37,32 +37,6 @@ def test_available_bandwidth_is_clamped_leftover(capacity, demand):
     left = available_bandwidth(capacity, demand)
     assert left == max(0.0, capacity - demand)
     assert 0.0 <= left <= capacity
-
-
-def test_satisfaction_examples():
-    assert satisfaction_level(40.0, 40.0) == 1.0
-    assert satisfaction_level(30.0, 40.0) == 0.75
-    assert satisfaction_level(50.0, 0.0) == 1.0
-    assert satisfaction_level(0.0, 40.0) == 0.0
-
-
-def test_satisfaction_rejects_negative():
-    with pytest.raises(ValueError):
-        satisfaction_level(-1.0, 40.0)
-    with pytest.raises(ValueError):
-        satisfaction_level(1.0, -40.0)
-
-
-@given(available=bw, demand=bw)
-def test_satisfaction_in_unit_interval(available, demand):
-    assert 0.0 <= satisfaction_level(available, demand) <= 1.0
-
-
-@given(demand=st.floats(min_value=1.0, max_value=1e6),
-       a=bw, b=bw)
-def test_satisfaction_monotone_in_available(demand, a, b):
-    lo, hi = sorted((a, b))
-    assert satisfaction_level(lo, demand) <= satisfaction_level(hi, demand)
 
 
 def test_table1_constants():
@@ -115,6 +89,7 @@ def test_zero_arrival_rates_are_legal():
     ("warmup_min", -1.0),
     ("replications", 0),
     ("replications", 2.7),                        # not a whole number
+    ("replications", MAX_REPLICATIONS + 1),       # a seed list past the ceiling
     ("capacity_mbps", float("nan")),
     ("non_iptv_arrival_rate_per_min", float("inf")),
     ("sample_interval_min", 1.0e-300),            # 7.2e302 steps, past MAX_STEPS

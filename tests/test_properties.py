@@ -2,6 +2,7 @@
 and random invalid config files are always rejected with exit code 2."""
 
 import dataclasses
+import math
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -11,10 +12,42 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bwbroker import cli
+from bwbroker.allocation import PolicyKind
 from bwbroker.engine import replication_seed, run_paired
+from bwbroker.metrics import aggregate
 from bwbroker.model import ScenarioConfig
 from bwbroker.traffic import NON_IPTV_ARRIVE, NON_IPTV_DEPART, build_trace
-from test_acceptance import EQ_TOL, StepMonitor
+from test_acceptance import EQ_TOL
+
+
+class StepMonitor:
+    """Reference scan of the capacity invariants over every step it is shown."""
+
+    def __init__(self, config):
+        self.floor = config.iptv_channel_min_bw_mbps
+        self.steps = 0
+        self.max_utilization = -math.inf
+        self.max_per_channel = -math.inf
+        self.min_floor_margin = math.inf
+        self.min_reserved = math.inf
+        self.max_reserved = -math.inf
+
+    def __call__(self, records):
+        for r in records:
+            self.steps += 1
+            if r.utilization > self.max_utilization:
+                self.max_utilization = r.utilization
+            if r.per_channel_bw_mbps > self.max_per_channel:
+                self.max_per_channel = r.per_channel_bw_mbps
+            survivors = r.active_channels - r.drops
+            if survivors > 0:
+                margin = r.per_channel_bw_mbps - self.floor
+                if margin < self.min_floor_margin:
+                    self.min_floor_margin = margin
+            if r.reserved_mbps < self.min_reserved:
+                self.min_reserved = r.reserved_mbps
+            if r.reserved_mbps > self.max_reserved:
+                self.max_reserved = r.reserved_mbps
 
 
 @st.composite
@@ -50,7 +83,8 @@ def small_configs(draw):
 @settings(max_examples=40, deadline=None)
 @given(config=small_configs())
 def test_random_valid_configs_keep_step_invariants(config):
-    monitor = StepMonitor(config)
+    monitors = {policy: StepMonitor(config) for policy in PolicyKind}
+    runs = {policy: [] for policy in PolicyKind}
     for rep in range(config.replications):
         seed = replication_seed(config.base_seed, rep)
         # non-IPTV demand of each step, replayed from the trace's call events
@@ -61,7 +95,8 @@ def test_random_valid_configs_keep_step_invariants(config):
             call_demand.append(live * config.non_iptv_call_bw_mbps)
         for policy, records in run_paired(config, seed).items():
             assert [r.non_iptv_demand_mbps for r in records] == call_demand
-            monitor(None, policy, rep, records)
+            monitors[policy](records)
+            runs[policy].append(records)
             for r in records:
                 assert 0.0 <= r.satisfaction <= 1.0
                 delivered_iptv = r.per_channel_bw_mbps * (r.active_channels - r.drops)
@@ -69,12 +104,22 @@ def test_random_valid_configs_keep_step_invariants(config):
                 assert delivered_iptv <= r.iptv_demand_mbps + EQ_TOL
                 assert delivered - delivered_iptv <= r.non_iptv_demand_mbps + EQ_TOL
                 assert r.borrowed_mbps == max(0.0, r.reserved_mbps - r.available_mbps)
-    assert monitor.steps == 2 * config.replications * config.n_steps
-    assert monitor.max_utilization <= 1.0 + EQ_TOL
-    assert monitor.max_per_channel <= config.iptv_channel_max_bw_mbps + EQ_TOL
-    assert monitor.min_floor_margin >= -EQ_TOL
-    assert monitor.min_reserved >= 0.0
-    assert monitor.max_reserved <= config.iptv_reservation_cap_mbps + EQ_TOL
+    for policy, monitor in monitors.items():
+        # the reduction a sweep worker makes agrees with the reference scan, field by field
+        s = aggregate(runs[policy], config.warmup_min)
+        assert s.scanned_steps == monitor.steps
+        assert s.max_utilization == monitor.max_utilization
+        assert s.max_per_channel_mbps == monitor.max_per_channel
+        assert s.min_survivor_per_channel_mbps - monitor.floor == monitor.min_floor_margin
+        assert s.min_reserved_mbps == monitor.min_reserved
+        assert s.max_reserved_mbps == monitor.max_reserved
+
+        assert monitor.steps == config.replications * config.n_steps
+        assert monitor.max_utilization <= 1.0 + EQ_TOL
+        assert monitor.max_per_channel <= config.iptv_channel_max_bw_mbps + EQ_TOL
+        assert monitor.min_floor_margin >= -EQ_TOL
+        assert monitor.min_reserved >= 0.0
+        assert monitor.max_reserved <= config.iptv_reservation_cap_mbps + EQ_TOL
 
 
 class _Accepted(BaseException):
