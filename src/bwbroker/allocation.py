@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from enum import Enum
 
-from .broker import compute_borrowing
 from .model import (
     BW_TOL,
     AllocationDecision,
@@ -106,15 +105,7 @@ def allocate_non_sla(state: CellState, config: ScenarioConfig) -> AllocationDeci
     else:
         grant = cap / total * non_iptv
 
-    return AllocationDecision(
-        per_channel_bw_mbps=per,
-        reserved_mbps=0.0,
-        available_mbps=available_bandwidth(cap, non_iptv),
-        borrowed_mbps=0.0,
-        non_iptv_grant_mbps=grant,
-        num_active_channels=survivors,
-        dropped_channel_ids=dropped,
-    )
+    return AllocationDecision(per, grant, survivors, dropped)
 
 
 def allocate_sla(
@@ -135,7 +126,6 @@ def allocate_sla(
 
     cap = config.capacity_mbps
     non_iptv = state.non_iptv_demand_mbps
-    avail = available_bandwidth(cap, non_iptv)
 
     survivors, per, dropped = _shed_until_viable(state, PolicyKind.SLA, reserved_mbps, config)
 
@@ -145,15 +135,7 @@ def allocate_sla(
         headroom = 0.0
     grant = non_iptv if non_iptv <= headroom else headroom
 
-    return AllocationDecision(
-        per_channel_bw_mbps=per,
-        reserved_mbps=reserved_mbps,
-        available_mbps=avail,
-        borrowed_mbps=compute_borrowing(reserved_mbps, avail),
-        non_iptv_grant_mbps=grant,
-        num_active_channels=survivors,
-        dropped_channel_ids=dropped,
-    )
+    return AllocationDecision(per, grant, survivors, dropped)
 
 
 def admit_channel(

@@ -6,7 +6,8 @@ or out of range, a run or history window of more than model.MAX_STEPS
 steps, more than model.MAX_ARRIVALS expected arrivals a replication, a
 catalog of more than model.MAX_CHANNELS channels, more than
 model.MAX_REPLICATIONS replications, a config a sweep or one of its
-points cannot use, bad command line arguments), 3 for unexpected
+points cannot use, a file that does not decode, an --out that cannot be
+made a directory, bad command line arguments), 3 for unexpected
 runtime failures.  The env var BWBROKER_SEED overrides the
 configured base seed; an explicit --seed flag beats both.
 """
@@ -25,7 +26,7 @@ from pathlib import Path
 import yaml
 
 from .allocation import PolicyKind
-from .engine import FIGURE_SWEEPS, run_experiment, run_policies, sweep_configs
+from .engine import FIGURE_SWEEPS, run_experiment, run_policies
 from .metrics import RunSummary, StepRecord, aggregate
 from .model import PRESETS, ConfigError, ScenarioConfig
 
@@ -58,8 +59,8 @@ SUMMARY_CSV_HEADER = [
 
 SWEEP_CSV_HEADER = ["sweep_value"] + SUMMARY_CSV_HEADER
 
-_INT_FIELDS = {"num_channels_catalog", "replications", "base_seed"}
 _CONFIG_FIELDS = {f.name for f in dataclasses.fields(ScenarioConfig)}
+_INT_FIELDS = {f.name for f in dataclasses.fields(ScenarioConfig) if f.type == "int"}
 
 
 def _jobs(text: str) -> int:
@@ -82,14 +83,15 @@ def load_config(source: str) -> ScenarioConfig:
     if not path.is_file():
         raise ConfigError(f"config file not found: {source}")
     try:
-        data = yaml.safe_load(path.read_text())
+        # from bytes, an undecodable file is a YAMLError like any other
+        data = yaml.safe_load(path.read_bytes())
     except yaml.YAMLError as exc:
         raise ConfigError(f"cannot parse {source}: {exc}") from exc
     if data is None:
         data = {}
     if not isinstance(data, dict):
         raise ConfigError(f"{source}: config must be a flat key/value mapping")
-    unknown = sorted(set(data) - _CONFIG_FIELDS)
+    unknown = sorted(str(key) for key in data if key not in _CONFIG_FIELDS)
     if unknown:
         raise ConfigError(f"{source}: unknown config keys: {', '.join(unknown)}")
     coerced = {}
@@ -161,6 +163,15 @@ def _print_summary(policy: PolicyKind, s: RunSummary) -> None:
     )
 
 
+def _out_dir(path: str) -> Path:
+    """Create the output directory: after every config check, before any replication."""
+    try:
+        Path(path).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot write outputs to --out {path}: {exc}") from exc
+    return Path(path)
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     config = _resolve_seed(load_config(args.config), args.seed)
     if args.policy == "both":
@@ -168,9 +179,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     else:
         policies = (PolicyKind(args.policy),)
 
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
+    out_dir = _out_dir(args.out)
     by_policy = run_policies(config, policies=policies, jobs=args.jobs)
     summary_rows = []
     for policy in policies:
@@ -187,21 +196,19 @@ def cmd_run(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     config = _resolve_seed(load_config(args.config), args.seed)
     try:
-        base, spec = FIGURE_SWEEPS[args.figure](config)
-        sweep_configs(base, spec)
+        sweep = FIGURE_SWEEPS[args.figure](config)
     except (ArithmeticError, ValueError) as exc:
         # the preset derives its rates from the config, which can put them out of reach
         raise ConfigError(f"the {args.figure} sweep cannot use this config: {exc}") from exc
-    points = run_experiment(base, spec, jobs=args.jobs)
+    out_dir = _out_dir(args.out)
+    points = run_experiment(sweep, jobs=args.jobs)
 
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     rows = [[p.sweep_value] + _summary_row(p.policy, p.summary) for p in points]
     _write_csv_atomic(out_dir / f"sweep_{args.figure}.csv", SWEEP_CSV_HEADER, rows)
 
     for p in points:
         print(
-            f"{spec.axis}={p.sweep_value:.4g} policy={p.policy.value}"
+            f"{sweep.axis}={p.sweep_value:.4g} policy={p.policy.value}"
             f" mean_SL={p.summary.mean_satisfaction:.4f}"
             f" mean_util={p.summary.mean_utilization:.4f}"
             f" mean_N_IPTV={p.summary.mean_active_channels:.2f}"

@@ -1,10 +1,10 @@
 """Simulation loop: step composition, replications and parameter sweeps.
 
-Each step runs a fixed sequence: apply departures, admit arrivals,
-measure the leftover after non-IPTV demand, work out the reservation
-and borrowing (SLA only), allocate, score the step, then append the
-step's offered demand to the broker history.  The history sample lands
-after allocation on purpose: a reservation may only ever look at
+Each step runs a fixed sequence: fix the reservation (SLA only, zero
+otherwise), apply departures, admit arrivals, allocate, score the step
+with the leftover after non-IPTV demand and the borrowing, then append
+the step's offered demand to the broker history.  The history sample
+lands after allocation on purpose: a reservation may only ever look at
 strictly past demand.
 """
 
@@ -12,13 +12,14 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from itertools import islice
 
 from .allocation import PolicyKind, admit_channel, allocate_non_sla, allocate_sla
-from .broker import DemandHistory, compute_reservation
+from .broker import DemandHistory, compute_borrowing, compute_reservation
 from .metrics import ReplicationMeans, RunSummary, StepRecord, replication_means
 from .metrics import step_satisfaction, step_utilization, summarize
 from .metrics import aggregate  # noqa: F401 - uncalled; perfbench/layers.py wraps engine.aggregate
-from .model import CellState, ConfigError, ScenarioConfig
+from .model import CellState, ConfigError, ScenarioConfig, available_bandwidth
 from .traffic import NON_IPTV_ARRIVE, NON_IPTV_DEPART, VIEWER_DEPART, Trace, TrafficEvent
 from .traffic import build_trace, viewer_rate_for_mean_channels
 
@@ -65,19 +66,20 @@ def run_step(
 
     # blocked activations demanded full quality and got nothing this step
     sl_demand = offered_demand + state.channel_demand_mbps * blocks
+    available = available_bandwidth(config.capacity_mbps, state.non_iptv_demand_mbps)
     record = StepRecord(
         state.step * config.sample_interval_min,
         state.non_iptv_demand_mbps,
         offered_demand,
-        decision.available_mbps,
-        decision.reserved_mbps,
-        decision.borrowed_mbps,
+        available,
+        reserved,
+        compute_borrowing(reserved, available),
         offered_channels,
         decision.per_channel_bw_mbps,
         step_satisfaction(decision, sl_demand),
         step_utilization(decision, config),
         blocks,
-        decision.dropped_channels,
+        len(decision.dropped_channel_ids),
     )
 
     history.record_sample(offered_channels)
@@ -136,11 +138,15 @@ def run_policies(
 # sweeps
 
 @dataclass(frozen=True)
-class SweepSpec:
-    """One swept parameter and the values it takes."""
+class Sweep:
+    """One swept parameter and its points, (value, config) pairs validated at construction."""
 
     axis: str
-    values: tuple[float, ...]
+    points: tuple[tuple[float, ScenarioConfig], ...]
+
+    def __post_init__(self) -> None:
+        for _, config in self.points:
+            config.validate()
 
 
 @dataclass(frozen=True)
@@ -150,39 +156,26 @@ class SweepPoint:
     summary: RunSummary
 
 
-def apply_sweep_value(config: ScenarioConfig, axis: str, value: float) -> ScenarioConfig:
-    if axis == "non_iptv_offered_load":
-        # offered load = arrival rate * mean hold * per-call bandwidth
-        rate = value / (config.non_iptv_mean_hold_min * config.non_iptv_call_bw_mbps)
-        return replace(config, non_iptv_arrival_rate_per_min=rate)
-    if axis == "iptv_viewer_rate":
-        return replace(config, iptv_viewer_arrival_rate_per_min=value)
-    raise ConfigError(f"unknown sweep axis: {axis}")
+def with_offered_load(config: ScenarioConfig, mbps: float) -> ScenarioConfig:
+    """The config whose calls offer mbps of load: arrival rate * mean hold * per-call bandwidth."""
+    rate = mbps / (config.non_iptv_mean_hold_min * config.non_iptv_call_bw_mbps)
+    return replace(config, non_iptv_arrival_rate_per_min=rate)
 
 
-def sweep_configs(config: ScenarioConfig, spec: SweepSpec) -> list[ScenarioConfig]:
-    """The config of every sweep point, each one validated."""
-    config.validate()
-    configs = [apply_sweep_value(config, spec.axis, value) for value in spec.values]
-    for cfg in configs:
-        cfg.validate()
-    return configs
-
-
-def run_experiment(config: ScenarioConfig, spec: SweepSpec, jobs: int = 1) -> list[SweepPoint]:
+def run_experiment(sweep: Sweep, jobs: int = 1) -> list[SweepPoint]:
     """Run every sweep point with paired replications and aggregate.
 
-    Every point's config is validated first.  Then all (point, seed)
-    replications share one pool, whose workers return only their
-    reductions (metrics.replication_means).
+    Each point plays the replications and seeds of its own config.  All
+    (point, seed) replications share one pool, whose workers return only
+    their reductions (metrics.replication_means).
     """
-    configs = sweep_configs(config, spec)
-    n = config.replications
-    seeds = [replication_seed(config.base_seed, r) for r in range(n)]
-    means = _map(paired_means, jobs, [cfg for cfg in configs for _ in seeds], seeds * len(configs))
+    configs = [cfg for _, cfg in sweep.points for _ in range(cfg.replications)]
+    seeds = [replication_seed(cfg.base_seed, r)
+             for _, cfg in sweep.points for r in range(cfg.replications)]
+    means = iter(_map(paired_means, jobs, configs, seeds))
     points: list[SweepPoint] = []
-    for i, value in enumerate(spec.values):
-        by_policy = zip(*means[i * n : (i + 1) * n])  # per policy, its replications
+    for value, cfg in sweep.points:
+        by_policy = zip(*islice(means, cfg.replications))  # per policy, its replications
         points += [SweepPoint(value, p, summarize(m)) for p, m in zip(PolicyKind, by_policy)]
     return points
 
@@ -208,18 +201,18 @@ def _viewer_rate_for(config: ScenarioConfig, target_mean_channels: float) -> flo
     )
 
 
-def fig3_sweep(config: ScenarioConfig) -> tuple[ScenarioConfig, SweepSpec]:
+def fig3_sweep(config: ScenarioConfig) -> Sweep:
     """Sweep non-IPTV offered load from light to 1.5x capacity.
 
     The viewer rate is re-tuned so the mean on-air channel count is 20
     regardless of what the base config says.
     """
     tuned = replace(config, iptv_viewer_arrival_rate_per_min=_viewer_rate_for(config, 20.0))
-    loads = tuple(f * config.capacity_mbps for f in FIG3_LOAD_FRACTIONS)
-    return tuned, SweepSpec("non_iptv_offered_load", loads)
+    loads = [f * config.capacity_mbps for f in FIG3_LOAD_FRACTIONS]
+    return Sweep("non_iptv_offered_load", tuple((v, with_offered_load(tuned, v)) for v in loads))
 
 
-def fig5_sweep(config: ScenarioConfig) -> tuple[ScenarioConfig, SweepSpec]:
+def fig5_sweep(config: ScenarioConfig) -> Sweep:
     """Sweep the viewer rate so the mean on-air channel count climbs
     toward the full lineup, under a moderate fixed non-IPTV load.
 
@@ -227,10 +220,10 @@ def fig5_sweep(config: ScenarioConfig) -> tuple[ScenarioConfig, SweepSpec]:
     the catalog would need every channel on air at every step, which a
     finite viewer rate cannot deliver.
     """
-    offered = FIG5_NON_IPTV_LOAD_FRACTION * config.capacity_mbps
-    base = apply_sweep_value(config, "non_iptv_offered_load", offered)
-    rates = tuple(_viewer_rate_for(config, target) for target in FIG5_CHANNEL_TARGETS)
-    return base, SweepSpec("iptv_viewer_rate", rates)
+    base = with_offered_load(config, FIG5_NON_IPTV_LOAD_FRACTION * config.capacity_mbps)
+    rates = [_viewer_rate_for(config, target) for target in FIG5_CHANNEL_TARGETS]
+    return Sweep("iptv_viewer_rate", tuple(
+        (v, replace(base, iptv_viewer_arrival_rate_per_min=v)) for v in rates))
 
 
 FIGURE_SWEEPS = {"fig3": fig3_sweep, "fig4": fig3_sweep, "fig5": fig5_sweep}

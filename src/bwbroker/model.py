@@ -262,16 +262,9 @@ class AllocationDecision:
     """
 
     per_channel_bw_mbps: float
-    reserved_mbps: float
-    available_mbps: float
-    borrowed_mbps: float
     non_iptv_grant_mbps: float
     num_active_channels: int
     dropped_channel_ids: tuple[int, ...] = ()
-
-    @property
-    def dropped_channels(self) -> int:
-        return len(self.dropped_channel_ids)
 
     @property
     def delivered_iptv_mbps(self) -> float:

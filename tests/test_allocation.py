@@ -15,6 +15,7 @@ from bwbroker.allocation import (
     allocate_sla,
     per_channel,
 )
+from bwbroker.broker import compute_borrowing
 from bwbroker.engine import run_paired
 from bwbroker.model import CellState, available_bandwidth, table1
 
@@ -39,7 +40,7 @@ def test_non_sla_scales_both_classes(cfg):
     assert d.per_channel_bw_mbps == pytest.approx(2.0 * scale, rel=1e-12)
     assert d.non_iptv_grant_mbps == pytest.approx(30.0 * scale, rel=1e-12)
     assert d.num_active_channels == 20
-    assert d.dropped_channels == 0
+    assert d.dropped_channel_ids == ()
     assert d.delivered_iptv_mbps == pytest.approx(40.0 * scale, rel=1e-12)
 
 
@@ -48,7 +49,7 @@ def test_non_sla_underload_passes_demand_through(cfg):
     d = allocate_non_sla(cell, cfg)
     assert d.per_channel_bw_mbps == 2.0
     assert d.non_iptv_grant_mbps == 20.0
-    assert d.dropped_channels == 0
+    assert d.dropped_channel_ids == ()
 
 
 def test_non_sla_sheds_channels_below_floor(cfg):
@@ -58,7 +59,7 @@ def test_non_sla_sheds_channels_below_floor(cfg):
     d = allocate_non_sla(cell, cfg)
     assert d.num_active_channels == 15
     assert d.per_channel_bw_mbps == pytest.approx(1.0, abs=1e-12)
-    assert d.dropped_channels == 15
+    assert len(d.dropped_channel_ids) == 15
     # fewest viewers first, higher id breaks ties; all equal here
     assert d.dropped_channel_ids == tuple(range(30, 15, -1))
     assert d.non_iptv_grant_mbps == pytest.approx(45.0, rel=1e-12)
@@ -79,19 +80,22 @@ def test_sla_reservation_shields_channels(cfg):
     d = allocate_sla(cell, 40.0, cfg)
     assert d.per_channel_bw_mbps == 2.0
     assert d.non_iptv_grant_mbps == 20.0
-    assert d.borrowed_mbps == 10.0
-    assert d.available_mbps == 30.0
-    assert d.dropped_channels == 0
+    assert d.dropped_channel_ids == ()
+    # the leftover and the borrowing are the step's, not the allocator's
+    available = available_bandwidth(cfg.capacity_mbps, cell.non_iptv_demand_mbps)
+    assert available == 30.0
+    assert compute_borrowing(40.0, available) == 10.0
 
 
 def test_sla_splits_budget_across_channels(cfg):
     cell = make_state(30, 50.0)
     d = allocate_sla(cell, 40.0, cfg)
     assert d.per_channel_bw_mbps == pytest.approx(4.0 / 3.0, rel=1e-12)
-    assert d.available_mbps == 10.0
-    assert d.borrowed_mbps == 30.0
     assert d.non_iptv_grant_mbps == 20.0
     assert d.num_active_channels == 30
+    available = available_bandwidth(cfg.capacity_mbps, cell.non_iptv_demand_mbps)
+    assert available == 10.0
+    assert compute_borrowing(40.0, available) == 30.0
 
 
 def test_sla_rejects_nonsense_reservation(cfg):
@@ -164,7 +168,9 @@ def test_sla_never_oversubscribes(n, b_i, reserved):
     assert 0.0 <= d.per_channel_bw_mbps <= cfg.iptv_channel_max_bw_mbps + BW_TOL
     if d.num_active_channels:
         assert d.per_channel_bw_mbps >= cfg.iptv_channel_min_bw_mbps - BW_TOL
-    assert d.borrowed_mbps == max(0.0, reserved - d.available_mbps)
+    available = available_bandwidth(cfg.capacity_mbps, b_i)
+    assert available == max(0.0, cfg.capacity_mbps - b_i)
+    assert compute_borrowing(reserved, available) == max(0.0, reserved - available)
 
 
 @settings(max_examples=100, deadline=None)
@@ -173,7 +179,7 @@ def test_sla_share_shrinks_as_channels_join(n, b_i, reserved):
     cfg = table1()
     a = allocate_sla(make_state(n, b_i), reserved, cfg)
     b = allocate_sla(make_state(n + 1, b_i), reserved, cfg)
-    if a.dropped_channels == 0 and b.dropped_channels == 0:
+    if not a.dropped_channel_ids and not b.dropped_channel_ids:
         assert b.per_channel_bw_mbps <= a.per_channel_bw_mbps + BW_TOL
 
 

@@ -68,6 +68,20 @@ def test_unparseable_value_is_rejected(tmp_path):
         load_config(str(p))
 
 
+@pytest.mark.parametrize("content,message", [
+    (b"\xff\n", "cannot parse"),                        # not UTF-8
+    (b"1: 2\n", "unknown config keys: 1"),
+    (b"foo: 1\n2: 3\n", "unknown config keys: 2, foo"),  # keys that do not sort together
+], ids=["not-utf8", "int-key", "mixed-keys"])
+def test_undecodable_file_or_non_string_key_exits_2(tmp_path, capsys, content, message):
+    p = tmp_path / "c.yaml"
+    p.write_bytes(content)
+    rc = main(["run", str(p), "--out", str(tmp_path / "x"), "--jobs", "1"])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
 def test_inconsistent_config_is_rejected(tmp_path):
     p = tmp_path / "c.yaml"
     p.write_text("iptv_reservation_cap_mbps: 70\n")    # above the 60 cell
@@ -268,6 +282,23 @@ def test_config_past_a_ceiling_exits_2_without_running(tmp_path, capsys, monkeyp
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize("command,out", [
+    (["run", "table1"], "afile"),
+    (["sweep", "table1", "--figure", "fig3"], "afile/sub"),
+], ids=["run", "sweep"])
+def test_unusable_out_exits_2_before_any_replication(tmp_path, capsys, monkeypatch,
+                                                     command, out):
+    def no_run(*args, **kwargs):
+        raise AssertionError("a replication ran")
+
+    monkeypatch.setattr(engine, "paired_means", no_run)
+    monkeypatch.setattr(engine, "run_paired", no_run)
+    (tmp_path / "afile").write_text("a regular file\n")
+    rc = main([*command, "--out", str(tmp_path / out), "--jobs", "2"])
+    assert rc == 2
+    assert f"--out {tmp_path / out}" in capsys.readouterr().err
+
+
 def test_runtime_error_without_a_message_names_its_type(tmp_path, capsys, monkeypatch):
     def out_of_memory(*args, **kwargs):
         raise MemoryError()
@@ -310,3 +341,28 @@ def test_run_outputs_match_pinned_digests(tmp_path):
     digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
                for name in HEAVY_DIGESTS}
     assert digests == HEAVY_DIGESTS
+
+
+# SHA-256 of the stdout and the CSV of each preset sweep on a short scenario,
+# seed 7: any change to a point's config, its seeds, a rule or a number format
+# shows up here.
+SWEEP_DIGESTS = {
+    "fig3": ("942092bdee18cf16edcb196ee9b0365eb0bdf12da0807855cae91b5280f70fea",
+             "ff26cee4868fd72bd52b77b67385241e21d1682494cc03756727a50751f5c6e7"),
+    "fig5": ("75c1c30290b3daea803d400b6aa12c42b8ed7e31f2fd8f716f5a759cbbc602a0",
+             "e82aefaa53c84b98b4d8e496a60caf235b36e53954a83f5607549d0964acc097"),
+}
+
+
+@pytest.mark.parametrize("figure", sorted(SWEEP_DIGESTS))
+def test_sweep_outputs_match_pinned_digests(tmp_path, capsys, figure):
+    p = tmp_path / "tiny.yaml"
+    p.write_text("sim_duration_min: 120\nwarmup_min: 60\nreplications: 2\n")
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main(["sweep", str(p), "--figure", figure, "--out", str(out),
+                 "--seed", "7", "--jobs", "1"]) == 0
+    printed = capsys.readouterr().out
+    csv_bytes = (out / f"sweep_{figure}.csv").read_bytes()
+    assert (hashlib.sha256(printed.encode()).hexdigest(),
+            hashlib.sha256(csv_bytes).hexdigest()) == SWEEP_DIGESTS[figure]

@@ -11,8 +11,7 @@ from bwbroker.broker import DemandHistory, compute_reservation
 from bwbroker.engine import (
     FIG3_LOAD_FRACTIONS,
     FIG5_CHANNEL_TARGETS,
-    SweepSpec,
-    apply_sweep_value,
+    Sweep,
     fig3_sweep,
     fig5_sweep,
     paired_means,
@@ -22,10 +21,17 @@ from bwbroker.engine import (
     run_policies,
     run_step,
     run_trace,
+    with_offered_load,
 )
 from bwbroker.metrics import aggregate, replication_means
 from bwbroker.model import CellState, ConfigError
 from bwbroker.traffic import CALL_ARRIVAL, EventKind, TrafficEvent, build_trace
+
+
+def _viewer_sweep(config, rates):
+    """A sweep of the viewer arrival rate over the given values."""
+    return Sweep("iptv_viewer_rate", tuple(
+        (r, replace(config, iptv_viewer_arrival_rate_per_min=r)) for r in rates))
 
 
 def _arrivals(n_channels, n_unit_calls):
@@ -183,17 +189,24 @@ def test_pool_is_capped_at_the_replication_count(short_cfg, pools):
 
 
 def test_sweep_starts_one_pool_for_all_replications(short_cfg, pools):
-    spec = SweepSpec("iptv_viewer_rate", (0.8, 2.0, 3.0))
-    run_experiment(short_cfg, spec, jobs=64)
+    sweep = _viewer_sweep(short_cfg, (0.8, 2.0, 3.0))
+    run_experiment(sweep, jobs=64)
     assert pools == [3 * short_cfg.replications]
     pools.clear()
-    run_experiment(short_cfg, spec, jobs=4)
+    run_experiment(sweep, jobs=4)
     assert pools == [4]
 
 
+def test_invalid_sweep_point_fails_before_any_pool(short_cfg, pools):
+    below_cap = replace(short_cfg, capacity_mbps=30.0)    # under the 40 reservation cap
+    with pytest.raises(ConfigError, match="capacity_mbps"):
+        run_experiment(Sweep("capacity_mbps", ((60.0, short_cfg), (30.0, below_cap))), jobs=4)
+    assert pools == []
+
+
 def test_parallel_sweep_matches_serial(short_cfg):
-    spec = SweepSpec("iptv_viewer_rate", (0.8, 3.0))
-    assert run_experiment(short_cfg, spec, jobs=2) == run_experiment(short_cfg, spec, jobs=1)
+    sweep = _viewer_sweep(short_cfg, (0.8, 3.0))
+    assert run_experiment(sweep, jobs=2) == run_experiment(sweep, jobs=1)
 
 
 def test_sweep_worker_returns_only_the_means(short_cfg):
@@ -209,38 +222,57 @@ def test_replication_seeds_are_consecutive():
 
 
 def test_sweep_axis_mapping(cfg):
-    c = apply_sweep_value(cfg, "non_iptv_offered_load", 30.0)
+    c = with_offered_load(cfg, 30.0)
     assert c.non_iptv_arrival_rate_per_min == pytest.approx(1.5)
-    c2 = apply_sweep_value(cfg, "iptv_viewer_rate", 2.5)
-    assert c2.iptv_viewer_arrival_rate_per_min == 2.5
-    with pytest.raises(ConfigError):
-        apply_sweep_value(cfg, "something_else", 1.0)
+    assert c == replace(cfg, non_iptv_arrival_rate_per_min=c.non_iptv_arrival_rate_per_min)
+    for value, c in fig3_sweep(cfg).points:
+        assert c == with_offered_load(c, value)
+    for value, c in fig5_sweep(cfg).points:
+        assert c.iptv_viewer_arrival_rate_per_min == value
 
 
 def test_experiment_matches_manual_loop(short_cfg):
-    spec = SweepSpec("iptv_viewer_rate", (0.8, 3.0))
-    points = run_experiment(short_cfg, spec)
+    sweep = _viewer_sweep(short_cfg, (0.8, 3.0))
+    points = run_experiment(sweep)
     assert len(points) == 4
+    configs = dict(sweep.points)
     for p in points:
-        c = apply_sweep_value(short_cfg, spec.axis, p.sweep_value)
+        c = configs[p.sweep_value]
         manual = aggregate(run_policies(c)[p.policy], c.warmup_min)
         assert p.summary == manual
 
 
+def test_sweep_over_a_field_no_preset_sweeps(short_cfg):
+    caps = (45.0, 90.0)
+    sweep = Sweep("capacity_mbps", tuple((c, replace(short_cfg, capacity_mbps=c)) for c in caps))
+    points = run_experiment(sweep)
+    assert [(p.sweep_value, p.policy) for p in points] == [
+        (c, policy) for c in caps for policy in PolicyKind]
+    for p in points:
+        c = replace(short_cfg, capacity_mbps=p.sweep_value)
+        assert p.summary == aggregate(run_policies(c)[p.policy], c.warmup_min)
+    non = {p.sweep_value: p.summary for p in points if p.policy is PolicyKind.NON_SLA}
+    assert non[90.0].mean_satisfaction > non[45.0].mean_satisfaction
+
+
 def test_fig3_preset_covers_load_grid(cfg):
-    tuned, spec = fig3_sweep(cfg)
-    assert spec.axis == "non_iptv_offered_load"
-    assert spec.values == tuple(f * 60.0 for f in FIG3_LOAD_FRACTIONS)
-    assert spec.values[0] == pytest.approx(12.0)
-    assert spec.values[-1] == pytest.approx(90.0)
-    assert tuned.iptv_viewer_arrival_rate_per_min == pytest.approx(
-        3.136403459012432, rel=1e-9)
+    sweep = fig3_sweep(cfg)
+    values = tuple(v for v, _ in sweep.points)
+    assert sweep.axis == "non_iptv_offered_load"
+    assert values == tuple(f * 60.0 for f in FIG3_LOAD_FRACTIONS)
+    assert values[0] == pytest.approx(12.0)
+    assert values[-1] == pytest.approx(90.0)
+    for _, tuned in sweep.points:
+        assert tuned.iptv_viewer_arrival_rate_per_min == pytest.approx(
+            3.136403459012432, rel=1e-9)
 
 
 def test_fig5_preset_targets_channel_counts(cfg):
-    base, spec = fig5_sweep(cfg)
-    assert spec.axis == "iptv_viewer_rate"
-    assert len(spec.values) == len(FIG5_CHANNEL_TARGETS)
-    assert base.non_iptv_arrival_rate_per_min == pytest.approx(1.5)
-    assert spec.values[0] == pytest.approx(0.520505702766485, rel=1e-9)
-    assert spec.values[-1] == pytest.approx(16.283600017485785, rel=1e-9)
+    sweep = fig5_sweep(cfg)
+    values = tuple(v for v, _ in sweep.points)
+    assert sweep.axis == "iptv_viewer_rate"
+    assert len(values) == len(FIG5_CHANNEL_TARGETS)
+    for _, base in sweep.points:
+        assert base.non_iptv_arrival_rate_per_min == pytest.approx(1.5)
+    assert values[0] == pytest.approx(0.520505702766485, rel=1e-9)
+    assert values[-1] == pytest.approx(16.283600017485785, rel=1e-9)

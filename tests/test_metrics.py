@@ -24,9 +24,6 @@ bw = st.floats(min_value=0.0, max_value=1e6, allow_nan=False)
 def decision(per, n, grant=0.0, drops=()):
     return AllocationDecision(
         per_channel_bw_mbps=per,
-        reserved_mbps=0.0,
-        available_mbps=0.0,
-        borrowed_mbps=0.0,
         non_iptv_grant_mbps=grant,
         num_active_channels=n,
         dropped_channel_ids=tuple(drops),

@@ -17,8 +17,9 @@ SRC = ROOT / "src"
 TINY = "sim_duration_min: 120\nwarmup_min: 60\nreplications: 2\n"
 
 
-@pytest.mark.parametrize("command", [["run"], ["sweep", "--figure", "fig5"]],
-                         ids=["run", "sweep-fig5"])
+@pytest.mark.parametrize(
+    "command", [["run"], ["sweep", "--figure", "fig5"], ["sweep", "--figure", "fig3"]],
+    ids=["run", "sweep-fig5", "sweep-fig3"])
 def test_traced_harness_run_reports_layers(tmp_path, command):
     scenario = tmp_path / "tiny.yaml"
     scenario.write_text(TINY)
