@@ -5,7 +5,8 @@ that is malformed, non-finite, fractional where a whole number is due
 or out of range, a run or history window of more than model.MAX_STEPS
 steps, more than model.MAX_ARRIVALS expected arrivals a replication, a
 catalog of more than model.MAX_CHANNELS channels, more than
-model.MAX_REPLICATIONS replications, a config a sweep or one of its
+model.MAX_REPLICATIONS replications, a run of more than
+model.MAX_STEP_RECORDS step records, a config a sweep or one of its
 points cannot use, a file that does not decode, an --out that cannot be
 made a directory, bad command line arguments), 3 for unexpected
 runtime failures.  The env var BWBROKER_SEED overrides the
@@ -26,7 +27,7 @@ from pathlib import Path
 import yaml
 
 from .allocation import PolicyKind
-from .engine import FIGURE_SWEEPS, run_experiment, run_policies
+from .engine import FIGURE_SWEEPS, check_run, run_experiment, run_policies
 from .metrics import RunSummary, StepRecord, aggregate
 from .model import PRESETS, ConfigError, ScenarioConfig
 
@@ -178,7 +179,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         policies: tuple[PolicyKind, ...] = tuple(PolicyKind)
     else:
         policies = (PolicyKind(args.policy),)
-
+    check_run(config, policies)
     out_dir = _out_dir(args.out)
     by_policy = run_policies(config, policies=policies, jobs=args.jobs)
     summary_rows = []

@@ -12,14 +12,13 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from itertools import islice
 
 from .allocation import PolicyKind, admit_channel, allocate_non_sla, allocate_sla
 from .broker import DemandHistory, compute_borrowing, compute_reservation
 from .metrics import ReplicationMeans, RunSummary, StepRecord, replication_means
 from .metrics import step_satisfaction, step_utilization, summarize
 from .metrics import aggregate  # noqa: F401 - uncalled; perfbench/layers.py wraps engine.aggregate
-from .model import CellState, ConfigError, ScenarioConfig, available_bandwidth
+from .model import MAX_STEP_RECORDS, CellState, ConfigError, ScenarioConfig, available_bandwidth
 from .traffic import NON_IPTV_ARRIVE, NON_IPTV_DEPART, VIEWER_DEPART, Trace, TrafficEvent
 from .traffic import build_trace, viewer_rate_for_mean_channels
 
@@ -121,13 +120,21 @@ def _map(fn, jobs: int, *arg_lists: list) -> list:
     return list(map(fn, *arg_lists))
 
 
+def check_run(config: ScenarioConfig, policies: tuple[PolicyKind, ...]) -> None:
+    """Validate config, and that the run's step records, all held at once, fit the ceiling."""
+    config.validate()
+    if (records := config.replications * config.n_steps * len(policies)) > MAX_STEP_RECORDS:
+        raise ConfigError(f"replications * steps * policies is {records} step records, more"
+                          f" than the {MAX_STEP_RECORDS} a run may hold")
+
+
 def run_policies(
     config: ScenarioConfig,
     policies: tuple[PolicyKind, ...] = tuple(PolicyKind),
     jobs: int = 1,
 ) -> dict[PolicyKind, list[list[StepRecord]]]:
     """All configured replications of the given policies on shared traces."""
-    config.validate()
+    check_run(config, policies)
     n = config.replications
     seeds = [replication_seed(config.base_seed, r) for r in range(n)]
     results = _map(run_paired, jobs, [config] * n, seeds, [policies] * n)
@@ -167,15 +174,16 @@ def run_experiment(sweep: Sweep, jobs: int = 1) -> list[SweepPoint]:
 
     Each point plays the replications and seeds of its own config.  All
     (point, seed) replications share one pool, whose workers return only
-    their reductions (metrics.replication_means).
+    their reductions (metrics.replication_means).  Tasks go replication by
+    replication across the points, so consecutive ones share traffic sides.
     """
-    configs = [cfg for _, cfg in sweep.points for _ in range(cfg.replications)]
-    seeds = [replication_seed(cfg.base_seed, r)
-             for _, cfg in sweep.points for r in range(cfg.replications)]
-    means = iter(_map(paired_means, jobs, configs, seeds))
+    tasks = sorted((r, i) for i, (_, c) in enumerate(sweep.points) for r in range(c.replications))
+    configs = [sweep.points[i][1] for _, i in tasks]
+    seeds = [replication_seed(c.base_seed, r) for c, (r, _) in zip(configs, tasks)]
+    means = dict(zip(tasks, _map(paired_means, jobs, configs, seeds)))
     points: list[SweepPoint] = []
-    for value, cfg in sweep.points:
-        by_policy = zip(*islice(means, cfg.replications))  # per policy, its replications
+    for i, (value, cfg) in enumerate(sweep.points):
+        by_policy = zip(*(means[r, i] for r in range(cfg.replications)))  # per policy, its reps
         points += [SweepPoint(value, p, summarize(m)) for p, m in zip(PolicyKind, by_policy)]
     return points
 

@@ -31,9 +31,13 @@ MAX_CHANNELS = 100_000
 # Each costs draws and trace events, so far higher rates would never finish.
 MAX_ARRIVALS = 10_000_000
 
-# Most replications, 500 times table1's 20.  `run` keeps every replication's
-# step records, 0.47 MB each at table1's size: 10,000 need about 5 GB.
+# Most replications, 500 times table1's 20.  A sweep keeps only their means;
+# what `run` keeps of them is bounded by MAX_STEP_RECORDS.
 MAX_REPLICATIONS = 10_000
+
+# Most step records a `run` may hold, about 100 times table1's 28,800.  At about
+# 330 bytes each (tracemalloc over run_policies at table1), that is about 1 GB.
+MAX_STEP_RECORDS = 3_000_000
 
 
 class ConfigError(ValueError):

@@ -10,8 +10,9 @@ distributions are built on top of it with the fixed inversion formulas
 in this module.  A (seed, stream_id) pair therefore pins the entire
 event sequence, bit for bit, everywhere.
 
-Each traffic class gets its own stream, so the IPTV side of a trace can
-be replayed or perturbed without touching the non-IPTV side.
+Each traffic class has its own stream, drawn only by its side (viewer_side,
+call_side): a pure function of the seed and that side's own config fields,
+memoised on them, so sweep points equal in those fields share one build.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import random
 from bisect import bisect_right
 from enum import Enum
 from functools import lru_cache
+from math import ceil, log1p
 from typing import NamedTuple
 
 from .model import ScenarioConfig
@@ -169,6 +171,46 @@ def viewer_rate_for_mean_channels(
     return 0.5 * (lo + hi)
 
 
+@lru_cache(maxsize=1)
+def viewer_side(seed: int, n_steps: int, dt_min: float, rate_per_min: float,
+                mean_hold_min: float, catalog_size: int,
+                skew: float) -> tuple[tuple[tuple[TrafficEvent, ...], ...], ...]:
+    """Per step, the viewer departures and arrivals; stream 0 draws a count,
+    then each viewer's channel and hold."""
+    viewer_side.cache_clear()  # a miss: drop the old side first, so two never coexist
+    rng = RngStream(seed, 0)
+    draw, cdf = rng.random, _popularity_cdf(catalog_size, skew)
+    departures: list[list[TrafficEvent]] = [[] for _ in range(n_steps)]
+    arrivals: list[list[TrafficEvent]] = [[] for _ in range(n_steps)]
+    viewer_id = 0
+    for step, joined in enumerate(arrivals):
+        for _ in range(gen_poisson_count(rate_per_min, dt_min, rng)):
+            channel = bisect_right(cdf, draw()) + 1
+            hold_steps = -mean_hold_min * log1p(-draw()) / dt_min
+            if hold_steps < n_steps and (depart := step + max(1, ceil(hold_steps))) < n_steps:
+                departures[depart].append(TrafficEvent(VIEWER_DEPART, channel, viewer_id))
+            joined.append(TrafficEvent(VIEWER_ARRIVE, channel, viewer_id))
+            viewer_id += 1
+    return tuple(map(tuple, departures)), tuple(map(tuple, arrivals))
+
+
+@lru_cache(maxsize=1)
+def call_side(seed: int, n_steps: int, dt_min: float, rate_per_min: float,
+              mean_hold_min: float) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Per step, the call departure and arrival counts; stream 1 draws a count, then each hold."""
+    rng = RngStream(seed, 1)
+    draw = rng.random
+    departures = [0] * n_steps
+    arrivals = []
+    for step in range(n_steps):
+        arrivals.append(n := gen_poisson_count(rate_per_min, dt_min, rng))
+        for _ in range(n):
+            hold_steps = -mean_hold_min * log1p(-draw()) / dt_min
+            if hold_steps < n_steps and (depart := step + max(1, ceil(hold_steps))) < n_steps:
+                departures[depart] += 1
+    return tuple(departures), tuple(arrivals)
+
+
 def build_trace(config: ScenarioConfig, seed: int) -> Trace:
     """The ordered event list of every step of one replication.
 
@@ -177,46 +219,16 @@ def build_trace(config: ScenarioConfig, seed: int) -> Trace:
     both policies can be compared on one trace.  Within a step come
     viewer departures, call departures, call arrivals, then viewer
     arrivals, so a new viewer meets the step's updated background load.
-    Per step the call stream draws the arrival count, then each hold;
-    the viewer stream the count, then each viewer's channel and hold.
     A hold of tau minutes lasts ceil(tau / t1) steps, at least one; a
     hold of n_steps steps or more (even inf) is dropped unrounded, since
-    its departure would fall past the last step.
+    its departure would fall past the last step.  Each call returns
+    fresh lists, merged from the memoised sides.
     """
-    n_steps = config.n_steps
-    t1 = config.sample_interval_min
-    ceil, log1p = math.ceil, math.log1p
-    # stream 0 drives viewers, stream 1 drives non-IPTV calls
-    viewer_rng, call_rng = RngStream(seed, 0), RngStream(seed, 1)
-    viewer_draw, call_draw = viewer_rng.random, call_rng.random
-    viewer_hold = config.iptv_viewer_mean_hold_min
-    call_hold = config.non_iptv_mean_hold_min
-    cdf = _popularity_cdf(config.num_channels_catalog, config.channel_popularity_skew)
-
-    # viewer departures are appended to their step's list when drawn
-    trace: Trace = [[] for _ in range(n_steps)]
-    call_departures = [0] * n_steps
-    next_viewer_id = 0
-    for step, events in enumerate(trace):
-        events += [CALL_DEPARTURE] * call_departures[step]
-
-        n = gen_poisson_count(config.non_iptv_arrival_rate_per_min, t1, call_rng)
-        for _ in range(n):
-            hold_steps = -call_hold * log1p(-call_draw()) / t1
-            if hold_steps < n_steps:
-                depart = step + max(1, ceil(hold_steps))
-                if depart < n_steps:
-                    call_departures[depart] += 1
-        events += [CALL_ARRIVAL] * n
-
-        n = gen_poisson_count(config.iptv_viewer_arrival_rate_per_min, t1, viewer_rng)
-        for viewer_id in range(next_viewer_id, next_viewer_id + n):
-            channel = bisect_right(cdf, viewer_draw()) + 1
-            hold_steps = -viewer_hold * log1p(-viewer_draw()) / t1
-            if hold_steps < n_steps:
-                depart = step + max(1, ceil(hold_steps))
-                if depart < n_steps:
-                    trace[depart].append(TrafficEvent(VIEWER_DEPART, channel, viewer_id))
-            events.append(TrafficEvent(VIEWER_ARRIVE, channel, viewer_id))
-        next_viewer_id += n
-    return trace
+    n, t1 = config.n_steps, config.sample_interval_min
+    viewers_out, viewers_in = viewer_side(
+        seed, n, t1, config.iptv_viewer_arrival_rate_per_min, config.iptv_viewer_mean_hold_min,
+        config.num_channels_catalog, config.channel_popularity_skew)
+    calls_out, calls_in = call_side(
+        seed, n, t1, config.non_iptv_arrival_rate_per_min, config.non_iptv_mean_hold_min)
+    return [[*v_out, *(CALL_DEPARTURE,) * c_out, *(CALL_ARRIVAL,) * c_in, *v_in]
+            for v_out, c_out, c_in, v_in in zip(viewers_out, calls_out, calls_in, viewers_in)]

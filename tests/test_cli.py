@@ -267,6 +267,7 @@ def test_step_count_past_the_ceiling_exits_2_without_running(tmp_path, capsys, m
     ("non_iptv_arrival_rate_per_min: 1.0e12\n", "arrivals"),
     ("num_channels_catalog: 1000000000\n", "num_channels_catalog"),
     ("replications: 1000000000\n", "replications"),
+    ("replications: 10000\n", "step records"),       # 14.4 million records, about 5 GB
 ])
 def test_config_past_a_ceiling_exits_2_without_running(tmp_path, capsys, monkeypatch,
                                                         line, message):
@@ -354,14 +355,17 @@ SWEEP_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("figure", sorted(SWEEP_DIGESTS))
-def test_sweep_outputs_match_pinned_digests(tmp_path, capsys, figure):
+# at --jobs 2 the pool runs the tasks seed by seed, each worker with its own side caches
+@pytest.mark.parametrize("figure,jobs", [
+    ("fig3", "1"), ("fig5", "1"), ("fig3", "2"), ("fig5", "2"),
+], ids=["fig3", "fig5", "fig3-jobs2", "fig5-jobs2"])
+def test_sweep_outputs_match_pinned_digests(tmp_path, capsys, figure, jobs):
     p = tmp_path / "tiny.yaml"
     p.write_text("sim_duration_min: 120\nwarmup_min: 60\nreplications: 2\n")
     out = tmp_path / "out"
     capsys.readouterr()
     assert main(["sweep", str(p), "--figure", figure, "--out", str(out),
-                 "--seed", "7", "--jobs", "1"]) == 0
+                 "--seed", "7", "--jobs", jobs]) == 0
     printed = capsys.readouterr().out
     csv_bytes = (out / f"sweep_{figure}.csv").read_bytes()
     assert (hashlib.sha256(printed.encode()).hexdigest(),

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import pytest
 
-from bwbroker import engine
+from bwbroker import engine, traffic
 from bwbroker.allocation import PolicyKind
 from bwbroker.broker import DemandHistory, compute_reservation
 from bwbroker.engine import (
@@ -26,6 +26,7 @@ from bwbroker.engine import (
 from bwbroker.metrics import aggregate, replication_means
 from bwbroker.model import CellState, ConfigError
 from bwbroker.traffic import CALL_ARRIVAL, EventKind, TrafficEvent, build_trace
+from bwbroker.traffic import RngStream, call_side, viewer_side
 
 
 def _viewer_sweep(config, rates):
@@ -202,6 +203,40 @@ def test_invalid_sweep_point_fails_before_any_pool(short_cfg, pools):
     with pytest.raises(ConfigError, match="capacity_mbps"):
         run_experiment(Sweep("capacity_mbps", ((60.0, short_cfg), (30.0, below_cap))), jobs=4)
     assert pools == []
+
+
+@pytest.mark.parametrize("field,viewer_builds,call_builds", [
+    ("non_iptv_arrival_rate_per_min", 1, 3),      # fig3's shape: one viewer side a seed
+    ("iptv_viewer_arrival_rate_per_min", 3, 1),   # fig5's shape: one call side a seed
+])
+def test_sweep_builds_a_shared_side_once_per_seed(short_cfg, monkeypatch, field,
+                                                  viewer_builds, call_builds):
+    drawn = []  # per side built: its stream, and how many viewer sides were then cached
+
+    def counted_stream(seed, stream_id):
+        drawn.append((stream_id, viewer_side.cache_info().currsize))
+        return RngStream(seed, stream_id)
+
+    monkeypatch.setattr(traffic, "RngStream", counted_stream)
+    viewer_side.cache_clear()
+    call_side.cache_clear()
+    sweep = Sweep(field, tuple((v, replace(short_cfg, **{field: v})) for v in (0.8, 2.0, 3.0)))
+    run_experiment(sweep, jobs=1)
+    seeds = short_cfg.replications
+    assert [s for s, _ in drawn].count(0) == viewer_builds * seeds
+    assert [s for s, _ in drawn].count(1) == call_builds * seeds
+    # a new viewer side is drawn only once the old one is dropped
+    assert all(cached == 0 for s, cached in drawn if s == 0)
+
+
+def test_only_runs_are_bounded_by_the_step_record_ceiling(short_cfg, monkeypatch):
+    # short_cfg's run keeps 2 replications * 120 steps * 2 policies = 480 records
+    monkeypatch.setattr(engine, "MAX_STEP_RECORDS", 479)
+    with pytest.raises(ConfigError, match="480 step records"):
+        run_policies(short_cfg)
+    assert len(run_policies(short_cfg, policies=(PolicyKind.SLA,))[PolicyKind.SLA]) == 2
+    # a sweep keeps only each replication's means, so nothing bounds its records
+    assert len(run_experiment(_viewer_sweep(short_cfg, (0.8,)))) == 2
 
 
 def test_parallel_sweep_matches_serial(short_cfg):

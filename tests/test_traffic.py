@@ -1,5 +1,6 @@
 """Seeded random streams, draw procedures and the per-step event feed."""
 
+import dataclasses
 import math
 from dataclasses import replace
 
@@ -7,15 +8,17 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bwbroker.model import table1
+from bwbroker.model import ScenarioConfig, table1
 from bwbroker.traffic import (
     EventKind,
     RngStream,
     build_trace,
+    call_side,
     channel_probabilities,
     effective_hold_min,
     gen_poisson_count,
     viewer_rate_for_mean_channels,
+    viewer_side,
 )
 
 
@@ -279,3 +282,40 @@ def test_call_concurrency_matches_littles_law():
     # slightly above the nominal one; compare against the stretched value
     target = 2.5 * effective_hold_min(20.0, 1.0)
     assert total / n == pytest.approx(target, rel=0.05)
+
+
+# one new value per config field, each valid on the config of the field before it
+NEXT_VALUES = {
+    "capacity_mbps": 90.0,
+    "iptv_channel_max_bw_mbps": 1.5,
+    "iptv_channel_min_bw_mbps": 0.5,
+    "iptv_reservation_cap_mbps": 30.0,
+    "num_channels_catalog": 12,
+    "sample_interval_min": 0.5,
+    "history_window_min": 30.0,
+    "iptv_viewer_arrival_rate_per_min": 2.0,
+    "iptv_viewer_mean_hold_min": 4.0,
+    "non_iptv_arrival_rate_per_min": 3.0,
+    "non_iptv_call_bw_mbps": 2.0,
+    "non_iptv_mean_hold_min": 5.0,
+    "channel_popularity_skew": 1.2,
+    "sim_duration_min": 90.0,
+    "warmup_min": 30.0,
+    "replications": 3,
+    "base_seed": 8,
+}
+
+
+def test_memoised_sides_match_fresh_builds_whatever_field_changes():
+    # a side that read a field its arguments miss would hand back the
+    # previous config's draws: compare each build with one from empty caches
+    assert list(NEXT_VALUES) == [f.name for f in dataclasses.fields(ScenarioConfig)]
+    cfg = replace(table1(), sim_duration_min=120.0, warmup_min=60.0, replications=2)
+    build_trace(cfg, 5)
+    for name, value in NEXT_VALUES.items():
+        cfg = replace(cfg, **{name: value})
+        cfg.validate()
+        shared = build_trace(cfg, 5)
+        viewer_side.cache_clear()
+        call_side.cache_clear()
+        assert shared == build_trace(cfg, 5), name
