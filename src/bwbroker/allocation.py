@@ -46,7 +46,11 @@ def per_channel(
     if policy is PolicyKind.NON_SLA:
         total = full * n + non_iptv_mbps
         return full if total <= cap + BW_TOL else cap / total * full
-    share = min(cap, max(available_bandwidth(cap, non_iptv_mbps), reserved_mbps)) / n
+    # min(cap, max(leftover, reserved)), spelled out: the builtins cost more
+    budget = available_bandwidth(cap, non_iptv_mbps)
+    if reserved_mbps > budget:
+        budget = reserved_mbps
+    share = (budget if budget < cap else cap) / n
     return full if share >= full else share
 
 
@@ -94,16 +98,11 @@ def allocate_non_sla(state: CellState, config: ScenarioConfig) -> AllocationDeci
     first) while the scaled per-channel rate sits below the minimum.
     """
     cap = config.capacity_mbps
-    full = config.iptv_channel_max_bw_mbps
     non_iptv = state.non_iptv_demand_mbps
-
     survivors, per, dropped = _shed_until_viable(state, PolicyKind.NON_SLA, 0.0, config)
 
-    total = full * survivors + non_iptv
-    if total <= cap + BW_TOL:
-        grant = non_iptv
-    else:
-        grant = cap / total * non_iptv
+    total = config.iptv_channel_max_bw_mbps * survivors + non_iptv
+    grant = non_iptv if total <= cap + BW_TOL else cap / total * non_iptv
 
     return AllocationDecision(per, grant, survivors, dropped)
 
@@ -119,14 +118,13 @@ def allocate_sla(
     minimum.  Non-IPTV gets whatever IPTV leaves unspent, so any
     borrowed bandwidth comes straight out of its share.
     """
+    cap = config.capacity_mbps
     if reserved_mbps < -BW_TOL:
         raise ValueError("reservation must be non-negative")
-    if reserved_mbps > config.capacity_mbps + BW_TOL:
+    if reserved_mbps > cap + BW_TOL:
         raise ValueError("reservation exceeds cell capacity")
 
-    cap = config.capacity_mbps
     non_iptv = state.non_iptv_demand_mbps
-
     survivors, per, dropped = _shed_until_viable(state, PolicyKind.SLA, reserved_mbps, config)
 
     spent = per * survivors

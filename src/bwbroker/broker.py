@@ -56,7 +56,8 @@ def compute_reservation(history: DemandHistory, cap_mbps: float) -> float:
     n = len(history._window)
     if not n:
         return 0.0
-    return min(history._channel_demand_mbps * history._total / n, cap_mbps)
+    mean = history._channel_demand_mbps * history._total / n
+    return cap_mbps if cap_mbps < mean else mean
 
 
 def compute_borrowing(reserved_mbps: float, available_mbps: float) -> float:

@@ -1,11 +1,11 @@
 """Simulation loop: step composition, replications and parameter sweeps.
 
-Each step runs a fixed sequence: fix the reservation (SLA only, zero
-otherwise), apply departures, admit arrivals, allocate, score the step
-with the leftover after non-IPTV demand and the borrowing, then append
-the step's offered demand to the broker history.  The history sample
-lands after allocation on purpose: a reservation may only ever look at
-strictly past demand.
+run_trace plays one replication of one policy.  Each step runs a fixed
+sequence: fix the reservation (SLA only, zero otherwise), apply
+departures, admit arrivals, allocate, score the step with the leftover
+after non-IPTV demand and the borrowing, then append the step's offered
+demand to the broker history.  The history sample lands after allocation
+on purpose: a reservation may only ever look at strictly past demand.
 """
 
 from __future__ import annotations
@@ -19,78 +19,70 @@ from .metrics import ReplicationMeans, RunSummary, StepRecord, replication_means
 from .metrics import step_satisfaction, step_utilization, summarize
 from .metrics import aggregate  # noqa: F401 - uncalled; perfbench/layers.py wraps engine.aggregate
 from .model import MAX_STEP_RECORDS, CellState, ConfigError, ScenarioConfig, available_bandwidth
-from .traffic import NON_IPTV_ARRIVE, NON_IPTV_DEPART, VIEWER_DEPART, Trace, TrafficEvent
+from .traffic import NON_IPTV_ARRIVE, NON_IPTV_DEPART, VIEWER_DEPART, Trace
 from .traffic import build_trace, viewer_rate_for_mean_channels
 
 
-def run_step(
-    state: CellState,
-    history: DemandHistory,
-    policy_kind: PolicyKind,
-    config: ScenarioConfig,
-    events: list[TrafficEvent],
-) -> StepRecord:
-    """Advance the cell by one step, mutating state and history."""
-    # the reservation depends only on past samples, so it is fixed for the
-    # whole step and already governs this step's admissions
-    reserved = 0.0
-    if policy_kind is PolicyKind.SLA:
-        reserved = compute_reservation(history, config.iptv_reservation_cap_mbps)
-
-    blocks = 0
-    active = state.active_channels
-    for kind, channel_id, viewer_id in events:
-        if kind is VIEWER_DEPART:
-            state.viewer_departs(viewer_id, channel_id)
-        elif kind is NON_IPTV_DEPART:
-            state.call_departs()
-        elif kind is NON_IPTV_ARRIVE:
-            state.add_call()
-        elif channel_id in active or admit_channel(state, policy_kind, reserved, config):
-            state.admit_viewer(viewer_id, channel_id)
-        else:
-            blocks += 1
-
-    # offered demand of this step: what is on air now, before any drops
-    offered_channels = len(state.active_channels)
-    offered_demand = state.iptv_demand_mbps
-
-    if policy_kind is PolicyKind.SLA:
-        decision = allocate_sla(state, reserved, config)
-    else:
-        decision = allocate_non_sla(state, config)
-
-    for channel_id in decision.dropped_channel_ids:
-        state.drop_channel(channel_id)
-
-    # blocked activations demanded full quality and got nothing this step
-    sl_demand = offered_demand + state.channel_demand_mbps * blocks
-    available = available_bandwidth(config.capacity_mbps, state.non_iptv_demand_mbps)
-    record = StepRecord(
-        state.step * config.sample_interval_min,
-        state.non_iptv_demand_mbps,
-        offered_demand,
-        available,
-        reserved,
-        compute_borrowing(reserved, available),
-        offered_channels,
-        decision.per_channel_bw_mbps,
-        step_satisfaction(decision, sl_demand),
-        step_utilization(decision, config),
-        blocks,
-        len(decision.dropped_channel_ids),
-    )
-
-    history.record_sample(offered_channels)
-    state.step += 1
-    return record
-
-
 def run_trace(config: ScenarioConfig, policy_kind: PolicyKind, trace: Trace) -> list[StepRecord]:
-    """Play a pre-built trace through one policy."""
+    """Play a pre-built trace through one policy: one replication, one record a step.
+
+    What no step changes is bound once, before the loop.  The rules are looked
+    up in this module on each call, so a wrapper put on it is the one called.
+    """
+    sla = policy_kind is PolicyKind.SLA
+    admit, reservation = admit_channel, compute_reservation
+    by_reservation, by_equal_degradation = allocate_sla, allocate_non_sla
     state = CellState.for_config(config)
     history = DemandHistory.for_config(config)
-    return [run_step(state, history, policy_kind, config, events) for events in trace]
+    active = state.active_channels
+    admit_viewer, viewer_departs = state.admit_viewer, state.viewer_departs
+    add_call, call_departs, drop_channel = state.add_call, state.call_departs, state.drop_channel
+    record_sample = history.record_sample
+    capacity, dt = config.capacity_mbps, config.sample_interval_min
+    reservation_cap = config.iptv_reservation_cap_mbps
+    records: list[StepRecord] = []
+    append, new_record = records.append, tuple.__new__
+    reserved = 0.0
+    for step, events in enumerate(trace):
+        # the reservation depends only on past samples, so it is fixed for the
+        # whole step and already governs this step's admissions
+        if sla:
+            reserved = reservation(history, reservation_cap)
+        blocks = 0
+        for kind, channel_id, viewer_id in events:
+            if kind is VIEWER_DEPART:
+                viewer_departs(viewer_id, channel_id)
+            elif kind is NON_IPTV_DEPART:
+                call_departs()
+            elif kind is NON_IPTV_ARRIVE:
+                add_call()
+            elif channel_id in active or admit(state, policy_kind, reserved, config):
+                admit_viewer(viewer_id, channel_id)
+            else:
+                blocks += 1
+
+        # offered demand of this step: what is on air now, before any drops
+        offered_channels = len(active)
+        offered_demand = state.iptv_demand_mbps
+        if sla:
+            decision = by_reservation(state, reserved, config)
+        else:
+            decision = by_equal_degradation(state, config)
+        dropped = decision.dropped_channel_ids
+        for channel_id in dropped:
+            drop_channel(channel_id)
+
+        # blocked activations demanded full quality and got nothing this step
+        sl_demand = offered_demand + state.channel_demand_mbps * blocks
+        non_iptv = state.non_iptv_demand_mbps
+        available = available_bandwidth(capacity, non_iptv)
+        append(new_record(StepRecord, (
+            step * dt, non_iptv, offered_demand, available, reserved,
+            compute_borrowing(reserved, available), offered_channels,
+            decision.per_channel_bw_mbps, step_satisfaction(decision, sl_demand),
+            step_utilization(decision, config), blocks, len(dropped))))
+        record_sample(offered_channels)
+    return records
 
 
 def replication_seed(base_seed: int, replication: int) -> int:
@@ -111,12 +103,15 @@ def paired_means(config: ScenarioConfig, seed: int) -> list[ReplicationMeans]:
     return [replication_means(r, config.warmup_min) for r in run_paired(config, seed).values()]
 
 
-def _map(fn, jobs: int, *arg_lists: list) -> list:
-    """fn over the zipped argument lists; if jobs > 1, on a pool of at most one worker a task."""
+def _map(fn, jobs: int, *arg_lists: list, run: int = 1) -> list:
+    """fn over the zipped argument lists, in order; if jobs > 1, on a pool of at most
+    one worker a task.  A worker takes up to run consecutive tasks at a time, fewer
+    when that would leave a worker without any."""
     tasks = len(arg_lists[0])
     if jobs > 1 and tasks > 1:
-        with ProcessPoolExecutor(max_workers=min(jobs, tasks)) as pool:
-            return list(pool.map(fn, *arg_lists))
+        workers = min(jobs, tasks)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, *arg_lists, chunksize=min(run, tasks // workers)))
     return list(map(fn, *arg_lists))
 
 
@@ -175,12 +170,13 @@ def run_experiment(sweep: Sweep, jobs: int = 1) -> list[SweepPoint]:
     Each point plays the replications and seeds of its own config.  All
     (point, seed) replications share one pool, whose workers return only
     their reductions (metrics.replication_means).  Tasks go replication by
-    replication across the points, so consecutive ones share traffic sides.
+    replication across the points, so consecutive ones share traffic sides,
+    and a worker takes one seed's run of points at a time.
     """
     tasks = sorted((r, i) for i, (_, c) in enumerate(sweep.points) for r in range(c.replications))
     configs = [sweep.points[i][1] for _, i in tasks]
     seeds = [replication_seed(c.base_seed, r) for c, (r, _) in zip(configs, tasks)]
-    means = dict(zip(tasks, _map(paired_means, jobs, configs, seeds)))
+    means = dict(zip(tasks, _map(paired_means, jobs, configs, seeds, run=len(sweep.points))))
     points: list[SweepPoint] = []
     for i, (value, cfg) in enumerate(sweep.points):
         by_policy = zip(*(means[r, i] for r in range(cfg.replications)))  # per policy, its reps

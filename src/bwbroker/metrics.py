@@ -73,7 +73,8 @@ def step_satisfaction(decision: AllocationDecision, demand_mbps: float) -> float
         raise ValueError("demand must be non-negative")
     if demand_mbps <= BW_TOL:
         return 1.0
-    return min(1.0, decision.delivered_iptv_mbps / demand_mbps)
+    share = decision.delivered_iptv_mbps / demand_mbps
+    return share if share < 1.0 else 1.0
 
 
 def step_utilization(decision: AllocationDecision, config: ScenarioConfig) -> float:

@@ -206,8 +206,6 @@ class CellState:
     """
 
     def __init__(self, channel_demand_mbps: float, call_bw_mbps: float):
-        # steps completed; simulated time is step * sample interval
-        self.step = 0
         # demand of one on-air channel; channels always ask for full quality
         self.channel_demand_mbps = channel_demand_mbps
         # demand of one call; every call asks for the same bandwidth

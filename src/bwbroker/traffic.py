@@ -164,10 +164,10 @@ def viewer_rate_for_mean_channels(
             raise ValueError("calibration failed to bracket the target")
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if mean_active(mid) < target_mean_channels:
-            lo = mid
-        else:
-            hi = mid
+        bounds = (mid, hi) if mean_active(mid) < target_mean_channels else (lo, mid)
+        if bounds == (lo, hi):
+            break  # a fixed point: every later iteration would repeat this one
+        lo, hi = bounds
     return 0.5 * (lo + hi)
 
 
@@ -180,6 +180,8 @@ def viewer_side(seed: int, n_steps: int, dt_min: float, rate_per_min: float,
     viewer_side.cache_clear()  # a miss: drop the old side first, so two never coexist
     rng = RngStream(seed, 0)
     draw, cdf = rng.random, _popularity_cdf(catalog_size, skew)
+    # TrafficEvent's own __new__ is a Python-level call; tuple.__new__ is not
+    event = tuple.__new__
     departures: list[list[TrafficEvent]] = [[] for _ in range(n_steps)]
     arrivals: list[list[TrafficEvent]] = [[] for _ in range(n_steps)]
     viewer_id = 0
@@ -187,9 +189,10 @@ def viewer_side(seed: int, n_steps: int, dt_min: float, rate_per_min: float,
         for _ in range(gen_poisson_count(rate_per_min, dt_min, rng)):
             channel = bisect_right(cdf, draw()) + 1
             hold_steps = -mean_hold_min * log1p(-draw()) / dt_min
-            if hold_steps < n_steps and (depart := step + max(1, ceil(hold_steps))) < n_steps:
-                departures[depart].append(TrafficEvent(VIEWER_DEPART, channel, viewer_id))
-            joined.append(TrafficEvent(VIEWER_ARRIVE, channel, viewer_id))
+            # a hold is never negative, so `ceil or 1` is max(1, ceil)
+            if hold_steps < n_steps and (depart := step + (ceil(hold_steps) or 1)) < n_steps:
+                departures[depart].append(event(TrafficEvent, (VIEWER_DEPART, channel, viewer_id)))
+            joined.append(event(TrafficEvent, (VIEWER_ARRIVE, channel, viewer_id)))
             viewer_id += 1
     return tuple(map(tuple, departures)), tuple(map(tuple, arrivals))
 
@@ -206,7 +209,7 @@ def call_side(seed: int, n_steps: int, dt_min: float, rate_per_min: float,
         arrivals.append(n := gen_poisson_count(rate_per_min, dt_min, rng))
         for _ in range(n):
             hold_steps = -mean_hold_min * log1p(-draw()) / dt_min
-            if hold_steps < n_steps and (depart := step + max(1, ceil(hold_steps))) < n_steps:
+            if hold_steps < n_steps and (depart := step + (ceil(hold_steps) or 1)) < n_steps:
                 departures[depart] += 1
     return tuple(departures), tuple(arrivals)
 

@@ -1,5 +1,7 @@
 """Step composition, paired runs, sweeps and reproducibility."""
 
+import multiprocessing
+import os
 import pickle
 from dataclasses import replace
 
@@ -7,7 +9,6 @@ import pytest
 
 from bwbroker import engine, traffic
 from bwbroker.allocation import PolicyKind
-from bwbroker.broker import DemandHistory, compute_reservation
 from bwbroker.engine import (
     FIG3_LOAD_FRACTIONS,
     FIG5_CHANNEL_TARGETS,
@@ -19,12 +20,11 @@ from bwbroker.engine import (
     run_experiment,
     run_paired,
     run_policies,
-    run_step,
     run_trace,
     with_offered_load,
 )
 from bwbroker.metrics import aggregate, replication_means
-from bwbroker.model import CellState, ConfigError
+from bwbroker.model import ConfigError
 from bwbroker.traffic import CALL_ARRIVAL, EventKind, TrafficEvent, build_trace
 from bwbroker.traffic import RngStream, call_side, viewer_side
 
@@ -45,25 +45,27 @@ def _arrivals(n_channels, n_unit_calls):
     return ev
 
 
+def _departures(n_channels):
+    """The departures of the viewers _arrivals(n_channels, ...) brought in."""
+    return [TrafficEvent(EventKind.VIEWER_DEPART, channel_id=k + 1, viewer_id=k)
+            for k in range(n_channels)]
+
+
 def test_idle_step(cfg):
-    state = CellState.for_config(cfg)
-    history = DemandHistory.for_config(cfg)
-    r = run_step(state, history, PolicyKind.SLA, cfg, [])
+    records = run_trace(cfg, PolicyKind.SLA, [[], _arrivals(10, 0), []])
+    r = records[0]
     assert r.satisfaction == 1.0
     assert r.utilization == 0.0
     assert r.reserved_mbps == 0.0
     assert r.active_channels == 0
     assert r.t_min == 0.0
-    assert state.step == 1
     # one sample of no channels was recorded: it halves the next mean
-    history.record_sample(10)
-    assert compute_reservation(history, 60.0) == 10.0
+    assert records[1].reserved_mbps == 0.0
+    assert records[2].reserved_mbps == 10.0
 
 
 def test_step_equal_degradation(cfg):
-    state = CellState.for_config(cfg)
-    history = DemandHistory.for_config(cfg)
-    r = run_step(state, history, PolicyKind.NON_SLA, cfg, _arrivals(20, 30))
+    (r,) = run_trace(cfg, PolicyKind.NON_SLA, [_arrivals(20, 30)])
     assert r.per_channel_bw_mbps == pytest.approx(12 / 7, rel=1e-12)
     assert r.satisfaction == pytest.approx(6 / 7, rel=1e-12)
     assert r.utilization == pytest.approx(1.0, abs=1e-12)
@@ -71,15 +73,17 @@ def test_step_equal_degradation(cfg):
     assert r.borrowed_mbps == 0.0
     assert r.active_channels == 20
     assert r.blocks == 0 and r.drops == 0
-    assert compute_reservation(history, 60.0) == 40.0
+    # the step's 20 channels are the history's sample; the SLA run reserves on it
+    sla = run_trace(cfg, PolicyKind.SLA, [_arrivals(20, 30), []])
+    assert sla[1].reserved_mbps == 40.0
 
 
 def test_step_reservation_shields_channels(cfg):
-    state = CellState.for_config(cfg)
-    history = DemandHistory.for_config(cfg)
-    for _ in range(60):
-        history.record_sample(20)
-    r = run_step(state, history, PolicyKind.SLA, cfg, _arrivals(20, 30))
+    # a first step of 20 channels fills the history; in the second they go
+    # off air and come back into a step with 30 calls
+    records = run_trace(cfg, PolicyKind.SLA,
+                        [_arrivals(20, 0), _departures(20) + _arrivals(20, 30)])
+    r = records[1]
     assert r.reserved_mbps == 40.0
     assert r.per_channel_bw_mbps == 2.0
     assert r.satisfaction == 1.0
@@ -160,10 +164,12 @@ def test_parallel_execution_matches_serial(short_cfg):
 
 
 class _RecordingPool:
-    """Stands in for ProcessPoolExecutor: notes each pool made, runs its tasks in this process."""
+    """Stands in for ProcessPoolExecutor: notes each pool made and the chunk size of
+    each map, runs its tasks in this process."""
 
-    def __init__(self, made, max_workers):
+    def __init__(self, made, chunks, max_workers):
         made.append(max_workers)
+        self.chunks = chunks
 
     def __enter__(self):
         return self
@@ -171,17 +177,25 @@ class _RecordingPool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, *arg_lists):
+    def map(self, fn, *arg_lists, chunksize=1):
+        self.chunks.append(chunksize)
         return map(fn, *arg_lists)
 
 
 @pytest.fixture
-def pools(monkeypatch):
-    """The max_workers of every pool the engine makes; no process is started."""
-    made = []
+def pool_log(monkeypatch):
+    """The max_workers of every pool the engine makes, and the chunksize of every
+    map on one; no process is started."""
+    made, chunks = [], []
     monkeypatch.setattr(engine, "ProcessPoolExecutor",
-                        lambda max_workers: _RecordingPool(made, max_workers))
-    return made
+                        lambda max_workers: _RecordingPool(made, chunks, max_workers))
+    return made, chunks
+
+
+@pytest.fixture
+def pools(pool_log):
+    """The max_workers of every pool the engine makes; no process is started."""
+    return pool_log[0]
 
 
 def test_pool_is_capped_at_the_replication_count(short_cfg, pools):
@@ -196,6 +210,43 @@ def test_sweep_starts_one_pool_for_all_replications(short_cfg, pools):
     pools.clear()
     run_experiment(sweep, jobs=4)
     assert pools == [4]
+
+
+def test_sweep_worker_takes_a_seeds_points_unless_a_worker_would_idle(short_cfg, pool_log):
+    made, chunks = pool_log
+    sweep = _viewer_sweep(short_cfg, (0.8, 2.0, 3.0))   # 2 seeds of 3 points
+    run_experiment(sweep, jobs=2)
+    assert (made, chunks) == ([2], [3])
+    run_experiment(sweep, jobs=4)    # 6 tasks: chunks of 2 would leave a worker idle
+    run_experiment(_viewer_sweep(replace(short_cfg, replications=1), (0.8, 2.0, 3.0)), jobs=2)
+    assert (made, chunks) == ([2, 4, 2], [3, 1, 1])
+    run_policies(short_cfg, jobs=2)  # a run keeps one replication a task
+    assert chunks[-1] == 1
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="the counting stream reaches the pool workers by fork")
+def test_parallel_sweep_builds_a_viewer_side_once_per_seed(short_cfg, monkeypatch, tmp_path):
+    # each forked worker notes the streams it draws in one file opened for appending
+    fd = os.open(tmp_path / "streams", os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
+
+    def counted_stream(seed, stream_id):
+        os.write(fd, b"%d" % stream_id)
+        return RngStream(seed, stream_id)
+
+    monkeypatch.setattr(traffic, "RngStream", counted_stream)
+    viewer_side.cache_clear()
+    call_side.cache_clear()
+    cfg = replace(short_cfg, replications=4)
+    field = "non_iptv_arrival_rate_per_min"     # fig3's shape: one viewer side a seed
+    sweep = Sweep(field, tuple((v, replace(cfg, **{field: v})) for v in (0.8, 2.0, 3.0)))
+    try:
+        run_experiment(sweep, jobs=2)
+    finally:
+        os.close(fd)
+    streams = (tmp_path / "streams").read_bytes()
+    assert streams.count(b"0") == cfg.replications
+    assert streams.count(b"1") == 3 * cfg.replications
 
 
 def test_invalid_sweep_point_fails_before_any_pool(short_cfg, pools):

@@ -4,6 +4,7 @@ perfbench/layers.py wraps bwbroker functions by name, so renaming or
 removing one of them breaks the benchmark; this catches it in the suite.
 """
 
+import csv
 import json
 import os
 import subprocess
@@ -17,12 +18,14 @@ SRC = ROOT / "src"
 TINY = "sim_duration_min: 120\nwarmup_min: 60\nreplications: 2\n"
 
 
-@pytest.mark.parametrize(
-    "command", [["run"], ["sweep", "--figure", "fig5"], ["sweep", "--figure", "fig3"]],
-    ids=["run", "sweep-fig5", "sweep-fig3"])
-def test_traced_harness_run_reports_layers(tmp_path, command):
-    scenario = tmp_path / "tiny.yaml"
-    scenario.write_text(TINY)
+# the scenario of test_cli.py's pinned run digests: 101 blocks and 40 drops at seed 7
+HEAVY = TINY + "non_iptv_arrival_rate_per_min: 4.5\n"
+
+
+def _traced(tmp_path, scenario_text, command) -> dict:
+    """The per-layer report of one traced harness run of a bwbroker command at --jobs 1."""
+    scenario = tmp_path / "scenario.yaml"
+    scenario.write_text(scenario_text)
     cmd = [
         sys.executable, str(ROOT / "perfbench" / "child.py"), "traced",
         str(tmp_path / "counts.bin"), str(tmp_path / "spans.json"), "--",
@@ -32,5 +35,35 @@ def test_traced_harness_run_reports_layers(tmp_path, command):
     env.update(PYTHONPATH=str(SRC), BWBENCH_SRC=str(SRC))
     proc = subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    report = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert report["layers"]["engine.steps"] > 0
+    return json.loads(proc.stdout.strip().splitlines()[-1])["layers"]
+
+
+@pytest.mark.parametrize(
+    "command", [["run"], ["sweep", "--figure", "fig5"], ["sweep", "--figure", "fig3"]],
+    ids=["run", "sweep-fig5", "sweep-fig3"])
+def test_traced_harness_run_reports_layers(tmp_path, command):
+    assert _traced(tmp_path, TINY, command)["engine.steps"] > 0
+
+
+def test_traced_run_sees_every_hook_the_kernel_must_call(tmp_path):
+    # the engine must reach admission, allocation, the reservation and the
+    # CellState mutators through the names the harness wraps
+    layers = _traced(tmp_path, HEAVY, ["run", "--seed", "7"])
+    totals = {"blocks": 0, "drops": 0}
+    for policy in ("sla", "nonsla"):
+        with open(tmp_path / "out" / f"steps_{policy}.csv", newline="") as f:
+            for row in csv.DictReader(f):
+                for column in totals:
+                    totals[column] += int(row[column])
+    assert totals["blocks"] >= 101 and totals["drops"] >= 40
+    assert layers["allocation.blocks"] == totals["blocks"]
+    assert layers["allocation.drops"] == totals["drops"]
+    replications, steps = 2, 120
+    assert layers["engine.steps"] == 2 * replications * steps
+    assert layers["broker.compute_reservation.calls"] == replications * steps
+    assert layers["allocation.allocate_sla.calls"] == replications * steps
+    assert layers["allocation.allocate_non_sla.calls"] == replications * steps
+    # one mutator call per event of each policy's run, less the blocked
+    # arrivals, plus one per dropped channel
+    assert layers["model.cellstate.calls"] == (
+        2 * layers["traffic.events"] - totals["blocks"] + totals["drops"])

@@ -2,12 +2,15 @@
 
 import dataclasses
 import math
+from math import exp as math_exp
 from dataclasses import replace
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from bwbroker import traffic
+from bwbroker.engine import FIG5_CHANNEL_TARGETS
 from bwbroker.model import ScenarioConfig, table1
 from bwbroker.traffic import (
     EventKind,
@@ -195,6 +198,50 @@ def test_viewer_rate_calibration_hits_target():
     mean = sum(1.0 - math.exp(-rate * p * heff)
                for p in channel_probabilities(30, 0.0))
     assert mean == pytest.approx(20.0, abs=1e-6)
+
+
+def _bisect_200(target, catalog, skew, hold, dt=1.0):
+    """Reference: the same bisection, run for all 200 halvings."""
+    probs = channel_probabilities(catalog, skew)
+    h = effective_hold_min(hold, dt)
+
+    def mean_active(lam):
+        return sum(1.0 - math.exp(-lam * p * h) for p in probs)
+
+    lo, hi = 0.0, 1.0
+    while mean_active(hi) < target:
+        hi *= 2.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mean_active(mid) < target:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("target,catalog,skew,hold,dt", [
+    (20.0, 30, 0.0, 10.0, 1.0),                                 # fig3 on table1
+    *((t, 30, 0.0, 10.0, 1.0) for t in FIG5_CHANNEL_TARGETS),   # fig5 on table1
+    (3.0, 7, 1.5, 2.0, 0.5),
+    (50.0, 400, 0.8, 10.0, 1.0),
+    (900.0, 2000, 1.2, 30.0, 2.0),
+    (0.01, 5, 3.0, 0.1, 1.0),
+])
+def test_calibration_stopped_at_its_fixed_point_matches_200_halvings(
+        monkeypatch, target, catalog, skew, hold, dt):
+    exps = []
+
+    def counted_exp(x):
+        exps.append(x)
+        return math_exp(x)
+
+    monkeypatch.setattr(traffic.math, "exp", counted_exp)
+    rate = viewer_rate_for_mean_channels(target, catalog, skew, hold, dt)
+    monkeypatch.undo()
+    assert rate == _bisect_200(target, catalog, skew, hold, dt)
+    # one exp for the hold, one a channel per evaluation: well short of 200 halvings
+    assert (len(exps) - 1) / catalog < 150
 
 
 def test_viewer_rate_calibration_rejects_bad_targets():
