@@ -1,5 +1,8 @@
 """Command line front end: single runs and figure-style sweeps.
 
+`run` writes the steps CSVs and summaries that engine.run_policies returns,
+formatted and reduced by the replication workers: no step record reaches here.
+
 Exit codes: 0 on success, 2 for bad input (bad file, bad key, a value
 that is malformed, non-finite, fractional where a whole number is due
 or out of range, a run or history window of more than model.MAX_STEPS
@@ -16,11 +19,9 @@ configured base seed; an explicit --seed flag beats both.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import os
 import sys
-from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import replace
 from pathlib import Path
 
@@ -28,24 +29,9 @@ import yaml
 
 from .allocation import PolicyKind
 from .engine import FIGURE_SWEEPS, check_run, run_experiment, run_policies
-from .metrics import RunSummary, StepRecord, aggregate
+from .metrics import STEP_CSV_HEADER, RunSummary, csv_text
+from .metrics import aggregate  # noqa: F401 - uncalled; perfbench/layers.py wraps cli.aggregate
 from .model import PRESETS, ConfigError, ScenarioConfig
-
-STEP_CSV_HEADER = [
-    "replication",
-    "t_min",
-    "B_I",
-    "B_IPTV_demand",
-    "B_A",
-    "B_R",
-    "B_B",
-    "N_IPTV",
-    "per_channel_bw",
-    "SL",
-    "utilization",
-    "blocks",
-    "drops",
-]
 
 SUMMARY_CSV_HEADER = [
     "policy",
@@ -125,20 +111,14 @@ def _resolve_seed(config: ScenarioConfig, flag_seed: int | None) -> ScenarioConf
     return replace(config, base_seed=seed)
 
 
-def _write_csv_atomic(path: Path, header: list[str], rows: Iterable[Sequence]) -> None:
+def _write_csv_atomic(path: Path, header: list[str], *chunks: str) -> None:
+    """Write the header row, then the chunks of CSV text, to path."""
     # write-then-rename so a crash can never leave a half-written file
     tmp = path.with_name(path.name + ".tmp")
     with open(tmp, "w", newline="") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        f.write(csv_text([header]))
+        f.writelines(chunks)
     os.replace(tmp, path)
-
-
-def _step_rows(records_by_rep: list[list[StepRecord]]) -> Iterator[tuple]:
-    for rep, records in enumerate(records_by_rep):
-        for r in records:
-            yield (rep, *r)
 
 
 def _summary_row(policy: PolicyKind, s: RunSummary) -> list:
@@ -182,15 +162,11 @@ def cmd_run(args: argparse.Namespace) -> int:
     check_run(config, policies)
     out_dir = _out_dir(args.out)
     by_policy = run_policies(config, policies=policies, jobs=args.jobs)
-    summary_rows = []
-    for policy in policies:
-        records_by_rep = by_policy[policy]
-        steps_path = out_dir / f"steps_{policy.value}.csv"
-        _write_csv_atomic(steps_path, STEP_CSV_HEADER, _step_rows(records_by_rep))
-        summary = aggregate(records_by_rep, config.warmup_min)
-        summary_rows.append(_summary_row(policy, summary))
-        _print_summary(policy, summary)
-    _write_csv_atomic(out_dir / "summary.csv", SUMMARY_CSV_HEADER, summary_rows)
+    for policy, run in by_policy.items():
+        _write_csv_atomic(out_dir / f"steps_{policy.value}.csv", STEP_CSV_HEADER, *run.steps_csv)
+        _print_summary(policy, run.summary)
+    summary_rows = (_summary_row(policy, run.summary) for policy, run in by_policy.items())
+    _write_csv_atomic(out_dir / "summary.csv", SUMMARY_CSV_HEADER, csv_text(summary_rows))
     return 0
 
 
@@ -204,8 +180,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     out_dir = _out_dir(args.out)
     points = run_experiment(sweep, jobs=args.jobs)
 
-    rows = [[p.sweep_value] + _summary_row(p.policy, p.summary) for p in points]
-    _write_csv_atomic(out_dir / f"sweep_{args.figure}.csv", SWEEP_CSV_HEADER, rows)
+    rows = ([p.sweep_value] + _summary_row(p.policy, p.summary) for p in points)
+    _write_csv_atomic(out_dir / f"sweep_{args.figure}.csv", SWEEP_CSV_HEADER, csv_text(rows))
 
     for p in points:
         print(

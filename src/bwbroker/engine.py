@@ -6,6 +6,11 @@ departures, admit arrivals, allocate, score the step with the leftover
 after non-IPTV demand and the borrowing, then append the step's offered
 demand to the broker history.  The history sample lands after allocation
 on purpose: a reservation may only ever look at strictly past demand.
+
+The step records of a replication stay in the process that played it:
+a pool worker returns only what the parent needs of them, each policy's
+means (metrics.replication_means) and, for a run, its steps-CSV rows as
+text (metrics.step_rows_csv).
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from dataclasses import dataclass, replace
 from .allocation import PolicyKind, admit_channel, allocate_non_sla, allocate_sla
 from .broker import DemandHistory, compute_borrowing, compute_reservation
 from .metrics import ReplicationMeans, RunSummary, StepRecord, replication_means
-from .metrics import step_satisfaction, step_utilization, summarize
+from .metrics import step_rows_csv, step_satisfaction, step_utilization, summarize
 from .metrics import aggregate  # noqa: F401 - uncalled; perfbench/layers.py wraps engine.aggregate
 from .model import MAX_STEP_RECORDS, CellState, ConfigError, ScenarioConfig, available_bandwidth
 from .traffic import NON_IPTV_ARRIVE, NON_IPTV_DEPART, VIEWER_DEPART, Trace
@@ -116,24 +121,42 @@ def _map(fn, jobs: int, *arg_lists: list, run: int = 1) -> list:
 
 
 def check_run(config: ScenarioConfig, policies: tuple[PolicyKind, ...]) -> None:
-    """Validate config, and that the run's step records, all held at once, fit the ceiling."""
+    """Validate config, and that the run's step rows, all held at once as text, fit the ceiling."""
     config.validate()
     if (records := config.replications * config.n_steps * len(policies)) > MAX_STEP_RECORDS:
         raise ConfigError(f"replications * steps * policies is {records} step records, more"
                           f" than the {MAX_STEP_RECORDS} a run may hold")
 
 
+@dataclass(frozen=True)
+class PolicyRun:
+    """One policy of a run: its summary, and its steps-CSV rows as one text chunk a
+    replication, in replication order."""
+
+    summary: RunSummary
+    steps_csv: tuple[str, ...]
+
+
+def paired_steps(
+    config: ScenarioConfig, replication: int, policies: tuple[PolicyKind, ...]
+) -> list[tuple[ReplicationMeans, str]]:
+    """Each policy's means over one paired replication and its steps-CSV rows: a run task."""
+    by_policy = run_paired(config, replication_seed(config.base_seed, replication), policies)
+    return [(replication_means(records, config.warmup_min), step_rows_csv(replication, records))
+            for records in by_policy.values()]
+
+
 def run_policies(
     config: ScenarioConfig,
     policies: tuple[PolicyKind, ...] = tuple(PolicyKind),
     jobs: int = 1,
-) -> dict[PolicyKind, list[list[StepRecord]]]:
+) -> dict[PolicyKind, PolicyRun]:
     """All configured replications of the given policies on shared traces."""
     check_run(config, policies)
     n = config.replications
-    seeds = [replication_seed(config.base_seed, r) for r in range(n)]
-    results = _map(run_paired, jobs, [config] * n, seeds, [policies] * n)
-    return {p: [by_policy[p] for by_policy in results] for p in policies}
+    results = _map(paired_steps, jobs, [config] * n, range(n), [policies] * n)
+    return {p: PolicyRun(summarize([means for means, _ in reps]), tuple(text for _, text in reps))
+            for p, reps in zip(policies, zip(*results))}
 
 
 # ---------------------------------------------------------------------------

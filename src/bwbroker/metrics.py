@@ -1,14 +1,16 @@
-"""Per-step measurements and cross-replication aggregation."""
+"""Per-step measurements, their rows in the steps CSV, and cross-replication aggregation."""
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 import operator
 import statistics
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import compress
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .model import BW_TOL, AllocationDecision, ScenarioConfig
 
@@ -34,6 +36,22 @@ class StepRecord(NamedTuple):
     utilization: float
     blocks: int
     drops: int
+
+
+STEP_CSV_HEADER = ["replication", "t_min", "B_I", "B_IPTV_demand", "B_A", "B_R", "B_B",
+                   "N_IPTV", "per_channel_bw", "SL", "utilization", "blocks", "drops"]
+
+
+def csv_text(rows: Iterable[Sequence]) -> str:
+    """rows as CSV text in the dialect of every file bwbroker writes."""
+    text = io.StringIO()
+    csv.writer(text, lineterminator="\n").writerows(rows)
+    return text.getvalue()
+
+
+def step_rows_csv(replication: int, records: Iterable[StepRecord]) -> str:
+    """The steps-CSV rows of one replication, (replication, *record) a step, as text."""
+    return csv_text((replication, *r) for r in records)
 
 
 @dataclass(frozen=True)

@@ -35,8 +35,9 @@ MAX_ARRIVALS = 10_000_000
 # what `run` keeps of them is bounded by MAX_STEP_RECORDS.
 MAX_REPLICATIONS = 10_000
 
-# Most step records a `run` may hold, about 100 times table1's 28,800.  At about
-# 330 bytes each (tracemalloc over run_policies at table1), that is about 1 GB.
+# Most step records a `run` may hold, about 100 times table1's 28,800.  The parent
+# keeps each as its steps-CSV row, about 80 bytes of text (tracemalloc over
+# run_policies at table1: 77 bytes a record held), so that is about 240 MB.
 MAX_STEP_RECORDS = 3_000_000
 
 

@@ -21,6 +21,7 @@ import hashlib
 import math
 import random
 from bisect import bisect_right
+from collections.abc import Callable
 from enum import Enum
 from functools import lru_cache
 from math import ceil, log1p
@@ -70,14 +71,16 @@ Trace = list[list[TrafficEvent]]  # one list of events per step
 POISSON_CHUNK_MEAN = 500.0
 
 
-def gen_poisson_count(rate_per_min: float, dt_min: float, rng: RngStream) -> int:
-    """Number of arrivals in an interval of length dt at the given rate.
+def poisson_counter(rate_per_min: float, dt_min: float, rng: RngStream) -> Callable[[], int]:
+    """A draw of the number of arrivals in an interval of length dt at the given rate.
 
     Knuth's product method on uniform draws.  A mean above
     POISSON_CHUNK_MEAN is split into equal chunks no larger than that,
     whose counts add up to a Poisson count of the whole mean (sums of
     independent Poisson variables are Poisson), so the threshold
     exp(-chunk) never underflows and the count is exact at any mean.
+    The arguments are checked, and the threshold found, once: each call
+    of the returned function draws one count from rng.
     """
     if rate_per_min < 0:
         raise ValueError("rate must be non-negative")
@@ -85,17 +88,26 @@ def gen_poisson_count(rate_per_min: float, dt_min: float, rng: RngStream) -> int
         raise ValueError("dt must be positive")
     mean = rate_per_min * dt_min
     if mean == 0.0:
-        return 0
+        return lambda: 0  # and no draw
     chunks = math.ceil(mean / POISSON_CHUNK_MEAN) if mean > POISSON_CHUNK_MEAN else 1
     threshold = math.exp(-mean / chunks)
     draw = rng.random
-    count = 0
-    for _ in range(chunks):
-        product = draw()
-        while product > threshold:
-            count += 1
-            product *= draw()
+
+    def count() -> int:
+        n = 0
+        for _ in range(chunks):
+            product = draw()
+            while product > threshold:
+                n += 1
+                product *= draw()
+        return n
+
     return count
+
+
+def gen_poisson_count(rate_per_min: float, dt_min: float, rng: RngStream) -> int:
+    """Number of arrivals in an interval of length dt at the given rate (poisson_counter)."""
+    return poisson_counter(rate_per_min, dt_min, rng)()
 
 
 @lru_cache(maxsize=64)
@@ -182,11 +194,12 @@ def viewer_side(seed: int, n_steps: int, dt_min: float, rate_per_min: float,
     draw, cdf = rng.random, _popularity_cdf(catalog_size, skew)
     # TrafficEvent's own __new__ is a Python-level call; tuple.__new__ is not
     event = tuple.__new__
+    arrivals_in_step = poisson_counter(rate_per_min, dt_min, rng)
     departures: list[list[TrafficEvent]] = [[] for _ in range(n_steps)]
     arrivals: list[list[TrafficEvent]] = [[] for _ in range(n_steps)]
     viewer_id = 0
     for step, joined in enumerate(arrivals):
-        for _ in range(gen_poisson_count(rate_per_min, dt_min, rng)):
+        for _ in range(arrivals_in_step()):
             channel = bisect_right(cdf, draw()) + 1
             hold_steps = -mean_hold_min * log1p(-draw()) / dt_min
             # a hold is never negative, so `ceil or 1` is max(1, ceil)
@@ -202,11 +215,11 @@ def call_side(seed: int, n_steps: int, dt_min: float, rate_per_min: float,
               mean_hold_min: float) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Per step, the call departure and arrival counts; stream 1 draws a count, then each hold."""
     rng = RngStream(seed, 1)
-    draw = rng.random
+    draw, arrivals_in_step = rng.random, poisson_counter(rate_per_min, dt_min, rng)
     departures = [0] * n_steps
     arrivals = []
     for step in range(n_steps):
-        arrivals.append(n := gen_poisson_count(rate_per_min, dt_min, rng))
+        arrivals.append(n := arrivals_in_step())
         for _ in range(n):
             hold_steps = -mean_hold_min * log1p(-draw()) / dt_min
             if hold_steps < n_steps and (depart := step + (ceil(hold_steps) or 1)) < n_steps:

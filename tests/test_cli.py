@@ -323,24 +323,29 @@ def test_holds_that_outlast_the_run_are_never_emitted(tmp_path, field, departure
     assert kinds and departure not in kinds
 
 
-# SHA-256 of the outputs of a run that blocks, drops and borrows: 101 blocks
-# and 40 drops under nonsla, 216 borrowing steps under sla.  Any change to a
-# draw, a rule or a number format shows up here.
+# SHA-256 of the stdout and outputs of a run that blocks, drops and borrows:
+# 101 blocks and 40 drops under nonsla, 216 borrowing steps under sla.  Any
+# change to a draw, a rule or a number format shows up here.
 HEAVY_DIGESTS = {
+    "stdout": "ebec30a3c20f518a1b9ba50ffb6ba0334fb70d2e56c93a6eef17cdbda4993d22",
     "steps_sla.csv": "9d3ad60b0ff645b262821a6f36f52bea1151d07435d26b995ddfb9c504af47d1",
     "steps_nonsla.csv": "ecd4827e6fca991c38f05888c071bf598e8fa5275e301656ac85ac60153e0092",
     "summary.csv": "f6f319c05ddf5c0935a8a0a93e9e4a3be9d97a0f9b03ca3cff37579c24b796c7",
 }
 
 
-def test_run_outputs_match_pinned_digests(tmp_path):
+# at --jobs 2 each pool worker reduces and formats the replications it plays
+@pytest.mark.parametrize("jobs", ["1", "2"], ids=["jobs1", "jobs2"])
+def test_run_outputs_match_pinned_digests(tmp_path, capsys, jobs):
     p = tmp_path / "heavy.yaml"
     p.write_text("sim_duration_min: 120\nwarmup_min: 60\nreplications: 2\n"
                  "non_iptv_arrival_rate_per_min: 4.5\n")
     out = tmp_path / "out"
-    assert main(["run", str(p), "--out", str(out), "--seed", "7", "--jobs", "1"]) == 0
-    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
-               for name in HEAVY_DIGESTS}
+    capsys.readouterr()
+    assert main(["run", str(p), "--out", str(out), "--seed", "7", "--jobs", jobs]) == 0
+    digests = {"stdout": hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()}
+    digests.update((name, hashlib.sha256((out / name).read_bytes()).hexdigest())
+                   for name in HEAVY_DIGESTS if name != "stdout")
     assert digests == HEAVY_DIGESTS
 
 

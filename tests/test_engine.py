@@ -1,5 +1,7 @@
 """Step composition, paired runs, sweeps and reproducibility."""
 
+import csv
+import io
 import multiprocessing
 import os
 import pickle
@@ -16,6 +18,7 @@ from bwbroker.engine import (
     fig3_sweep,
     fig5_sweep,
     paired_means,
+    paired_steps,
     replication_seed,
     run_experiment,
     run_paired,
@@ -110,8 +113,8 @@ def test_replication_is_reproducible(short_cfg):
 
 def test_short_run_summary_is_frozen(short_cfg):
     out = run_policies(short_cfg)
-    non = aggregate(out[PolicyKind.NON_SLA], short_cfg.warmup_min)
-    sla = aggregate(out[PolicyKind.SLA], short_cfg.warmup_min)
+    non = out[PolicyKind.NON_SLA].summary
+    sla = out[PolicyKind.SLA].summary
     assert non.mean_satisfaction == pytest.approx(0.8605194879523371, rel=1e-12)
     assert non.mean_utilization == pytest.approx(0.9884722222222222, rel=1e-12)
     assert non.mean_active_channels == pytest.approx(19.666666666666664, rel=1e-12)
@@ -285,7 +288,7 @@ def test_only_runs_are_bounded_by_the_step_record_ceiling(short_cfg, monkeypatch
     monkeypatch.setattr(engine, "MAX_STEP_RECORDS", 479)
     with pytest.raises(ConfigError, match="480 step records"):
         run_policies(short_cfg)
-    assert len(run_policies(short_cfg, policies=(PolicyKind.SLA,))[PolicyKind.SLA]) == 2
+    assert len(run_policies(short_cfg, policies=(PolicyKind.SLA,))[PolicyKind.SLA].steps_csv) == 2
     # a sweep keeps only each replication's means, so nothing bounds its records
     assert len(run_experiment(_viewer_sweep(short_cfg, (0.8,)))) == 2
 
@@ -300,6 +303,49 @@ def test_sweep_worker_returns_only_the_means(short_cfg):
     by_policy = run_paired(short_cfg, 7)
     assert means == [replication_means(by_policy[p], short_cfg.warmup_min) for p in PolicyKind]
     assert len(pickle.dumps(means)) < 1024
+
+
+class _GlobalsSeen(pickle.Unpickler):
+    """Unpickles, noting every class or function the pickle names."""
+
+    def __init__(self, data):
+        super().__init__(io.BytesIO(data))
+        self.seen = set()
+
+    def find_class(self, module, name):
+        self.seen.add(f"{module}.{name}")
+        return super().find_class(module, name)
+
+
+def test_run_worker_returns_no_step_record(short_cfg):
+    loader = _GlobalsSeen(pickle.dumps(paired_steps(short_cfg, 1, tuple(PolicyKind))))
+    result = loader.load()
+    assert loader.seen == {"bwbroker.metrics.ReplicationMeans"}
+    assert [type(text) for _, text in result] == [str, str]
+
+
+def _csv_writer_text(replication, records):
+    """The steps-CSV rows of records as csv.writer writes them."""
+    text = io.StringIO()
+    csv.writer(text, lineterminator="\n").writerows((replication, *r) for r in records)
+    return text.getvalue()
+
+
+def test_run_worker_formats_and_reduces_the_records_of_run_paired(short_cfg):
+    by_policy = run_paired(short_cfg, replication_seed(short_cfg.base_seed, 1))
+    task = paired_steps(short_cfg, 1, tuple(PolicyKind))
+    assert task == [(replication_means(records, short_cfg.warmup_min),
+                     _csv_writer_text(1, records)) for records in by_policy.values()]
+
+
+def test_run_policies_matches_aggregate_over_run_paired(short_cfg):
+    out = run_policies(short_cfg)
+    reps = range(short_cfg.replications)
+    paired = [run_paired(short_cfg, replication_seed(short_cfg.base_seed, r)) for r in reps]
+    for policy in PolicyKind:
+        records = [by_policy[policy] for by_policy in paired]
+        assert out[policy].summary == aggregate(records, short_cfg.warmup_min)
+        assert out[policy].steps_csv == tuple(map(_csv_writer_text, reps, records))
 
 
 def test_replication_seeds_are_consecutive():
@@ -324,7 +370,7 @@ def test_experiment_matches_manual_loop(short_cfg):
     configs = dict(sweep.points)
     for p in points:
         c = configs[p.sweep_value]
-        manual = aggregate(run_policies(c)[p.policy], c.warmup_min)
+        manual = run_policies(c)[p.policy].summary
         assert p.summary == manual
 
 
@@ -336,7 +382,7 @@ def test_sweep_over_a_field_no_preset_sweeps(short_cfg):
         (c, policy) for c in caps for policy in PolicyKind]
     for p in points:
         c = replace(short_cfg, capacity_mbps=p.sweep_value)
-        assert p.summary == aggregate(run_policies(c)[p.policy], c.warmup_min)
+        assert p.summary == run_policies(c)[p.policy].summary
     non = {p.sweep_value: p.summary for p in points if p.policy is PolicyKind.NON_SLA}
     assert non[90.0].mean_satisfaction > non[45.0].mean_satisfaction
 

@@ -20,6 +20,7 @@ from bwbroker.traffic import (
     channel_probabilities,
     effective_hold_min,
     gen_poisson_count,
+    poisson_counter,
     viewer_rate_for_mean_channels,
     viewer_side,
 )
@@ -59,6 +60,24 @@ def test_poisson_zero_rate_draws_nothing():
 def test_poisson_counts_are_frozen():
     r = RngStream(7, 0)
     assert [gen_poisson_count(3.0, 1.0, r) for _ in range(8)] == [3, 2, 0, 4, 4, 3, 4, 2]
+
+
+def test_a_reused_poisson_counter_draws_the_frozen_counts():
+    # a side checks its rate and finds the threshold once, for every step
+    count = poisson_counter(3.0, 1.0, RngStream(7, 0))
+    assert [count() for _ in range(8)] == [3, 2, 0, 4, 4, 3, 4, 2]
+    r, big = RngStream(13, 1), poisson_counter(2000.0, 1.0, RngStream(13, 1))
+    assert [big() for _ in range(5)] == [gen_poisson_count(2000.0, 1.0, r) for _ in range(5)]
+
+
+@pytest.mark.parametrize("rate,dt,message", [
+    (-1.0, 1.0, "rate must be non-negative"),
+    (1.0, 0.0, "dt must be positive"),
+    (1.0, -0.5, "dt must be positive"),
+])
+def test_poisson_count_rejects_bad_arguments(rate, dt, message):
+    with pytest.raises(ValueError, match=message):
+        gen_poisson_count(rate, dt, RngStream(1, 0))
 
 
 def test_poisson_mean_converges():
