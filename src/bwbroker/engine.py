@@ -1,11 +1,11 @@
 """Simulation loop: step composition, replications and parameter sweeps.
 
 run_trace plays one replication of one policy.  Each step runs a fixed
-sequence: fix the reservation (SLA only, zero otherwise), apply
-departures, admit arrivals, allocate, score the step with the leftover
-after non-IPTV demand and the borrowing, then append the step's offered
-demand to the broker history.  The history sample lands after allocation
-on purpose: a reservation may only ever look at strictly past demand.
+sequence: fix the reservation, apply departures, admit arrivals, allocate,
+then score the step with the leftover after non-IPTV demand and the
+borrowing.  Only the SLA has a broker: its history gets each step's offered
+demand right after allocation, so a reservation only ever sees past steps.
+Without an SLA no history is kept and the reservation stays zero.
 
 The step records of a replication stay in the process that played it:
 a pool worker returns only what the parent needs of them, each policy's
@@ -38,13 +38,14 @@ def run_trace(config: ScenarioConfig, policy_kind: PolicyKind, trace: Trace) -> 
     admit, reservation = admit_channel, compute_reservation
     by_reservation, by_equal_degradation = allocate_sla, allocate_non_sla
     state = CellState.for_config(config)
-    history = DemandHistory.for_config(config)
+    if sla:
+        history = DemandHistory.for_config(config)
+        record_sample = history.record_sample
     active = state.active_channels
     admit_viewer, viewer_departs = state.admit_viewer, state.viewer_departs
     add_call, call_departs, drop_channel = state.add_call, state.call_departs, state.drop_channel
-    record_sample = history.record_sample
-    capacity, dt = config.capacity_mbps, config.sample_interval_min
-    reservation_cap = config.iptv_reservation_cap_mbps
+    full, capacity = config.iptv_channel_max_bw_mbps, config.capacity_mbps
+    dt, reservation_cap = config.sample_interval_min, config.iptv_reservation_cap_mbps
     records: list[StepRecord] = []
     append, new_record = records.append, tuple.__new__
     reserved = 0.0
@@ -68,9 +69,10 @@ def run_trace(config: ScenarioConfig, policy_kind: PolicyKind, trace: Trace) -> 
 
         # offered demand of this step: what is on air now, before any drops
         offered_channels = len(active)
-        offered_demand = state.iptv_demand_mbps
+        offered_demand = full * offered_channels
         if sla:
             decision = by_reservation(state, reserved, config)
+            record_sample(offered_channels)  # after allocation: only later steps see it
         else:
             decision = by_equal_degradation(state, config)
         dropped = decision.dropped_channel_ids
@@ -78,7 +80,7 @@ def run_trace(config: ScenarioConfig, policy_kind: PolicyKind, trace: Trace) -> 
             drop_channel(channel_id)
 
         # blocked activations demanded full quality and got nothing this step
-        sl_demand = offered_demand + state.channel_demand_mbps * blocks
+        sl_demand = offered_demand + full * blocks
         non_iptv = state.non_iptv_demand_mbps
         available = available_bandwidth(capacity, non_iptv)
         append(new_record(StepRecord, (
@@ -86,7 +88,6 @@ def run_trace(config: ScenarioConfig, policy_kind: PolicyKind, trace: Trace) -> 
             compute_borrowing(reserved, available), offered_channels,
             decision.per_channel_bw_mbps, step_satisfaction(decision, sl_demand),
             step_utilization(decision, config), blocks, len(dropped))))
-        record_sample(offered_channels)
     return records
 
 

@@ -31,6 +31,13 @@ MAX_CHANNELS = 100_000
 # Each costs draws and trace events, so far higher rates would never finish.
 MAX_ARRIVALS = 10_000_000
 
+# Largest capacity_mbps and non_iptv_call_bw_mbps, about 17 million times table1's
+# 60; every other bandwidth is at most capacity_mbps.  So every demand a run forms
+# stays far below float overflow (1.8e308): IPTV at most 1e9 * MAX_CHANNELS = 1e14,
+# the broker window's total 1e9 * MAX_CHANNELS * MAX_STEPS = 1e20, and live calls,
+# about MAX_ARRIVALS = 1e7 at most, about 1e16.
+MAX_MBPS = 1e9
+
 # Most replications, 500 times table1's 20.  A sweep keeps only their means;
 # what `run` keeps of them is bounded by MAX_STEP_RECORDS.
 MAX_REPLICATIONS = 10_000
@@ -90,8 +97,9 @@ class ScenarioConfig:
             )
         if c.iptv_reservation_cap_mbps > c.capacity_mbps + BW_TOL:
             raise ConfigError("iptv_reservation_cap_mbps exceeds capacity_mbps")
-        if c.capacity_mbps <= 0:
-            raise ConfigError("capacity_mbps must be positive")
+        for name in ("capacity_mbps", "non_iptv_call_bw_mbps"):
+            if not 0 < getattr(c, name) <= MAX_MBPS:
+                raise ConfigError(f"{name} must be positive and at most {MAX_MBPS:g}")
         if not 1 <= c.num_channels_catalog <= MAX_CHANNELS:
             raise ConfigError(f"num_channels_catalog must be between 1 and {MAX_CHANNELS}")
         if c.sample_interval_min <= 0 or c.history_window_min <= 0:
@@ -118,8 +126,6 @@ class ScenarioConfig:
         for name in ("iptv_viewer_mean_hold_min", "non_iptv_mean_hold_min"):
             if getattr(c, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
-        if c.non_iptv_call_bw_mbps <= 0:
-            raise ConfigError("non_iptv_call_bw_mbps must be positive")
         if c.sim_duration_min <= 0:
             raise ConfigError("sim_duration_min must be positive")
         steps = c.sim_duration_min / c.sample_interval_min
@@ -203,12 +209,11 @@ class CellState:
     Tracks on-air channels with their viewers and the count of live
     non-IPTV calls.  A departure names the viewer's channel, so one
     scheduled for a viewer who was blocked at admission, or whose
-    channel was dropped, finds no such viewer there and is ignored.
+    channel was dropped, finds no such viewer there and is ignored.  It
+    holds no channel rate: every on-air channel demands the config's full rate.
     """
 
-    def __init__(self, channel_demand_mbps: float, call_bw_mbps: float):
-        # demand of one on-air channel; channels always ask for full quality
-        self.channel_demand_mbps = channel_demand_mbps
+    def __init__(self, call_bw_mbps: float):
         # demand of one call; every call asks for the same bandwidth
         self.call_bw_mbps = call_bw_mbps
         # on-air channel id -> ids of the viewers tuned to it, never empty
@@ -218,11 +223,7 @@ class CellState:
 
     @classmethod
     def for_config(cls, config: ScenarioConfig) -> "CellState":
-        return cls(config.iptv_channel_max_bw_mbps, config.non_iptv_call_bw_mbps)
-
-    @property
-    def iptv_demand_mbps(self) -> float:
-        return self.channel_demand_mbps * len(self.active_channels)
+        return cls(config.non_iptv_call_bw_mbps)
 
     def admit_viewer(self, viewer_id: int, channel_id: int) -> None:
         """Register a viewer; activates the channel if it was off air."""

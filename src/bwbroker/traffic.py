@@ -105,11 +105,6 @@ def poisson_counter(rate_per_min: float, dt_min: float, rng: RngStream) -> Calla
     return count
 
 
-def gen_poisson_count(rate_per_min: float, dt_min: float, rng: RngStream) -> int:
-    """Number of arrivals in an interval of length dt at the given rate (poisson_counter)."""
-    return poisson_counter(rate_per_min, dt_min, rng)()
-
-
 @lru_cache(maxsize=64)
 def _popularity_cdf(catalog_size: int, skew: float) -> tuple[float, ...]:
     # weight of channel k is 1 / k^skew; skew 0 makes the lineup uniform

@@ -12,14 +12,14 @@ import random
 import time
 from collections import Counter
 from dataclasses import replace
-from statistics import fmean
+from statistics import fmean, stdev
 
 import pytest
 
 from bwbroker.allocation import PolicyKind, allocate_non_sla, allocate_sla
 from bwbroker.broker import DemandHistory, compute_borrowing, compute_reservation
 from bwbroker.cli import main
-from bwbroker.engine import fig3_sweep, fig5_sweep, run_experiment
+from bwbroker.engine import fig3_sweep, fig5_sweep, paired_means, replication_seed, run_experiment
 from bwbroker.metrics import step_satisfaction
 from bwbroker.model import AllocationDecision, CellState, available_bandwidth, table1
 from bwbroker.traffic import (
@@ -27,7 +27,7 @@ from bwbroker.traffic import (
     RngStream,
     build_trace,
     channel_probabilities,
-    gen_poisson_count,
+    poisson_counter,
 )
 
 EQ_TOL = 1e-9     # closed-form agreement
@@ -93,8 +93,8 @@ def _ref_sla(n, b_i, reserved, cfg):
     return k, per, grant, borrowed
 
 
-def _state_with(n, b_i, cfg):
-    cell = CellState(cfg.iptv_channel_max_bw_mbps, b_i)
+def _state_with(n, b_i):
+    cell = CellState(b_i)
     for i in range(n):
         cell.admit_viewer(i, i + 1)
     if b_i > 0:
@@ -134,14 +134,14 @@ def test_criterion_equations_match_reference_oracles():
 
         n = rng.randint(0, 50)
         b_i = rng.uniform(0.0, 120.0)
-        got = allocate_non_sla(_state_with(n, b_i, cfg), cfg)
+        got = allocate_non_sla(_state_with(n, b_i), cfg)
         k, per, grant = _ref_non_sla(n, b_i, cfg)
         assert got.num_active_channels == k
         worst = max(worst, abs(got.per_channel_bw_mbps - per),
                     abs(got.non_iptv_grant_mbps - grant))
 
         reserved = rng.uniform(0.0, 60.0)
-        got = allocate_sla(_state_with(n, b_i, cfg), reserved, cfg)
+        got = allocate_sla(_state_with(n, b_i), reserved, cfg)
         k, per, grant, borrowed = _ref_sla(n, b_i, reserved, cfg)
         assert got.num_active_channels == k
         got_borrowed = compute_borrowing(reserved, available_bandwidth(cfg.capacity_mbps, b_i))
@@ -171,6 +171,25 @@ def test_criterion_satisfaction_curves_separate_policies(load_sweep):
     assert sla_min >= 0.95 - SL_TOL
     assert non_top <= 0.75 + SL_TOL
     assert gap >= 0.20 - SL_TOL
+
+
+def test_light_load_sla_trails_equal_degradation_by_paired_ses():
+    # at fig3's lightest load the reservation sits below the leftover, and on the
+    # steps where the channels alone overflow the cell, equal degradation gives
+    # IPTV more than the leftover split n ways (test_allocation pins the ratio)
+    value, cfg = fig3_sweep(table1()).points[0]
+    assert value == pytest.approx(12.0)
+    diffs = []
+    for r in range(cfg.replications):
+        by_policy = dict(zip(PolicyKind, paired_means(cfg, replication_seed(cfg.base_seed, r))))
+        diffs.append(by_policy[PolicyKind.SLA].satisfaction
+                     - by_policy[PolicyKind.NON_SLA].satisfaction)
+    gap, paired_se = fmean(diffs), stdev(diffs) / math.sqrt(len(diffs))
+    ok = gap < -3 * paired_se
+    print(f"ACCEPTANCE light-load-deficit: {'PASS' if ok else 'FAIL'} "
+          f"(SLA - non-SLA mean SL={gap:.5f}, paired SE={paired_se:.5f}, "
+          f"{gap / paired_se:.1f} SEs vs -3)")
+    assert ok
 
 
 def test_criterion_utilization_parity(load_sweep):
@@ -282,7 +301,7 @@ def test_criterion_traffic_statistics():
 
     draws = 20_000
     r = RngStream(99, 0)
-    poisson_mean = sum(gen_poisson_count(3.0, 1.0, r) for _ in range(draws)) / draws
+    poisson_mean = sum(poisson_counter(3.0, 1.0, r)() for _ in range(draws)) / draws
     poisson_bound = 3 * math.sqrt(3.0 / draws)
 
     # channel popularity, counted on the viewer arrivals of a trace

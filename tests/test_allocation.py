@@ -22,9 +22,9 @@ from bwbroker.model import CellState, available_bandwidth, table1
 BW_TOL = 1e-9
 
 
-def make_state(n_channels, call_bw, cfg=None):
+def make_state(n_channels, call_bw):
     """Cell with n single-viewer channels and one call holding call_bw."""
-    cell = CellState((cfg or table1()).iptv_channel_max_bw_mbps, call_bw)
+    cell = CellState(call_bw)
     for k in range(n_channels):
         cell.admit_viewer(k, k + 1)
     if call_bw > 0:
@@ -104,6 +104,28 @@ def test_sla_rejects_nonsense_reservation(cfg):
         allocate_sla(cell, -0.5, cfg)
     with pytest.raises(ValueError):
         allocate_sla(cell, 61.0, cfg)
+
+
+def test_sla_share_trails_equal_degradation_when_the_reservation_fits_the_leftover():
+    # with B_R <= cap - B_I and full*n + B_I > cap, SLA splits the leftover n ways
+    # and non-SLA gives cap*full/(full*n + B_I): the ratio of the two is below 1
+    rng = random.Random(20110318)
+    base = table1()
+    checked = 0
+    for _ in range(20_000):
+        cap, full = rng.uniform(10.0, 100.0), rng.uniform(1.0, 4.0)
+        cfg = replace(base, capacity_mbps=cap, iptv_channel_max_bw_mbps=full,
+                      iptv_channel_min_bw_mbps=0.5 * full, iptv_reservation_cap_mbps=cap)
+        n, b_i = rng.randint(1, 60), rng.uniform(1e-3, cap)
+        reserved = rng.uniform(0.0, cap - b_i)
+        if full * n + b_i <= cap + 1e-6:      # clear of BW_TOL: demand must overflow
+            continue
+        sla = per_channel(PolicyKind.SLA, n, b_i, reserved, cfg)
+        non_sla = per_channel(PolicyKind.NON_SLA, n, b_i, reserved, cfg)
+        assert sla <= non_sla
+        assert abs(sla / non_sla - (1 + b_i * (cap - full * n - b_i) / (cap * full * n))) <= 1e-9
+        checked += 1
+    assert checked > 10_000
 
 
 def test_admit_first_channel_into_idle_cell(cfg):
@@ -276,7 +298,7 @@ def test_per_channel_rule_matches_one_at_a_time_shed():
         rate = _ref_rate(policy, non_iptv, reserved, cfg)
         k = _largest_viable(rate, cfg)
         for n in {k, k + 1, rng.randint(0, k + 5)}:
-            state = CellState(cfg.iptv_channel_max_bw_mbps, non_iptv)
+            state = CellState(non_iptv)
             viewer = 0
             for cid in range(1, n + 1):
                 for _ in range(rng.randint(1, 3)):

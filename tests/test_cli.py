@@ -1,6 +1,8 @@
 """Command line entry points: config loading, outputs, exit codes."""
 
+import csv
 import hashlib
+import math
 import os
 
 import pytest
@@ -8,7 +10,7 @@ import pytest
 from bwbroker import cli, engine
 from bwbroker.allocation import PolicyKind
 from bwbroker.cli import SUMMARY_CSV_HEADER, build_parser, load_config, main
-from bwbroker.model import ConfigError, table1
+from bwbroker.model import MAX_MBPS, ConfigError, table1
 from bwbroker.traffic import EventKind, build_trace
 
 TINY = """\
@@ -19,6 +21,8 @@ iptv_viewer_arrival_rate_per_min: 1.0
 non_iptv_arrival_rate_per_min: 1.0
 base_seed: 3
 """
+
+SHORT = "sim_duration_min: 120\nwarmup_min: 60\nreplications: 2\n"
 
 STEP_HEADER = ("replication,t_min,B_I,B_IPTV_demand,B_A,B_R,B_B,"
                "N_IPTV,per_channel_bw,SL,utilization,blocks,drops")
@@ -263,6 +267,12 @@ def test_step_count_past_the_ceiling_exits_2_without_running(tmp_path, capsys, m
 
 
 @pytest.mark.parametrize("line,message", [
+    # demands past float range: the run once wrote nan and inf, or exited 3
+    pytest.param("capacity_mbps: 1.0e308\niptv_channel_max_bw_mbps: 1.0e307\n"
+                 "iptv_channel_min_bw_mbps: 1.0e306\niptv_reservation_cap_mbps: 1.0e308\n"
+                 + SHORT, "capacity_mbps", id="capacity_mbps-1e308"),
+    pytest.param("non_iptv_call_bw_mbps: 1.0e307\n" + SHORT, "non_iptv_call_bw_mbps",
+                 id="non_iptv_call_bw_mbps-1e307"),
     ("history_window_min: 1.0e300\n", "history_window_min"),
     ("non_iptv_arrival_rate_per_min: 1.0e12\n", "arrivals"),
     ("num_channels_catalog: 1000000000\n", "num_channels_catalog"),
@@ -281,6 +291,20 @@ def test_config_past_a_ceiling_exits_2_without_running(tmp_path, capsys, monkeyp
     assert rc == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "x").exists()
+
+
+def test_a_run_at_the_bandwidth_ceiling_writes_only_finite_numbers(tmp_path):
+    p = tmp_path / "c.yaml"
+    p.write_text(f"capacity_mbps: {MAX_MBPS}\niptv_channel_max_bw_mbps: {MAX_MBPS}\n"
+                 f"iptv_channel_min_bw_mbps: {MAX_MBPS / 2}\n"
+                 f"iptv_reservation_cap_mbps: {MAX_MBPS}\nnon_iptv_call_bw_mbps: {MAX_MBPS}\n"
+                 + SHORT)
+    assert main(["run", str(p), "--out", str(tmp_path / "x"), "--jobs", "1"]) == 0
+    for name in ("steps_nonsla.csv", "steps_sla.csv", "summary.csv"):
+        with open(tmp_path / "x" / name, newline="") as f:
+            rows = list(csv.reader(f))[1:]
+        values = [float(v) for row in rows for v in row if v not in ("sla", "nonsla")]
+        assert values and all(map(math.isfinite, values)), name
 
 
 @pytest.mark.parametrize("command,out", [

@@ -11,6 +11,7 @@ import pytest
 
 from bwbroker import engine, traffic
 from bwbroker.allocation import PolicyKind
+from bwbroker.broker import DemandHistory
 from bwbroker.engine import (
     FIG3_LOAD_FRACTIONS,
     FIG5_CHANNEL_TARGETS,
@@ -346,6 +347,22 @@ def test_run_policies_matches_aggregate_over_run_paired(short_cfg):
         records = [by_policy[policy] for by_policy in paired]
         assert out[policy].summary == aggregate(records, short_cfg.warmup_min)
         assert out[policy].steps_csv == tuple(map(_csv_writer_text, reps, records))
+
+
+def test_only_the_sla_run_keeps_a_broker_history(short_cfg, monkeypatch):
+    built = []
+
+    class CountedHistory(DemandHistory):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(engine, "DemandHistory", CountedHistory)
+    for policies, builds in (((PolicyKind.NON_SLA,), 0), ((PolicyKind.SLA,), 1),
+                             (tuple(PolicyKind), 1)):
+        built.clear()
+        run_paired(short_cfg, 7, policies)
+        assert len(built) == builds, policies
 
 
 def test_replication_seeds_are_consecutive():

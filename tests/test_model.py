@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from bwbroker.engine import run_paired
 from bwbroker.model import (
     MAX_CHANNELS,
+    MAX_MBPS,
     MAX_REPLICATIONS,
     MAX_STEPS,
     CellState,
@@ -84,6 +86,8 @@ def test_zero_arrival_rates_are_legal():
     ("channel_popularity_skew", 1e300),           # 30 ** skew overflows
     ("iptv_viewer_mean_hold_min", 0.0),
     ("non_iptv_call_bw_mbps", 0.0),
+    ("non_iptv_call_bw_mbps", 2 * MAX_MBPS),      # past MAX_MBPS
+    ("capacity_mbps", 2 * MAX_MBPS),              # past MAX_MBPS
     ("sim_duration_min", 0.5),                    # not a whole number of steps
     ("warmup_min", 720.0),                        # nothing left after warmup
     ("warmup_min", -1.0),
@@ -109,12 +113,11 @@ def test_max_steps_itself_is_accepted():
 
 
 def test_cell_tracks_channels_and_demand():
-    cell = CellState(2.0, 1.0)
+    cell = CellState(1.0)
     cell.admit_viewer(0, 5)
     cell.admit_viewer(1, 5)
     cell.admit_viewer(2, 9)
     assert len(cell.active_channels) == 2
-    assert cell.iptv_demand_mbps == 4.0
     assert len(cell.active_channels[5]) == 2
 
     cell.viewer_departs(0, 5)
@@ -126,7 +129,7 @@ def test_cell_tracks_channels_and_demand():
 
 
 def test_dropped_channel_forgets_its_viewers():
-    cell = CellState(2.0, 1.0)
+    cell = CellState(1.0)
     cell.admit_viewer(0, 3)
     cell.admit_viewer(1, 3)
     cell.drop_channel(3)
@@ -134,7 +137,6 @@ def test_dropped_channel_forgets_its_viewers():
     # a departure for a viewer lost in the drop must not resurrect anything
     cell.viewer_departs(0, 3)
     assert len(cell.active_channels) == 0
-    assert cell.iptv_demand_mbps == 0.0
     # nor take a viewer off the channel once it is back on air for another
     cell.admit_viewer(2, 3)
     cell.viewer_departs(1, 3)
@@ -142,7 +144,7 @@ def test_dropped_channel_forgets_its_viewers():
 
 
 def test_call_bookkeeping():
-    cell = CellState(2.0, 2.5)
+    cell = CellState(2.5)
     cell.add_call()
     cell.add_call()
     assert cell.calls == 2
@@ -155,9 +157,12 @@ def test_call_bookkeeping():
         cell.call_departs()                 # no call is live
 
 
-def test_for_config_uses_full_channel_rate(cfg):
-    cell = CellState.for_config(cfg)
-    cell.admit_viewer(0, 1)
-    assert cell.iptv_demand_mbps == cfg.iptv_channel_max_bw_mbps
+def test_for_config_uses_full_channel_rate(short_cfg):
+    cell = CellState.for_config(short_cfg)
     cell.add_call()
-    assert cell.non_iptv_demand_mbps == cfg.non_iptv_call_bw_mbps
+    assert cell.non_iptv_demand_mbps == short_cfg.non_iptv_call_bw_mbps
+    # the cell holds no channel rate: run_trace charges each channel on air the full one
+    full = short_cfg.iptv_channel_max_bw_mbps
+    for records in run_paired(short_cfg, 7).values():
+        assert max(r.active_channels for r in records) > 1
+        assert all(r.iptv_demand_mbps == full * r.active_channels for r in records)

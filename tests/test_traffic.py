@@ -19,7 +19,6 @@ from bwbroker.traffic import (
     call_side,
     channel_probabilities,
     effective_hold_min,
-    gen_poisson_count,
     poisson_counter,
     viewer_rate_for_mean_channels,
     viewer_side,
@@ -52,14 +51,14 @@ def test_streams_with_same_seed_do_not_collide():
 
 def test_poisson_zero_rate_draws_nothing():
     r = RngStream(5, 0)
-    assert gen_poisson_count(0.0, 1.0, r) == 0
+    assert poisson_counter(0.0, 1.0, r)() == 0
     # and must not have consumed any randomness
     assert r.random() == RngStream(5, 0).random()
 
 
 def test_poisson_counts_are_frozen():
     r = RngStream(7, 0)
-    assert [gen_poisson_count(3.0, 1.0, r) for _ in range(8)] == [3, 2, 0, 4, 4, 3, 4, 2]
+    assert [poisson_counter(3.0, 1.0, r)() for _ in range(8)] == [3, 2, 0, 4, 4, 3, 4, 2]
 
 
 def test_a_reused_poisson_counter_draws_the_frozen_counts():
@@ -67,7 +66,7 @@ def test_a_reused_poisson_counter_draws_the_frozen_counts():
     count = poisson_counter(3.0, 1.0, RngStream(7, 0))
     assert [count() for _ in range(8)] == [3, 2, 0, 4, 4, 3, 4, 2]
     r, big = RngStream(13, 1), poisson_counter(2000.0, 1.0, RngStream(13, 1))
-    assert [big() for _ in range(5)] == [gen_poisson_count(2000.0, 1.0, r) for _ in range(5)]
+    assert [big() for _ in range(5)] == [poisson_counter(2000.0, 1.0, r)() for _ in range(5)]
 
 
 @pytest.mark.parametrize("rate,dt,message", [
@@ -77,13 +76,13 @@ def test_a_reused_poisson_counter_draws_the_frozen_counts():
 ])
 def test_poisson_count_rejects_bad_arguments(rate, dt, message):
     with pytest.raises(ValueError, match=message):
-        gen_poisson_count(rate, dt, RngStream(1, 0))
+        poisson_counter(rate, dt, RngStream(1, 0))()
 
 
 def test_poisson_mean_converges():
     r = RngStream(11, 0)
     n = 4000
-    mean = sum(gen_poisson_count(4.0, 1.0, r) for _ in range(n)) / n
+    mean = sum(poisson_counter(4.0, 1.0, r)() for _ in range(n)) / n
     assert mean == pytest.approx(4.0, abs=3 * math.sqrt(4.0 / n))
 
 
@@ -91,13 +90,13 @@ def test_poisson_mean_is_exact_past_exp_underflow():
     # exp(-2000) underflows to 0.0, which a single product run cannot reach
     r = RngStream(13, 1)
     n = 200
-    mean = sum(gen_poisson_count(2000.0, 1.0, r) for _ in range(n)) / n
+    mean = sum(poisson_counter(2000.0, 1.0, r)() for _ in range(n)) / n
     assert mean == pytest.approx(2000.0, abs=4 * math.sqrt(2000.0 / n))
 
 
 @given(rate=st.floats(0.0, 20.0), seed=st.integers(0, 1000))
 def test_poisson_count_is_a_nonnegative_int(rate, seed):
-    k = gen_poisson_count(rate, 1.0, RngStream(seed, 0))
+    k = poisson_counter(rate, 1.0, RngStream(seed, 0))()
     assert isinstance(k, int)
     assert k >= 0
 
