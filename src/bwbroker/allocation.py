@@ -16,13 +16,19 @@ from .model import (
     AllocationDecision,
     CellState,
     ScenarioConfig,
-    available_bandwidth,
 )
 
 
 class PolicyKind(Enum):
     NON_SLA = "nonsla"
     SLA = "sla"
+
+
+# plain names for the members, cheaper to look up on every call than PolicyKind.X
+NON_SLA, SLA = PolicyKind
+
+# AllocationDecision's own __new__ is a Python-level call; tuple.__new__ is not
+_decision = tuple.__new__
 
 
 def per_channel(
@@ -43,13 +49,16 @@ def per_channel(
     """
     cap = config.capacity_mbps
     full = config.iptv_channel_max_bw_mbps
-    if policy is PolicyKind.NON_SLA:
+    if policy is NON_SLA:
         total = full * n + non_iptv_mbps
         return full if total <= cap + BW_TOL else cap / total * full
-    # min(cap, max(leftover, reserved)), spelled out: the builtins cost more
-    budget = available_bandwidth(cap, non_iptv_mbps)
+    # min(cap, max(leftover, reserved)), spelled out: the builtins and the checks of
+    # model.available_bandwidth cost more.  Clamping at zero last gives the same budget.
+    budget = cap - non_iptv_mbps
     if reserved_mbps > budget:
         budget = reserved_mbps
+    if budget < 0.0:
+        budget = 0.0
     share = (budget if budget < cap else cap) / n
     return full if share >= full else share
 
@@ -99,12 +108,12 @@ def allocate_non_sla(state: CellState, config: ScenarioConfig) -> AllocationDeci
     """
     cap = config.capacity_mbps
     non_iptv = state.non_iptv_demand_mbps
-    survivors, per, dropped = _shed_until_viable(state, PolicyKind.NON_SLA, 0.0, config)
+    survivors, per, dropped = _shed_until_viable(state, NON_SLA, 0.0, config)
 
     total = config.iptv_channel_max_bw_mbps * survivors + non_iptv
     grant = non_iptv if total <= cap + BW_TOL else cap / total * non_iptv
 
-    return AllocationDecision(per, grant, survivors, dropped)
+    return _decision(AllocationDecision, (per, grant, survivors, dropped))
 
 
 def allocate_sla(
@@ -125,7 +134,7 @@ def allocate_sla(
         raise ValueError("reservation exceeds cell capacity")
 
     non_iptv = state.non_iptv_demand_mbps
-    survivors, per, dropped = _shed_until_viable(state, PolicyKind.SLA, reserved_mbps, config)
+    survivors, per, dropped = _shed_until_viable(state, SLA, reserved_mbps, config)
 
     spent = per * survivors
     headroom = cap - spent
@@ -133,7 +142,7 @@ def allocate_sla(
         headroom = 0.0
     grant = non_iptv if non_iptv <= headroom else headroom
 
-    return AllocationDecision(per, grant, survivors, dropped)
+    return _decision(AllocationDecision, (per, grant, survivors, dropped))
 
 
 def admit_channel(

@@ -7,6 +7,19 @@ borrowing.  Only the SLA has a broker: its history gets each step's offered
 demand right after allocation, so a reservation only ever sees past steps.
 Without an SLA no history is kept and the reservation stays zero.
 
+A policy plays a replication in two phases.  Until it first blocks or drops
+a channel, its cell is the trace's free play, the cell that admitted every
+viewer (traffic.Trace), so a step is scored from the free play's on-air
+count and live calls alone.  Step t is free while on_air[t] is 0 or the
+policy's per-channel rate with on_air[t] channels on air clears the minimum.
+That test is exact: allocation.per_channel never rises as channels are
+added, and the step-by-step play tests this same value at the step's last
+channel activation and again in allocation, so a free step blocks and drops
+nothing.  At the first step that fails it, the policy builds its cell from
+the earlier steps' viewer events, every viewer admitted, and from then on
+plays the viewer events itself, with admission.  Calls are never played:
+both phases read them from the trace's running count.
+
 The step records of a replication stay in the process that played it:
 a pool worker returns only what the parent needs of them, each policy's
 means (metrics.replication_means) and, for a run, its steps-CSV rows as
@@ -18,70 +31,101 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
-from .allocation import PolicyKind, admit_channel, allocate_non_sla, allocate_sla
+from .allocation import PolicyKind, admit_channel, allocate_non_sla, allocate_sla, per_channel
 from .broker import DemandHistory, compute_borrowing, compute_reservation
 from .metrics import ReplicationMeans, RunSummary, StepRecord, replication_means
 from .metrics import step_rows_csv, step_satisfaction, step_utilization, summarize
 from .metrics import aggregate  # noqa: F401 - uncalled; perfbench/layers.py wraps engine.aggregate
-from .model import MAX_STEP_RECORDS, CellState, ConfigError, ScenarioConfig, available_bandwidth
-from .traffic import NON_IPTV_ARRIVE, NON_IPTV_DEPART, VIEWER_DEPART, Trace
-from .traffic import build_trace, viewer_rate_for_mean_channels
+from .model import BW_TOL, MAX_STEP_RECORDS, CellState, ConfigError, ScenarioConfig
+from .model import available_bandwidth
+from .traffic import Trace, as_trace, build_trace, viewer_rate_for_mean_channels
 
 
-def run_trace(config: ScenarioConfig, policy_kind: PolicyKind, trace: Trace) -> list[StepRecord]:
-    """Play a pre-built trace through one policy: one replication, one record a step.
+class _FreeCell:
+    """What allocation reads of a cell on a free step: its channel count and call demand.
 
-    What no step changes is bound once, before the loop.  The rules are looked
-    up in this module on each call, so a wrapper put on it is the one called.
+    A free step sheds nothing, so which channels are on air is never read:
+    active_channels is range(on-air count).
     """
-    sla = policy_kind is PolicyKind.SLA
-    admit, reservation = admit_channel, compute_reservation
-    by_reservation, by_equal_degradation = allocate_sla, allocate_non_sla
+
+    __slots__ = ("active_channels", "non_iptv_demand_mbps")
+
+
+def _admitted_cell(config: ScenarioConfig, trace: Trace, steps: int) -> CellState:
+    """The cell after the first steps of trace, every viewer admitted; no call is set."""
     state = CellState.for_config(config)
+    for leaving, joining in zip(trace.viewers_out[:steps], trace.viewers_in[:steps]):
+        for _, channel_id, viewer_id in leaving:
+            state.viewer_departs(viewer_id, channel_id)
+        for _, channel_id, viewer_id in joining:
+            state.admit_viewer(viewer_id, channel_id)
+    return state
+
+
+def run_trace(config: ScenarioConfig, policy_kind: PolicyKind, trace: list) -> list[StepRecord]:
+    """Play a trace through one policy: one replication, one record a step.
+
+    trace is a traffic.Trace, or a plain list of steps (traffic.as_trace).
+    What no step changes is bound once, before the loop.  The rules are
+    looked up in this module on each call, so a wrapper put on it is the one
+    called.
+    """
+    trace = as_trace(trace)
+    sla = policy_kind is PolicyKind.SLA
+    admit, reservation, rate = admit_channel, compute_reservation, per_channel
+    by_reservation, by_equal_degradation = allocate_sla, allocate_non_sla
     if sla:
         history = DemandHistory.for_config(config)
         record_sample = history.record_sample
-    active = state.active_channels
-    admit_viewer, viewer_departs = state.admit_viewer, state.viewer_departs
-    add_call, call_departs, drop_channel = state.add_call, state.call_departs, state.drop_channel
     full, capacity = config.iptv_channel_max_bw_mbps, config.capacity_mbps
+    call_bw, floor = config.non_iptv_call_bw_mbps, config.iptv_channel_min_bw_mbps - BW_TOL
     dt, reservation_cap = config.sample_interval_min, config.iptv_reservation_cap_mbps
+    viewers_out, viewers_in, on_air = trace.viewers_out, trace.viewers_in, trace.on_air
+    cell = free = _FreeCell()
+    state = None  # the policy's own cell, from its first step that is not free
     records: list[StepRecord] = []
     append, new_record = records.append, tuple.__new__
     reserved = 0.0
-    for step, events in enumerate(trace):
+    for step, calls in enumerate(trace.live_calls):
         # the reservation depends only on past samples, so it is fixed for the
         # whole step and already governs this step's admissions
         if sla:
             reserved = reservation(history, reservation_cap)
+        non_iptv = calls * call_bw
         blocks = 0
-        for kind, channel_id, viewer_id in events:
-            if kind is VIEWER_DEPART:
-                viewer_departs(viewer_id, channel_id)
-            elif kind is NON_IPTV_DEPART:
-                call_departs()
-            elif kind is NON_IPTV_ARRIVE:
-                add_call()
-            elif channel_id in active or admit(state, policy_kind, reserved, config):
-                admit_viewer(viewer_id, channel_id)
+        if state is None:
+            n = on_air[step]
+            if not n or rate(policy_kind, n, non_iptv, reserved, config) >= floor:
+                free.active_channels, free.non_iptv_demand_mbps = range(n), non_iptv
             else:
-                blocks += 1
+                cell = state = _admitted_cell(config, trace, step)
+                active = state.active_channels
+                admit_viewer, viewer_departs = state.admit_viewer, state.viewer_departs
+                drop_channel, set_calls = state.drop_channel, state.set_calls
+        if state is not None:
+            set_calls(calls)
+            for _, channel_id, viewer_id in viewers_out[step]:
+                viewer_departs(viewer_id, channel_id)
+            for _, channel_id, viewer_id in viewers_in[step]:
+                if channel_id in active or admit(state, policy_kind, reserved, config):
+                    admit_viewer(viewer_id, channel_id)
+                else:
+                    blocks += 1
 
         # offered demand of this step: what is on air now, before any drops
-        offered_channels = len(active)
+        offered_channels = len(cell.active_channels)
         offered_demand = full * offered_channels
         if sla:
-            decision = by_reservation(state, reserved, config)
+            decision = by_reservation(cell, reserved, config)
             record_sample(offered_channels)  # after allocation: only later steps see it
         else:
-            decision = by_equal_degradation(state, config)
+            decision = by_equal_degradation(cell, config)
         dropped = decision.dropped_channel_ids
         for channel_id in dropped:
             drop_channel(channel_id)
 
         # blocked activations demanded full quality and got nothing this step
         sl_demand = offered_demand + full * blocks
-        non_iptv = state.non_iptv_demand_mbps
         available = available_bandwidth(capacity, non_iptv)
         append(new_record(StepRecord, (
             step * dt, non_iptv, offered_demand, available, reserved,

@@ -91,14 +91,15 @@ def step_satisfaction(decision: AllocationDecision, demand_mbps: float) -> float
         raise ValueError("demand must be non-negative")
     if demand_mbps <= BW_TOL:
         return 1.0
-    share = decision.delivered_iptv_mbps / demand_mbps
+    # the delivered IPTV: the survivors' rate times their count
+    share = decision.per_channel_bw_mbps * decision.num_active_channels / demand_mbps
     return share if share < 1.0 else 1.0
 
 
 def step_utilization(decision: AllocationDecision, config: ScenarioConfig) -> float:
     """Granted bandwidth (both classes) as a fraction of cell capacity."""
-    used = decision.delivered_iptv_mbps + decision.non_iptv_grant_mbps
-    return used / config.capacity_mbps
+    iptv = decision.per_channel_bw_mbps * decision.num_active_channels
+    return (iptv + decision.non_iptv_grant_mbps) / config.capacity_mbps
 
 
 class ReplicationMeans(NamedTuple):

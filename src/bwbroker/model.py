@@ -13,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 # Tolerance for bandwidth comparisons, in Mbps.  The allocation rules
 # produce non-terminating fractions, so every threshold test is fuzzy.
@@ -147,8 +148,11 @@ class ScenarioConfig:
                 f"the arrival rates expect {arrivals:.3g} arrivals a replication,"
                 f" more than the {MAX_ARRIVALS} one may take"
             )
-        if c.warmup_min < 0 or c.warmup_min >= c.sim_duration_min:
-            raise ConfigError("warmup_min must satisfy 0 <= warmup_min < sim_duration_min")
+        # the last step starts at (n_steps - 1) * sample_interval_min; a warmup past it
+        # leaves no step to average (the tolerance is metrics.replication_means')
+        if c.warmup_min < 0 or (c.n_steps - 1) * c.sample_interval_min < c.warmup_min - 1e-9:
+            raise ConfigError("warmup_min must lie between 0 and the start of the last step,"
+                              " sim_duration_min - sample_interval_min")
         if not 1 <= c.replications <= MAX_REPLICATIONS:
             raise ConfigError(f"replications must be between 1 and {MAX_REPLICATIONS}")
 
@@ -244,6 +248,11 @@ class CellState:
         """Force a channel off air, discarding all of its viewers."""
         del self.active_channels[channel_id]
 
+    def set_calls(self, calls: int) -> None:
+        """Set the live call count, as the trace's running count gives it."""
+        self.calls = calls
+        self.non_iptv_demand_mbps = calls * self.call_bw_mbps
+
     def add_call(self) -> None:
         self.calls += 1
         self.non_iptv_demand_mbps = self.calls * self.call_bw_mbps
@@ -256,8 +265,7 @@ class CellState:
         self.non_iptv_demand_mbps = self.calls * self.call_bw_mbps
 
 
-@dataclass
-class AllocationDecision:
+class AllocationDecision(NamedTuple):
     """Outcome of one allocation round.
 
     num_active_channels counts the survivors after any forced drops, so
@@ -269,10 +277,6 @@ class AllocationDecision:
     non_iptv_grant_mbps: float
     num_active_channels: int
     dropped_channel_ids: tuple[int, ...] = ()
-
-    @property
-    def delivered_iptv_mbps(self) -> float:
-        return self.per_channel_bw_mbps * self.num_active_channels
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,17 @@ event sequence, bit for bit, everywhere.
 Each traffic class has its own stream, drawn only by its side (viewer_side,
 call_side): a pure function of the seed and that side's own config fields,
 memoised on them, so sweep points equal in those fields share one build.
+
+The free play
+-------------
+Besides its events, a Trace carries what a cell that admitted every viewer
+would hold after each step: on_air[t], its channels on air, and
+live_calls[t], its live calls.  Both are policy-blind.  The viewer side
+derives on_air as it draws, so sweep points that share a viewer side share
+it too.  A hand-made list of steps gets both series from the same two
+functions (on_air_series, live_call_series), fed from its events by
+as_trace.  The engine scores a policy's steps from these series until the
+policy first blocks or drops a channel (see engine.run_trace).
 """
 
 from __future__ import annotations
@@ -63,7 +74,89 @@ class TrafficEvent(NamedTuple):
 CALL_ARRIVAL = TrafficEvent(NON_IPTV_ARRIVE)
 CALL_DEPARTURE = TrafficEvent(NON_IPTV_DEPART)
 
-Trace = list[list[TrafficEvent]]  # one list of events per step
+# the order of the kinds within a step: a new viewer meets the step's updated call load
+_PLAY_ORDER = {VIEWER_DEPART: 0, NON_IPTV_DEPART: 1, NON_IPTV_ARRIVE: 2, VIEWER_ARRIVE: 3}
+
+
+class Trace(list):
+    """Every step of one replication: as a list, one list of events a step, in play order.
+
+    What the engine plays of a step, it reads from the per-step series:
+    viewers_out[t] and viewers_in[t], the step's viewer departures and
+    arrivals; on_air[t], the channels on air after the step had every viewer
+    been admitted; live_calls[t], the calls live after it.
+    """
+
+    __slots__ = ("viewers_out", "viewers_in", "on_air", "live_calls")
+
+    def __init__(self, steps, viewers_out, viewers_in, on_air, live_calls):
+        super().__init__(steps)
+        self.viewers_out, self.viewers_in = viewers_out, viewers_in
+        self.on_air, self.live_calls = on_air, live_calls
+
+
+def on_air_series(viewers_out, viewers_in) -> tuple[int, ...]:
+    """Per step, the channels on air after it, had every viewer been admitted.
+
+    A step's viewer departures go before its arrivals.  A departure of a
+    viewer not on its channel is ignored, and a channel is on air while a
+    viewer is on it, as in model.CellState.
+    """
+    watching: dict[int, set[int]] = {}
+    on_air = []
+    for leaving, joining in zip(viewers_out, viewers_in):
+        for _, channel, viewer in leaving:
+            viewers = watching.get(channel)
+            if viewers is not None and viewer in viewers:
+                viewers.remove(viewer)
+                if not viewers:
+                    del watching[channel]
+        for _, channel, viewer in joining:
+            viewers = watching.get(channel)
+            if viewers is None:
+                watching[channel] = {viewer}
+            else:
+                viewers.add(viewer)
+        on_air.append(len(watching))
+    return tuple(on_air)
+
+
+def live_call_series(calls_out, calls_in) -> tuple[int, ...]:
+    """Per step, the calls live after it: the running sum of arrivals less departures.
+
+    A step's call departures go before its arrivals; ValueError if more
+    calls depart than are live.
+    """
+    live, series = 0, []
+    for step, (out, into) in enumerate(zip(calls_out, calls_in)):
+        if out > live:
+            raise ValueError(f"step {step}: {out} calls depart, but {live} are live")
+        live += into - out
+        series.append(live)
+    return tuple(series)
+
+
+def as_trace(steps: list) -> Trace:
+    """steps as a Trace, steps itself if it is one.
+
+    A plain list of steps, each a list of TrafficEvents, must keep
+    build_trace's order within a step: viewer departures, call departures,
+    call arrivals, viewer arrivals.  ValueError otherwise.
+    """
+    if isinstance(steps, Trace):
+        return steps
+    viewers_out, calls_out, calls_in, viewers_in = [], [], [], []
+    for step, events in enumerate(steps):
+        kinds = [event[0] for event in events]
+        if kinds != sorted(kinds, key=_PLAY_ORDER.__getitem__):
+            raise ValueError(f"step {step}: events out of order; a step plays viewer"
+                             " departures, call departures, call arrivals, then viewer arrivals")
+        viewers_out.append(tuple(ev for ev in events if ev[0] is VIEWER_DEPART))
+        calls_out.append(kinds.count(NON_IPTV_DEPART))
+        calls_in.append(kinds.count(NON_IPTV_ARRIVE))
+        viewers_in.append(tuple(ev for ev in events if ev[0] is VIEWER_ARRIVE))
+    return Trace(steps, viewers_out, viewers_in, on_air_series(viewers_out, viewers_in),
+                 live_call_series(calls_out, calls_in))
 
 
 # Largest mean drawn with one run of the product method: exp(-500) is far
@@ -181,9 +274,10 @@ def viewer_rate_for_mean_channels(
 @lru_cache(maxsize=1)
 def viewer_side(seed: int, n_steps: int, dt_min: float, rate_per_min: float,
                 mean_hold_min: float, catalog_size: int,
-                skew: float) -> tuple[tuple[tuple[TrafficEvent, ...], ...], ...]:
-    """Per step, the viewer departures and arrivals; stream 0 draws a count,
-    then each viewer's channel and hold."""
+                skew: float) -> tuple[tuple, tuple, tuple[int, ...]]:
+    """Per step, the viewer departures, the viewer arrivals and the channels then on
+    air had every viewer been admitted; stream 0 draws a count, then each viewer's
+    channel and hold."""
     viewer_side.cache_clear()  # a miss: drop the old side first, so two never coexist
     rng = RngStream(seed, 0)
     draw, cdf = rng.random, _popularity_cdf(catalog_size, skew)
@@ -202,7 +296,8 @@ def viewer_side(seed: int, n_steps: int, dt_min: float, rate_per_min: float,
                 departures[depart].append(event(TrafficEvent, (VIEWER_DEPART, channel, viewer_id)))
             joined.append(event(TrafficEvent, (VIEWER_ARRIVE, channel, viewer_id)))
             viewer_id += 1
-    return tuple(map(tuple, departures)), tuple(map(tuple, arrivals))
+    departures, arrivals = tuple(map(tuple, departures)), tuple(map(tuple, arrivals))
+    return departures, arrivals, on_air_series(departures, arrivals)
 
 
 @lru_cache(maxsize=1)
@@ -233,13 +328,14 @@ def build_trace(config: ScenarioConfig, seed: int) -> Trace:
     A hold of tau minutes lasts ceil(tau / t1) steps, at least one; a
     hold of n_steps steps or more (even inf) is dropped unrounded, since
     its departure would fall past the last step.  Each call returns
-    fresh lists, merged from the memoised sides.
+    fresh lists, merged from the memoised sides, and the sides' series.
     """
     n, t1 = config.n_steps, config.sample_interval_min
-    viewers_out, viewers_in = viewer_side(
+    viewers_out, viewers_in, on_air = viewer_side(
         seed, n, t1, config.iptv_viewer_arrival_rate_per_min, config.iptv_viewer_mean_hold_min,
         config.num_channels_catalog, config.channel_popularity_skew)
     calls_out, calls_in = call_side(
         seed, n, t1, config.non_iptv_arrival_rate_per_min, config.non_iptv_mean_hold_min)
-    return [[*v_out, *(CALL_DEPARTURE,) * c_out, *(CALL_ARRIVAL,) * c_in, *v_in]
-            for v_out, c_out, c_in, v_in in zip(viewers_out, calls_out, calls_in, viewers_in)]
+    steps = [[*v_out, *(CALL_DEPARTURE,) * c_out, *(CALL_ARRIVAL,) * c_in, *v_in]
+             for v_out, c_out, c_in, v_in in zip(viewers_out, calls_out, calls_in, viewers_in)]
+    return Trace(steps, viewers_out, viewers_in, on_air, live_call_series(calls_out, calls_in))

@@ -6,12 +6,13 @@ relations must agree with independent reference implementations to 1e-9;
 curve-level comparisons of replication means carry a +/-0.05 band.
 """
 
+import hashlib
 import math
 import os
 import random
 import time
 from collections import Counter
-from dataclasses import replace
+from dataclasses import astuple, replace
 from statistics import fmean, stdev
 
 import pytest
@@ -275,6 +276,26 @@ def test_criterion_capacity_conservation(load_sweep, channel_sweep):
     assert floor_margin >= -EQ_TOL
     assert min_res >= 0.0
     assert max_res <= cfg.iptv_reservation_cap_mbps + EQ_TOL
+
+
+# SHA-256 of every summary of the full-size fig3 and fig5 sweeps (table1, seed 42),
+# as the load_sweep and channel_sweep fixtures compute them.  140 of fig3's 560
+# policy runs block or drop, so these cover the shedding path at full size too.
+FULL_SWEEP_DIGESTS = {
+    "fig3": "96f2cfe9c4b9529a1446f415b8952f185eac52ca39b97bae5cfe829c9858d4d3",
+    "fig5": "e6bc92ac19c4ced57de621c3b1ea3273e53fced76af9fd550a3c6fd63ba7a881",
+}
+
+
+def _summaries_digest(by_policy):
+    text = "".join(f"{policy.value},{value!r},{astuple(summary)!r}\n"
+                   for policy in PolicyKind for value, summary in sorted(by_policy[policy].items()))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_full_size_sweep_summaries_match_pinned_digests(load_sweep, channel_sweep):
+    assert {"fig3": _summaries_digest(load_sweep[1]),
+            "fig5": _summaries_digest(channel_sweep[1])} == FULL_SWEEP_DIGESTS
 
 
 def test_criterion_traffic_statistics():

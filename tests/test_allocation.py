@@ -41,7 +41,7 @@ def test_non_sla_scales_both_classes(cfg):
     assert d.non_iptv_grant_mbps == pytest.approx(30.0 * scale, rel=1e-12)
     assert d.num_active_channels == 20
     assert d.dropped_channel_ids == ()
-    assert d.delivered_iptv_mbps == pytest.approx(40.0 * scale, rel=1e-12)
+    assert d.per_channel_bw_mbps * d.num_active_channels == pytest.approx(40.0 * scale, rel=1e-12)
 
 
 def test_non_sla_underload_passes_demand_through(cfg):
@@ -63,7 +63,8 @@ def test_non_sla_sheds_channels_below_floor(cfg):
     # fewest viewers first, higher id breaks ties; all equal here
     assert d.dropped_channel_ids == tuple(range(30, 15, -1))
     assert d.non_iptv_grant_mbps == pytest.approx(45.0, rel=1e-12)
-    assert (d.delivered_iptv_mbps + d.non_iptv_grant_mbps) == pytest.approx(60.0)
+    delivered = d.per_channel_bw_mbps * d.num_active_channels
+    assert delivered + d.non_iptv_grant_mbps == pytest.approx(60.0)
 
 
 def test_drop_order_prefers_fewest_viewers(cfg):
@@ -160,7 +161,7 @@ reservations = st.floats(min_value=0.0, max_value=60.0)
 def test_non_sla_never_oversubscribes(n, b_i):
     cfg = table1()
     d = allocate_non_sla(make_state(n, b_i), cfg)
-    used = d.delivered_iptv_mbps + d.non_iptv_grant_mbps
+    used = d.per_channel_bw_mbps * d.num_active_channels + d.non_iptv_grant_mbps
     assert used <= cfg.capacity_mbps + BW_TOL
     assert 0.0 <= d.per_channel_bw_mbps <= cfg.iptv_channel_max_bw_mbps + BW_TOL
     if d.num_active_channels:
@@ -185,7 +186,7 @@ def test_non_sla_scales_classes_equally(n, b_i):
 def test_sla_never_oversubscribes(n, b_i, reserved):
     cfg = table1()
     d = allocate_sla(make_state(n, b_i), reserved, cfg)
-    used = d.delivered_iptv_mbps + d.non_iptv_grant_mbps
+    used = d.per_channel_bw_mbps * d.num_active_channels + d.non_iptv_grant_mbps
     assert used <= cfg.capacity_mbps + BW_TOL
     assert 0.0 <= d.per_channel_bw_mbps <= cfg.iptv_channel_max_bw_mbps + BW_TOL
     if d.num_active_channels:

@@ -207,6 +207,20 @@ def test_bad_values_exit_2(tmp_path, capsys, line, message):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [["run"], ["sweep", "--figure", "fig5"]])
+def test_warmup_that_leaves_no_step_exits_2(tmp_path, capsys, command):
+    p = tmp_path / "c.yaml"
+    p.write_text("sim_duration_min: 120\nwarmup_min: 119.5\nreplications: 2\n")
+    rc = main([command[0], str(p), *command[1:], "--out", str(tmp_path / "x"), "--jobs", "1"])
+    assert rc == 2
+    assert "warmup_min" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+    # a warmup up to the last step's start leaves that step to average
+    p.write_text("sim_duration_min: 120\nwarmup_min: 119\nreplications: 2\n")
+    assert main([command[0], str(p), *command[1:], "--out", str(tmp_path / "y"),
+                 "--jobs", "1"]) == 0
+
+
 def test_whole_float_is_accepted_for_int_fields(tmp_path):
     p = tmp_path / "c.yaml"
     p.write_text("replications: 3.0\n")

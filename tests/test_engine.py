@@ -105,6 +105,41 @@ def test_step_times_do_not_drift(short_cfg):
     assert [r.t_min for r in records] == [i * 0.1 for i in range(120)]
 
 
+def test_a_plain_list_of_steps_plays_as_its_trace(short_cfg):
+    heavy = replace(short_cfg, non_iptv_arrival_rate_per_min=4.5)
+    trace = build_trace(heavy, 7)
+    for kind in PolicyKind:
+        assert run_trace(heavy, kind, [list(events) for events in trace]) == \
+            run_trace(heavy, kind, trace)
+
+
+def test_a_policy_builds_its_cell_only_at_its_first_block_or_drop(short_cfg, monkeypatch):
+    built = []  # the number of steps of each cell built
+
+    def counted_cell(config, trace, steps):
+        built.append(steps)
+        return admitted_cell(config, trace, steps)
+
+    admitted_cell = engine._admitted_cell
+    monkeypatch.setattr(engine, "_admitted_cell", counted_cell)
+    heavy = replace(short_cfg, non_iptv_arrival_rate_per_min=4.5)
+    trace = build_trace(heavy, 6)    # both policies block or drop, sla first
+    for kind in PolicyKind:
+        built.clear()
+        records = run_trace(heavy, kind, trace)
+        first = next(i for i, r in enumerate(records) if r.blocks or r.drops)
+        assert built == [first], kind
+        # until then the policy's records are those of the cell that admitted everyone
+        assert [r.active_channels for r in records[:first]] == list(trace.on_air[:first])
+    built.clear()
+    light = replace(short_cfg, iptv_viewer_arrival_rate_per_min=0.5,
+                    non_iptv_arrival_rate_per_min=0.3)
+    for kind in PolicyKind:
+        records = run_trace(light, kind, build_trace(light, 11))
+        assert not any(r.blocks or r.drops for r in records)
+    assert built == []
+
+
 def test_replication_is_reproducible(short_cfg):
     a = run_trace(short_cfg, PolicyKind.SLA, build_trace(short_cfg, 7))
     b = run_trace(short_cfg, PolicyKind.SLA, build_trace(short_cfg, 7))

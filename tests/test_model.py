@@ -90,6 +90,7 @@ def test_zero_arrival_rates_are_legal():
     ("capacity_mbps", 2 * MAX_MBPS),              # past MAX_MBPS
     ("sim_duration_min", 0.5),                    # not a whole number of steps
     ("warmup_min", 720.0),                        # nothing left after warmup
+    ("warmup_min", 719.5),                        # past the last step, which starts at 719
     ("warmup_min", -1.0),
     ("replications", 0),
     ("replications", 2.7),                        # not a whole number
@@ -106,6 +107,12 @@ def test_validate_rejects(field, value):
     bad = dataclasses.replace(table1(), **{field: value})
     with pytest.raises(ConfigError):
         bad.validate()
+
+
+def test_a_warmup_up_to_the_last_step_is_accepted():
+    dataclasses.replace(table1(), warmup_min=719.0).validate()
+    dataclasses.replace(table1(), sample_interval_min=0.5, history_window_min=30.0,
+                        warmup_min=719.5).validate()
 
 
 def test_max_steps_itself_is_accepted():

@@ -9,9 +9,14 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
+
+from bwbroker.cli import load_config
+from bwbroker.engine import replication_seed
+from bwbroker.traffic import EventKind, build_trace
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
@@ -50,11 +55,14 @@ def test_traced_run_sees_every_hook_the_kernel_must_call(tmp_path):
     # CellState mutators through the names the harness wraps
     layers = _traced(tmp_path, HEAVY, ["run", "--seed", "7"])
     totals = {"blocks": 0, "drops": 0}
+    forked = set()  # the (replication, policy) runs that block or drop
     for policy in ("sla", "nonsla"):
         with open(tmp_path / "out" / f"steps_{policy}.csv", newline="") as f:
             for row in csv.DictReader(f):
                 for column in totals:
                     totals[column] += int(row[column])
+                if int(row["blocks"]) or int(row["drops"]):
+                    forked.add((int(row["replication"]), policy))
     assert totals["blocks"] >= 101 and totals["drops"] >= 40
     assert layers["allocation.blocks"] == totals["blocks"]
     assert layers["allocation.drops"] == totals["drops"]
@@ -63,7 +71,16 @@ def test_traced_run_sees_every_hook_the_kernel_must_call(tmp_path):
     assert layers["broker.compute_reservation.calls"] == replications * steps
     assert layers["allocation.allocate_sla.calls"] == replications * steps
     assert layers["allocation.allocate_non_sla.calls"] == replications * steps
-    # one mutator call per event of each policy's run, less the blocked
-    # arrivals, plus one per dropped channel
+    # a run plays its viewer events through the mutators only if it blocks or
+    # drops: then one call per viewer event of its trace (those before its first
+    # block or drop build its cell), less the blocked arrivals, plus one per
+    # dropped channel; calls are never played
+    scenario = tmp_path / "scenario.yaml"
+    config = replace(load_config(str(scenario)), base_seed=7)
+    viewer_events = {
+        rep: sum(ev.kind in (EventKind.VIEWER_ARRIVE, EventKind.VIEWER_DEPART)
+                 for events in build_trace(config, replication_seed(7, rep)) for ev in events)
+        for rep in range(replications)}
+    assert 0 < len(forked) < 2 * replications
     assert layers["model.cellstate.calls"] == (
-        2 * layers["traffic.events"] - totals["blocks"] + totals["drops"])
+        sum(viewer_events[rep] for rep, _ in forked) - totals["blocks"] + totals["drops"])

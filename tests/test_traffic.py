@@ -13,12 +13,17 @@ from bwbroker import traffic
 from bwbroker.engine import FIG5_CHANNEL_TARGETS
 from bwbroker.model import ScenarioConfig, table1
 from bwbroker.traffic import (
+    CALL_ARRIVAL,
+    CALL_DEPARTURE,
     EventKind,
     RngStream,
+    TrafficEvent,
+    as_trace,
     build_trace,
     call_side,
     channel_probabilities,
     effective_hold_min,
+    live_call_series,
     poisson_counter,
     viewer_rate_for_mean_channels,
     viewer_side,
@@ -383,4 +388,51 @@ def test_memoised_sides_match_fresh_builds_whatever_field_changes():
         shared = build_trace(cfg, 5)
         viewer_side.cache_clear()
         call_side.cache_clear()
-        assert shared == build_trace(cfg, 5), name
+        fresh = build_trace(cfg, 5)
+        assert shared == fresh, name
+        assert (shared.on_air, shared.live_calls) == (fresh.on_air, fresh.live_calls), name
+
+
+def test_a_traces_free_play_is_that_of_its_events():
+    # the series build_trace derives from its sides are those as_trace derives
+    # from the same events handed over as a plain list
+    trace = build_trace(replace(table1(), sim_duration_min=200.0, warmup_min=0.0), 4)
+    plain = as_trace([list(events) for events in trace])
+    assert plain == trace
+    assert (plain.on_air, plain.live_calls) == (trace.on_air, trace.live_calls)
+    assert (plain.viewers_out, plain.viewers_in) == (list(trace.viewers_out),
+                                                     list(trace.viewers_in))
+    assert max(trace.on_air) > 0 and max(trace.live_calls) > 0
+    assert as_trace(trace) is trace
+
+
+def _viewer(kind, channel, viewer):
+    return TrafficEvent(kind, channel_id=channel, viewer_id=viewer)
+
+
+def test_free_play_ignores_departures_of_viewers_not_on_their_channel():
+    arrive, depart = EventKind.VIEWER_ARRIVE, EventKind.VIEWER_DEPART
+    trace = as_trace([
+        [_viewer(arrive, 1, 0), _viewer(arrive, 1, 1), _viewer(arrive, 2, 2)],
+        [_viewer(depart, 1, 0), _viewer(depart, 2, 9), _viewer(depart, 3, 1)],
+        [_viewer(depart, 1, 1), _viewer(depart, 1, 1), CALL_ARRIVAL, CALL_ARRIVAL],
+        [_viewer(depart, 2, 2), CALL_DEPARTURE, _viewer(arrive, 2, 2)],
+    ])
+    assert trace.on_air == (2, 2, 1, 1)
+    assert trace.live_calls == (0, 0, 2, 1)
+
+
+@pytest.mark.parametrize("step", [
+    [_viewer(EventKind.VIEWER_ARRIVE, 1, 0), CALL_ARRIVAL],     # a viewer before a call
+    [CALL_ARRIVAL, CALL_DEPARTURE],                            # a call arrival first
+    [CALL_DEPARTURE, _viewer(EventKind.VIEWER_DEPART, 1, 0)],  # a departure after a call
+])
+def test_a_hand_made_step_out_of_play_order_is_refused(step):
+    with pytest.raises(ValueError, match="step 1: events out of order"):
+        as_trace([[CALL_ARRIVAL], step])
+
+
+def test_a_call_departure_needs_a_live_call():
+    assert live_call_series((0, 1, 0), (1, 1, 0)) == (1, 1, 1)
+    with pytest.raises(ValueError, match="step 1: 2 calls depart, but 1 are live"):
+        as_trace([[CALL_ARRIVAL], [CALL_DEPARTURE, CALL_DEPARTURE]])
