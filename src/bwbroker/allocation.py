@@ -5,18 +5,20 @@ total demand fits.  With an SLA the broker's reservation acts as a
 protected budget for IPTV and the non-IPTV class absorbs the squeeze.
 Either way a channel that cannot be given the minimum watchable rate is
 dropped rather than starved.
+
+Allocation reads only which channels are on air and the aggregate non-IPTV
+demand.  active maps each on-air channel to its viewers, and only the drop
+order reads the viewers or the channel ids; it is worked out only on a step
+that sheds.  So a step that sheds nothing may pass range(n) for its n
+channels on air (engine.run_trace does on a free step) and get the same
+decision as from any n-channel viewer map.
 """
 
 from __future__ import annotations
 
 from enum import Enum
 
-from .model import (
-    BW_TOL,
-    AllocationDecision,
-    CellState,
-    ScenarioConfig,
-)
+from .model import BW_TOL, AllocationDecision, ScenarioConfig
 
 
 class PolicyKind(Enum):
@@ -29,6 +31,9 @@ NON_SLA, SLA = PolicyKind
 
 # AllocationDecision's own __new__ is a Python-level call; tuple.__new__ is not
 _decision = tuple.__new__
+
+# the channels on air, each with the ids of its viewers; or range(n) where nothing is shed
+OnAir = dict[int, set[int]] | range
 
 
 def per_channel(
@@ -63,15 +68,15 @@ def per_channel(
     return full if share >= full else share
 
 
-def _drop_order(state: CellState) -> list[int]:
+def _drop_order(active: OnAir) -> list[int]:
     # least-watched channels go first; ties broken toward the higher id
-    active = state.active_channels
     return sorted(active, key=lambda cid: (len(active[cid]), -cid))
 
 
 def _shed_until_viable(
-    state: CellState,
+    active: OnAir,
     policy: PolicyKind,
+    non_iptv_mbps: float,
     reserved_mbps: float,
     config: ScenarioConfig,
 ) -> tuple[int, float, tuple[int, ...]]:
@@ -83,23 +88,24 @@ def _shed_until_viable(
     Returns (survivors, per_channel, dropped_ids); with no survivors the
     per-channel rate is 0.0.
     """
-    n = len(state.active_channels)
+    n = len(active)
     if n == 0:
         return 0, 0.0, ()
     floor = config.iptv_channel_min_bw_mbps - BW_TOL
-    non_iptv = state.non_iptv_demand_mbps
-    per = per_channel(policy, n, non_iptv, reserved_mbps, config)
+    per = per_channel(policy, n, non_iptv_mbps, reserved_mbps, config)
     if per >= floor:
         return n, per, ()
-    order = _drop_order(state)
+    order = _drop_order(active)
     for survivors in range(n - 1, 0, -1):
-        per = per_channel(policy, survivors, non_iptv, reserved_mbps, config)
+        per = per_channel(policy, survivors, non_iptv_mbps, reserved_mbps, config)
         if per >= floor:
             return survivors, per, tuple(order[: n - survivors])
     return 0, 0.0, tuple(order)
 
 
-def allocate_non_sla(state: CellState, config: ScenarioConfig) -> AllocationDecision:
+def allocate_non_sla(
+    active: OnAir, non_iptv_mbps: float, config: ScenarioConfig
+) -> AllocationDecision:
     """Equal-degradation allocation: both classes share one scale factor.
 
     If everything fits, everyone gets full rate.  Otherwise demand is
@@ -107,17 +113,16 @@ def allocate_non_sla(state: CellState, config: ScenarioConfig) -> AllocationDeci
     first) while the scaled per-channel rate sits below the minimum.
     """
     cap = config.capacity_mbps
-    non_iptv = state.non_iptv_demand_mbps
-    survivors, per, dropped = _shed_until_viable(state, NON_SLA, 0.0, config)
+    survivors, per, dropped = _shed_until_viable(active, NON_SLA, non_iptv_mbps, 0.0, config)
 
-    total = config.iptv_channel_max_bw_mbps * survivors + non_iptv
-    grant = non_iptv if total <= cap + BW_TOL else cap / total * non_iptv
+    total = config.iptv_channel_max_bw_mbps * survivors + non_iptv_mbps
+    grant = non_iptv_mbps if total <= cap + BW_TOL else cap / total * non_iptv_mbps
 
     return _decision(AllocationDecision, (per, grant, survivors, dropped))
 
 
 def allocate_sla(
-    state: CellState, reserved_mbps: float, config: ScenarioConfig
+    active: OnAir, non_iptv_mbps: float, reserved_mbps: float, config: ScenarioConfig
 ) -> AllocationDecision:
     """Reservation-backed allocation: IPTV spends a protected budget.
 
@@ -133,32 +138,30 @@ def allocate_sla(
     if reserved_mbps > cap + BW_TOL:
         raise ValueError("reservation exceeds cell capacity")
 
-    non_iptv = state.non_iptv_demand_mbps
-    survivors, per, dropped = _shed_until_viable(state, SLA, reserved_mbps, config)
+    survivors, per, dropped = _shed_until_viable(active, SLA, non_iptv_mbps, reserved_mbps, config)
 
     spent = per * survivors
     headroom = cap - spent
     if headroom < 0.0:
         headroom = 0.0
-    grant = non_iptv if non_iptv <= headroom else headroom
+    grant = non_iptv_mbps if non_iptv_mbps <= headroom else headroom
 
     return _decision(AllocationDecision, (per, grant, survivors, dropped))
 
 
 def admit_channel(
-    state: CellState,
     policy: PolicyKind,
+    n: int,
+    non_iptv_mbps: float,
     reserved_mbps: float,
     config: ScenarioConfig,
 ) -> bool:
-    """Would a newly activated channel still be watchable? Admit iff yes.
+    """Would a channel activated with n already on air still be watchable? Admit iff yes.
 
-    Evaluates the policy's per-channel rate with one more channel on air;
+    Evaluates the policy's per-channel rate with n + 1 channels on air;
     admission requires it to clear the minimum rate.  Only channel
     activations pass through here: a viewer joining a channel that is
     already on air never needs admission.
     """
-    per = per_channel(
-        policy, len(state.active_channels) + 1, state.non_iptv_demand_mbps, reserved_mbps, config
-    )
+    per = per_channel(policy, n + 1, non_iptv_mbps, reserved_mbps, config)
     return per >= config.iptv_channel_min_bw_mbps - BW_TOL

@@ -15,10 +15,12 @@ policy's per-channel rate with on_air[t] channels on air clears the minimum.
 That test is exact: allocation.per_channel never rises as channels are
 added, and the step-by-step play tests this same value at the step's last
 channel activation and again in allocation, so a free step blocks and drops
-nothing.  At the first step that fails it, the policy builds its cell from
-the earlier steps' viewer events, every viewer admitted, and from then on
-plays the viewer events itself, with admission.  Calls are never played:
-both phases read them from the trace's running count.
+nothing.  Since it sheds nothing, allocation never reads which channels are
+on air, and a free step passes it range(on_air[t]).  At the first step that
+fails the test, the policy builds its cell, a model.CellState viewer ledger,
+from the earlier steps' viewer events, every viewer admitted, and from then
+on plays the viewer events itself, with admission.  Calls are never played:
+both phases take the step's non-IPTV demand from the trace's running count.
 
 The step records of a replication stay in the process that played it:
 a pool worker returns only what the parent needs of them, each policy's
@@ -41,19 +43,9 @@ from .model import available_bandwidth
 from .traffic import Trace, as_trace, build_trace, viewer_rate_for_mean_channels
 
 
-class _FreeCell:
-    """What allocation reads of a cell on a free step: its channel count and call demand.
-
-    A free step sheds nothing, so which channels are on air is never read:
-    active_channels is range(on-air count).
-    """
-
-    __slots__ = ("active_channels", "non_iptv_demand_mbps")
-
-
-def _admitted_cell(config: ScenarioConfig, trace: Trace, steps: int) -> CellState:
-    """The cell after the first steps of trace, every viewer admitted; no call is set."""
-    state = CellState.for_config(config)
+def _admitted_cell(trace: Trace, steps: int) -> CellState:
+    """The viewer ledger after the first steps of trace, every viewer admitted."""
+    state = CellState()
     for leaving, joining in zip(trace.viewers_out[:steps], trace.viewers_in[:steps]):
         for _, channel_id, viewer_id in leaving:
             state.viewer_departs(viewer_id, channel_id)
@@ -81,7 +73,6 @@ def run_trace(config: ScenarioConfig, policy_kind: PolicyKind, trace: list) -> l
     call_bw, floor = config.non_iptv_call_bw_mbps, config.iptv_channel_min_bw_mbps - BW_TOL
     dt, reservation_cap = config.sample_interval_min, config.iptv_reservation_cap_mbps
     viewers_out, viewers_in, on_air = trace.viewers_out, trace.viewers_in, trace.on_air
-    cell = free = _FreeCell()
     state = None  # the policy's own cell, from its first step that is not free
     records: list[StepRecord] = []
     append, new_record = records.append, tuple.__new__
@@ -96,30 +87,30 @@ def run_trace(config: ScenarioConfig, policy_kind: PolicyKind, trace: list) -> l
         if state is None:
             n = on_air[step]
             if not n or rate(policy_kind, n, non_iptv, reserved, config) >= floor:
-                free.active_channels, free.non_iptv_demand_mbps = range(n), non_iptv
+                active = range(n)  # nothing is shed, so no channel id is read
             else:
-                cell = state = _admitted_cell(config, trace, step)
+                state = _admitted_cell(trace, step)
                 active = state.active_channels
                 admit_viewer, viewer_departs = state.admit_viewer, state.viewer_departs
-                drop_channel, set_calls = state.drop_channel, state.set_calls
+                drop_channel = state.drop_channel
         if state is not None:
-            set_calls(calls)
             for _, channel_id, viewer_id in viewers_out[step]:
                 viewer_departs(viewer_id, channel_id)
             for _, channel_id, viewer_id in viewers_in[step]:
-                if channel_id in active or admit(state, policy_kind, reserved, config):
+                if channel_id in active or admit(policy_kind, len(active), non_iptv, reserved,
+                                                 config):
                     admit_viewer(viewer_id, channel_id)
                 else:
                     blocks += 1
 
         # offered demand of this step: what is on air now, before any drops
-        offered_channels = len(cell.active_channels)
+        offered_channels = len(active)
         offered_demand = full * offered_channels
         if sla:
-            decision = by_reservation(cell, reserved, config)
+            decision = by_reservation(active, non_iptv, reserved, config)
             record_sample(offered_channels)  # after allocation: only later steps see it
         else:
-            decision = by_equal_degradation(cell, config)
+            decision = by_equal_degradation(active, non_iptv, config)
         dropped = decision.dropped_channel_ids
         for channel_id in dropped:
             drop_channel(channel_id)

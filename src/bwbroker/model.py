@@ -1,11 +1,12 @@
-"""Core domain types and the bandwidth bookkeeping of a simulated cell.
+"""Core domain types and the viewer ledger of a simulated cell.
 
 One wireless cell with a fixed downlink capacity carries two traffic
 classes.  IPTV channels are broadcast: a channel is on air while at least
 one viewer is tuned to it and always demands the full per-channel rate.
 Everything else (voice, data) is lumped into "non-IPTV" calls that each
-hold the same fixed bandwidth for their lifetime, so the cell tracks them
-as a count.  All bandwidth is in Mbps, all times in minutes.
+hold the same fixed bandwidth for their lifetime, so they are only ever
+counted, and the trace counts them (traffic.Trace.live_calls); the cell
+ledger tracks viewers alone.  All bandwidth is in Mbps, all times in minutes.
 """
 
 from __future__ import annotations
@@ -18,6 +19,11 @@ from typing import NamedTuple
 # Tolerance for bandwidth comparisons, in Mbps.  The allocation rules
 # produce non-terminating fractions, so every threshold test is fuzzy.
 BW_TOL = 1e-9
+
+# Smallest iptv_channel_min_bw_mbps, so BW_TOL is at most 0.1% of the minimum
+# rate.  At or below BW_TOL the fuzzy floor test passes even at 0.0 Mbps, and
+# admission and shedding silently stop.
+MIN_MBPS = 1e-6
 
 # Most steps one run may take, about 1,400 times the 720 of table1.  Each
 # replication holds its events and records in memory, and `run` keeps the
@@ -88,10 +94,9 @@ class ScenarioConfig:
                 raise ConfigError(f"{f.name} must be an integer, got {value!r}")
             if f.type == "float" and not math.isfinite(value):
                 raise ConfigError(f"{f.name} must be finite, got {value!r}")
-        if not (0 < c.iptv_channel_min_bw_mbps <= c.iptv_channel_max_bw_mbps + BW_TOL):
-            raise ConfigError(
-                "need 0 < iptv_channel_min_bw_mbps <= iptv_channel_max_bw_mbps"
-            )
+        if not MIN_MBPS <= c.iptv_channel_min_bw_mbps <= c.iptv_channel_max_bw_mbps + BW_TOL:
+            raise ConfigError(f"need {MIN_MBPS:g} <= iptv_channel_min_bw_mbps"
+                              " <= iptv_channel_max_bw_mbps")
         if c.iptv_channel_max_bw_mbps > c.iptv_reservation_cap_mbps + BW_TOL:
             raise ConfigError(
                 "iptv_channel_max_bw_mbps exceeds iptv_reservation_cap_mbps"
@@ -208,26 +213,19 @@ PRESETS = {"table1": table1}
 
 
 class CellState:
-    """Mutable ledger of what is active in the cell at one instant.
+    """The viewer ledger of a cell: its on-air channels and their viewers.
 
-    Tracks on-air channels with their viewers and the count of live
-    non-IPTV calls.  A departure names the viewer's channel, so one
-    scheduled for a viewer who was blocked at admission, or whose
-    channel was dropped, finds no such viewer there and is ignored.  It
-    holds no channel rate: every on-air channel demands the config's full rate.
+    A departure names the viewer's channel, so one scheduled for a viewer
+    who was blocked at admission, or whose channel was dropped, finds no
+    such viewer there and is ignored.  It holds no rate and no call demand:
+    every on-air channel demands the config's full rate, and the trace
+    counts the live calls.
     """
 
-    def __init__(self, call_bw_mbps: float):
-        # demand of one call; every call asks for the same bandwidth
-        self.call_bw_mbps = call_bw_mbps
+    def __init__(self) -> None:
         # on-air channel id -> ids of the viewers tuned to it, never empty
         self.active_channels: dict[int, set[int]] = {}
         self.calls = 0
-        self.non_iptv_demand_mbps = 0.0
-
-    @classmethod
-    def for_config(cls, config: ScenarioConfig) -> "CellState":
-        return cls(config.non_iptv_call_bw_mbps)
 
     def admit_viewer(self, viewer_id: int, channel_id: int) -> None:
         """Register a viewer; activates the channel if it was off air."""
@@ -248,21 +246,20 @@ class CellState:
         """Force a channel off air, discarding all of its viewers."""
         del self.active_channels[channel_id]
 
-    def set_calls(self, calls: int) -> None:
-        """Set the live call count, as the trace's running count gives it."""
-        self.calls = calls
-        self.non_iptv_demand_mbps = calls * self.call_bw_mbps
-
     def add_call(self) -> None:
+        """Count one more live call.
+
+        Uncalled in bwbroker, as is call_departs: the benchmark harness
+        (perfbench/layers.py) wraps all five mutators by name.  Both go with
+        ROADMAP item 5 once the harness change, item 1(b), lands.
+        """
         self.calls += 1
-        self.non_iptv_demand_mbps = self.calls * self.call_bw_mbps
 
     def call_departs(self) -> None:
-        """End one live call; ValueError when none is live."""
+        """End one live call; ValueError when none is live.  Kept as add_call is."""
         if not self.calls:
             raise ValueError("no call is live")
         self.calls -= 1
-        self.non_iptv_demand_mbps = self.calls * self.call_bw_mbps
 
 
 class AllocationDecision(NamedTuple):

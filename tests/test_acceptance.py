@@ -22,7 +22,7 @@ from bwbroker.broker import DemandHistory, compute_borrowing, compute_reservatio
 from bwbroker.cli import main
 from bwbroker.engine import fig3_sweep, fig5_sweep, paired_means, replication_seed, run_experiment
 from bwbroker.metrics import step_satisfaction
-from bwbroker.model import AllocationDecision, CellState, available_bandwidth, table1
+from bwbroker.model import AllocationDecision, available_bandwidth, table1
 from bwbroker.traffic import (
     EventKind,
     RngStream,
@@ -94,13 +94,9 @@ def _ref_sla(n, b_i, reserved, cfg):
     return k, per, grant, borrowed
 
 
-def _state_with(n, b_i):
-    cell = CellState(b_i)
-    for i in range(n):
-        cell.admit_viewer(i, i + 1)
-    if b_i > 0:
-        cell.add_call()
-    return cell
+def _state_with(n):
+    """On-air map of n single-viewer channels, ids 1..n."""
+    return {i + 1: {i} for i in range(n)}
 
 
 def test_criterion_equations_match_reference_oracles():
@@ -135,14 +131,14 @@ def test_criterion_equations_match_reference_oracles():
 
         n = rng.randint(0, 50)
         b_i = rng.uniform(0.0, 120.0)
-        got = allocate_non_sla(_state_with(n, b_i), cfg)
+        got = allocate_non_sla(_state_with(n), b_i, cfg)
         k, per, grant = _ref_non_sla(n, b_i, cfg)
         assert got.num_active_channels == k
         worst = max(worst, abs(got.per_channel_bw_mbps - per),
                     abs(got.non_iptv_grant_mbps - grant))
 
         reserved = rng.uniform(0.0, 60.0)
-        got = allocate_sla(_state_with(n, b_i), reserved, cfg)
+        got = allocate_sla(_state_with(n), b_i, reserved, cfg)
         k, per, grant, borrowed = _ref_sla(n, b_i, reserved, cfg)
         assert got.num_active_channels == k
         got_borrowed = compute_borrowing(reserved, available_bandwidth(cfg.capacity_mbps, b_i))

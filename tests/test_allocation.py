@@ -17,25 +17,19 @@ from bwbroker.allocation import (
 )
 from bwbroker.broker import compute_borrowing
 from bwbroker.engine import run_paired
-from bwbroker.model import CellState, available_bandwidth, table1
+from bwbroker.model import available_bandwidth, table1
 
 BW_TOL = 1e-9
 
 
-def make_state(n_channels, call_bw):
-    """Cell with n single-viewer channels and one call holding call_bw."""
-    cell = CellState(call_bw)
-    for k in range(n_channels):
-        cell.admit_viewer(k, k + 1)
-    if call_bw > 0:
-        cell.add_call()
-    return cell
+def make_state(n_channels):
+    """On-air map of n single-viewer channels, ids 1..n: channel k + 1 has viewer k."""
+    return {k + 1: {k} for k in range(n_channels)}
 
 
 def test_non_sla_scales_both_classes(cfg):
     # 20 channels wanting 40 plus 30 of call traffic, in a 60 cell
-    cell = make_state(20, 30.0)
-    d = allocate_non_sla(cell, cfg)
+    d = allocate_non_sla(make_state(20), 30.0, cfg)
     scale = 60.0 / 70.0
     assert d.per_channel_bw_mbps == pytest.approx(2.0 * scale, rel=1e-12)
     assert d.non_iptv_grant_mbps == pytest.approx(30.0 * scale, rel=1e-12)
@@ -45,8 +39,7 @@ def test_non_sla_scales_both_classes(cfg):
 
 
 def test_non_sla_underload_passes_demand_through(cfg):
-    cell = make_state(10, 20.0)    # 20 + 20 = 40 <= 60
-    d = allocate_non_sla(cell, cfg)
+    d = allocate_non_sla(make_state(10), 20.0, cfg)    # 20 + 20 = 40 <= 60
     assert d.per_channel_bw_mbps == 2.0
     assert d.non_iptv_grant_mbps == 20.0
     assert d.dropped_channel_ids == ()
@@ -55,8 +48,7 @@ def test_non_sla_underload_passes_demand_through(cfg):
 def test_non_sla_sheds_channels_below_floor(cfg):
     # 30 channels against 90 of call traffic: equal scaling would leave
     # 0.8 per channel, under the 1.0 floor, so channels must come off air
-    cell = make_state(30, 90.0)
-    d = allocate_non_sla(cell, cfg)
+    d = allocate_non_sla(make_state(30), 90.0, cfg)
     assert d.num_active_channels == 15
     assert d.per_channel_bw_mbps == pytest.approx(1.0, abs=1e-12)
     assert len(d.dropped_channel_ids) == 15
@@ -68,43 +60,41 @@ def test_non_sla_sheds_channels_below_floor(cfg):
 
 
 def test_drop_order_prefers_fewest_viewers(cfg):
-    cell = make_state(30, 90.0)
-    cell.admit_viewer(100, 25)     # channel 25 now has two viewers
-    d = allocate_non_sla(cell, cfg)
+    active = make_state(30)
+    active[25].add(100)            # channel 25 now has two viewers
+    d = allocate_non_sla(active, 90.0, cfg)
     assert 25 not in d.dropped_channel_ids
     assert d.dropped_channel_ids[0] == 30
 
 
 def test_sla_reservation_shields_channels(cfg):
     # same 20/30 split, but a reservation of 40 keeps IPTV at full rate
-    cell = make_state(20, 30.0)
-    d = allocate_sla(cell, 40.0, cfg)
+    d = allocate_sla(make_state(20), 30.0, 40.0, cfg)
     assert d.per_channel_bw_mbps == 2.0
     assert d.non_iptv_grant_mbps == 20.0
     assert d.dropped_channel_ids == ()
     # the leftover and the borrowing are the step's, not the allocator's
-    available = available_bandwidth(cfg.capacity_mbps, cell.non_iptv_demand_mbps)
+    available = available_bandwidth(cfg.capacity_mbps, 30.0)
     assert available == 30.0
     assert compute_borrowing(40.0, available) == 10.0
 
 
 def test_sla_splits_budget_across_channels(cfg):
-    cell = make_state(30, 50.0)
-    d = allocate_sla(cell, 40.0, cfg)
+    d = allocate_sla(make_state(30), 50.0, 40.0, cfg)
     assert d.per_channel_bw_mbps == pytest.approx(4.0 / 3.0, rel=1e-12)
     assert d.non_iptv_grant_mbps == 20.0
     assert d.num_active_channels == 30
-    available = available_bandwidth(cfg.capacity_mbps, cell.non_iptv_demand_mbps)
+    available = available_bandwidth(cfg.capacity_mbps, 50.0)
     assert available == 10.0
     assert compute_borrowing(40.0, available) == 30.0
 
 
 def test_sla_rejects_nonsense_reservation(cfg):
-    cell = make_state(5, 0.0)
+    active = make_state(5)
     with pytest.raises(ValueError):
-        allocate_sla(cell, -0.5, cfg)
+        allocate_sla(active, 0.0, -0.5, cfg)
     with pytest.raises(ValueError):
-        allocate_sla(cell, 61.0, cfg)
+        allocate_sla(active, 0.0, 61.0, cfg)
 
 
 def test_sla_share_trails_equal_degradation_when_the_reservation_fits_the_leftover():
@@ -130,25 +120,20 @@ def test_sla_share_trails_equal_degradation_when_the_reservation_fits_the_leftov
 
 
 def test_admit_first_channel_into_idle_cell(cfg):
-    cell = CellState.for_config(cfg)
-    assert admit_channel(cell, PolicyKind.SLA, 0.0, cfg)
-    assert admit_channel(cell, PolicyKind.NON_SLA, 0.0, cfg)
+    assert admit_channel(PolicyKind.SLA, 0, 0.0, 0.0, cfg)
+    assert admit_channel(PolicyKind.NON_SLA, 0, 0.0, 0.0, cfg)
 
 
 def test_sla_blocks_when_budget_is_spread_too_thin(cfg):
     # 40 channels on a 40 budget sit exactly at the floor; one more
     # would push the share to 40/41 and has to be refused
-    cell = make_state(40, 30.0)
-    assert not admit_channel(cell, PolicyKind.SLA, 40.0, cfg)
+    assert not admit_channel(PolicyKind.SLA, 40, 30.0, 40.0, cfg)
 
 
 def test_non_sla_admits_while_floor_holds(cfg):
-    cell = make_state(29, 0.0)
-    assert admit_channel(cell, PolicyKind.NON_SLA, 0.0, cfg)   # 30 * 2 = 60
-    cell = make_state(59, 0.0)
-    assert admit_channel(cell, PolicyKind.NON_SLA, 0.0, cfg)   # scale 0.5, at floor
-    cell = make_state(60, 0.0)
-    assert not admit_channel(cell, PolicyKind.NON_SLA, 0.0, cfg)
+    assert admit_channel(PolicyKind.NON_SLA, 29, 0.0, 0.0, cfg)   # 30 * 2 = 60
+    assert admit_channel(PolicyKind.NON_SLA, 59, 0.0, 0.0, cfg)   # scale 0.5, at floor
+    assert not admit_channel(PolicyKind.NON_SLA, 60, 0.0, 0.0, cfg)
 
 
 channels = st.integers(min_value=0, max_value=50)
@@ -160,7 +145,7 @@ reservations = st.floats(min_value=0.0, max_value=60.0)
 @given(n=channels, b_i=call_load)
 def test_non_sla_never_oversubscribes(n, b_i):
     cfg = table1()
-    d = allocate_non_sla(make_state(n, b_i), cfg)
+    d = allocate_non_sla(make_state(n), b_i, cfg)
     used = d.per_channel_bw_mbps * d.num_active_channels + d.non_iptv_grant_mbps
     assert used <= cfg.capacity_mbps + BW_TOL
     assert 0.0 <= d.per_channel_bw_mbps <= cfg.iptv_channel_max_bw_mbps + BW_TOL
@@ -172,7 +157,7 @@ def test_non_sla_never_oversubscribes(n, b_i):
 @given(n=channels, b_i=call_load)
 def test_non_sla_scales_classes_equally(n, b_i):
     cfg = table1()
-    d = allocate_non_sla(make_state(n, b_i), cfg)
+    d = allocate_non_sla(make_state(n), b_i, cfg)
     if b_i > 0 and d.num_active_channels == n and n > 0:
         # no drops: both classes shrink by one common factor
         # (compare products, not ratios: dividing by a tiny b_i turns one
@@ -185,7 +170,7 @@ def test_non_sla_scales_classes_equally(n, b_i):
 @given(n=channels, b_i=call_load, reserved=reservations)
 def test_sla_never_oversubscribes(n, b_i, reserved):
     cfg = table1()
-    d = allocate_sla(make_state(n, b_i), reserved, cfg)
+    d = allocate_sla(make_state(n), b_i, reserved, cfg)
     used = d.per_channel_bw_mbps * d.num_active_channels + d.non_iptv_grant_mbps
     assert used <= cfg.capacity_mbps + BW_TOL
     assert 0.0 <= d.per_channel_bw_mbps <= cfg.iptv_channel_max_bw_mbps + BW_TOL
@@ -200,14 +185,14 @@ def test_sla_never_oversubscribes(n, b_i, reserved):
 @given(n=st.integers(1, 49), b_i=call_load, reserved=reservations)
 def test_sla_share_shrinks_as_channels_join(n, b_i, reserved):
     cfg = table1()
-    a = allocate_sla(make_state(n, b_i), reserved, cfg)
-    b = allocate_sla(make_state(n + 1, b_i), reserved, cfg)
+    a = allocate_sla(make_state(n), b_i, reserved, cfg)
+    b = allocate_sla(make_state(n + 1), b_i, reserved, cfg)
     if not a.dropped_channel_ids and not b.dropped_channel_ids:
         assert b.per_channel_bw_mbps <= a.per_channel_bw_mbps + BW_TOL
 
 
 def test_no_drop_order_is_sorted_when_nothing_is_shed(monkeypatch):
-    def no_sort(state):
+    def no_sort(active):
         raise AssertionError("drop order sorted on a step that sheds nothing")
 
     monkeypatch.setattr(allocation, "_drop_order", no_sort)
@@ -238,9 +223,8 @@ def _ref_rate(policy, non_iptv, reserved, cfg):
     return rate
 
 
-def _ref_shed(state, rate, cfg):
-    order = sorted(state.active_channels,
-                   key=lambda cid: (len(state.active_channels[cid]), -cid))
+def _ref_shed(active, rate, cfg):
+    order = sorted(active, key=lambda cid: (len(active[cid]), -cid))
     n = len(order)
     dropped = []
     while n > 0:
@@ -299,28 +283,26 @@ def test_per_channel_rule_matches_one_at_a_time_shed():
         rate = _ref_rate(policy, non_iptv, reserved, cfg)
         k = _largest_viable(rate, cfg)
         for n in {k, k + 1, rng.randint(0, k + 5)}:
-            state = CellState(non_iptv)
-            viewer = 0
+            active, viewer = {}, 0
             for cid in range(1, n + 1):
-                for _ in range(rng.randint(1, 3)):
-                    state.admit_viewer(viewer, cid)
-                    viewer += 1
-            if non_iptv > 0:
-                state.add_call()
+                active[cid] = set(range(viewer, viewer + rng.randint(1, 3)))
+                viewer += len(active[cid])
 
             if n:
                 assert per_channel(policy, n, non_iptv, reserved, cfg) == rate(n)
-            admitted = admit_channel(state, policy, reserved, cfg)
+            admitted = admit_channel(policy, n, non_iptv, reserved, cfg)
             assert admitted == (per_channel(policy, n + 1, non_iptv, reserved, cfg) >= floor)
             assert admitted == (n + 1 <= k)
 
-            if policy is PolicyKind.SLA:
-                d = allocate_sla(state, reserved, cfg)
-            else:
-                d = allocate_non_sla(state, cfg)
-            survivors, per, dropped = _ref_shed(state, rate, cfg)
-            assert d.num_active_channels == survivors == min(n, k)
-            assert d.per_channel_bw_mbps == per
-            assert d.dropped_channel_ids == dropped
+            survivors, per, dropped = _ref_shed(active, rate, cfg)
+            # a step that sheds nothing may pass range(n) for its channels (a free step)
+            for channels in (active, range(n)) if not dropped else (active,):
+                if policy is PolicyKind.SLA:
+                    d = allocate_sla(channels, non_iptv, reserved, cfg)
+                else:
+                    d = allocate_non_sla(channels, non_iptv, cfg)
+                assert d.num_active_channels == survivors == min(n, k)
+                assert d.per_channel_bw_mbps == per
+                assert d.dropped_channel_ids == dropped
             checked += 1
     assert checked > 1000

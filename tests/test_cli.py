@@ -292,6 +292,11 @@ def test_step_count_past_the_ceiling_exits_2_without_running(tmp_path, capsys, m
     ("num_channels_catalog: 1000000000\n", "num_channels_catalog"),
     ("replications: 1000000000\n", "replications"),
     ("replications: 10000\n", "step records"),       # 14.4 million records, about 5 GB
+    # a minimum rate at or below BW_TOL once kept channels on air at 0.0 Mbps, unblocked
+    pytest.param("capacity_mbps: 2\niptv_reservation_cap_mbps: 2\n"
+                 "iptv_channel_min_bw_mbps: 5.0e-10\nnon_iptv_arrival_rate_per_min: 6\n"
+                 "sim_duration_min: 240\nreplications: 2\n", "iptv_channel_min_bw_mbps",
+                 id="iptv_channel_min_bw_mbps-5e-10"),
 ])
 def test_config_past_a_ceiling_exits_2_without_running(tmp_path, capsys, monkeypatch,
                                                         line, message):

@@ -116,9 +116,9 @@ def test_a_plain_list_of_steps_plays_as_its_trace(short_cfg):
 def test_a_policy_builds_its_cell_only_at_its_first_block_or_drop(short_cfg, monkeypatch):
     built = []  # the number of steps of each cell built
 
-    def counted_cell(config, trace, steps):
+    def counted_cell(trace, steps):
         built.append(steps)
-        return admitted_cell(config, trace, steps)
+        return admitted_cell(trace, steps)
 
     admitted_cell = engine._admitted_cell
     monkeypatch.setattr(engine, "_admitted_cell", counted_cell)

@@ -73,6 +73,7 @@ def test_zero_arrival_rates_are_legal():
 @pytest.mark.parametrize("field,value", [
     ("iptv_channel_min_bw_mbps", 3.0),            # floor above ceiling
     ("iptv_channel_min_bw_mbps", 0.0),
+    ("iptv_channel_min_bw_mbps", 5e-10),          # at or below BW_TOL nothing is ever shed
     ("iptv_channel_max_bw_mbps", 45.0),           # ceiling above reservation cap
     ("iptv_reservation_cap_mbps", 61.0),          # cap above cell capacity
     ("capacity_mbps", 0.0),
@@ -120,7 +121,7 @@ def test_max_steps_itself_is_accepted():
 
 
 def test_cell_tracks_channels_and_demand():
-    cell = CellState(1.0)
+    cell = CellState()
     cell.admit_viewer(0, 5)
     cell.admit_viewer(1, 5)
     cell.admit_viewer(2, 9)
@@ -136,7 +137,7 @@ def test_cell_tracks_channels_and_demand():
 
 
 def test_dropped_channel_forgets_its_viewers():
-    cell = CellState(1.0)
+    cell = CellState()
     cell.admit_viewer(0, 3)
     cell.admit_viewer(1, 3)
     cell.drop_channel(3)
@@ -151,23 +152,19 @@ def test_dropped_channel_forgets_its_viewers():
 
 
 def test_call_bookkeeping():
-    cell = CellState(2.5)
+    cell = CellState()
     cell.add_call()
     cell.add_call()
     assert cell.calls == 2
-    assert cell.non_iptv_demand_mbps == pytest.approx(5.0)
     cell.call_departs()
-    assert cell.non_iptv_demand_mbps == pytest.approx(2.5)
+    assert cell.calls == 1
     cell.call_departs()
-    assert cell.non_iptv_demand_mbps == 0.0
+    assert cell.calls == 0
     with pytest.raises(ValueError):
         cell.call_departs()                 # no call is live
 
 
-def test_for_config_uses_full_channel_rate(short_cfg):
-    cell = CellState.for_config(short_cfg)
-    cell.add_call()
-    assert cell.non_iptv_demand_mbps == short_cfg.non_iptv_call_bw_mbps
+def test_every_channel_on_air_is_charged_the_full_rate(short_cfg):
     # the cell holds no channel rate: run_trace charges each channel on air the full one
     full = short_cfg.iptv_channel_max_bw_mbps
     for records in run_paired(short_cfg, 7).values():

@@ -60,7 +60,7 @@ def overloaded_configs(draw):
     capacity = full * draw(st.floats(1.0, 8.0))
     call_bw = draw(st.floats(0.1, 2.0))
     call_hold = draw(st.floats(1.0, 20.0))
-    n_steps = draw(st.integers(1, 30))
+    n_steps = draw(st.integers(8, 30))
     config = ScenarioConfig(
         capacity_mbps=capacity,
         iptv_channel_max_bw_mbps=full,
@@ -69,8 +69,8 @@ def overloaded_configs(draw):
         num_channels_catalog=draw(st.integers(2, 30)),
         sample_interval_min=1.0,
         history_window_min=float(draw(st.integers(1, 10))),
-        iptv_viewer_arrival_rate_per_min=draw(st.floats(0.2, 8.0)),
-        iptv_viewer_mean_hold_min=draw(st.floats(0.5, 10.0)),
+        iptv_viewer_arrival_rate_per_min=draw(st.floats(2.0, 8.0)),
+        iptv_viewer_mean_hold_min=draw(st.floats(2.0, 10.0)),
         # offered call load from a fifth of the capacity to three times it
         non_iptv_arrival_rate_per_min=(
             draw(st.floats(0.2, 3.0)) * capacity / (call_hold * call_bw)),
