@@ -72,7 +72,7 @@ def load_config(source: str) -> ScenarioConfig:
     try:
         # from bytes, an undecodable file is a YAMLError like any other
         data = yaml.safe_load(path.read_bytes())
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, ValueError) as exc:  # ValueError: an integer past Python's digit limit
         raise ConfigError(f"cannot parse {source}: {exc}") from exc
     if data is None:
         data = {}
@@ -90,7 +90,7 @@ def load_config(source: str) -> ScenarioConfig:
             ):
                 raise ValueError("not a number of the field's kind")
             coerced[key] = int(raw) if key in _INT_FIELDS else float(raw)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:  # an int too large for a float
             raise ConfigError(f"{source}: bad value for {key}: {raw!r}") from exc
     config = replace(PRESETS["table1"](), **coerced)
     config.validate()

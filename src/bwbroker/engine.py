@@ -20,7 +20,8 @@ on air, and a free step passes it range(on_air[t]).  At the first step that
 fails the test, the policy builds its cell, a model.CellState viewer ledger,
 from the earlier steps' viewer events, every viewer admitted, and from then
 on plays the viewer events itself, with admission.  Calls are never played:
-both phases take the step's non-IPTV demand from the trace's running count.
+both phases take the step's non-IPTV demand from the trace's running count,
+live_calls, which the call side derives as it draws.
 
 The step records of a replication stay in the process that played it:
 a pool worker returns only what the parent needs of them, each policy's
@@ -40,7 +41,7 @@ from .metrics import step_rows_csv, step_satisfaction, step_utilization, summari
 from .metrics import aggregate  # noqa: F401 - uncalled; perfbench/layers.py wraps engine.aggregate
 from .model import BW_TOL, MAX_STEP_RECORDS, CellState, ConfigError, ScenarioConfig
 from .model import available_bandwidth
-from .traffic import Trace, as_trace, build_trace, viewer_rate_for_mean_channels
+from .traffic import Trace, build_trace, viewer_rate_for_mean_channels
 
 
 def _admitted_cell(trace: Trace, steps: int) -> CellState:
@@ -54,15 +55,13 @@ def _admitted_cell(trace: Trace, steps: int) -> CellState:
     return state
 
 
-def run_trace(config: ScenarioConfig, policy_kind: PolicyKind, trace: list) -> list[StepRecord]:
+def run_trace(config: ScenarioConfig, policy_kind: PolicyKind, trace: Trace) -> list[StepRecord]:
     """Play a trace through one policy: one replication, one record a step.
 
-    trace is a traffic.Trace, or a plain list of steps (traffic.as_trace).
     What no step changes is bound once, before the loop.  The rules are
     looked up in this module on each call, so a wrapper put on it is the one
     called.
     """
-    trace = as_trace(trace)
     sla = policy_kind is PolicyKind.SLA
     admit, reservation, rate = admit_channel, compute_reservation, per_channel
     by_reservation, by_equal_degradation = allocate_sla, allocate_non_sla

@@ -49,6 +49,12 @@ MAX_MBPS = 1e9
 # what `run` keeps of them is bounded by MAX_STEP_RECORDS.
 MAX_REPLICATIONS = 10_000
 
+# Largest seed magnitude, the largest signed 64-bit integer.  A replication's seed
+# enters its streams' SHA-256 material as decimal text (traffic.RngStream), and
+# Python by default refuses to format an integer of more than 4,300 digits, so
+# without this bound a run could fail at a later replication, after --out was made.
+MAX_SEED = 2**63 - 1
+
 # Most step records a `run` may hold, about 100 times table1's 28,800.  The parent
 # keeps each as its steps-CSV row, about 80 bytes of text (tracemalloc over
 # run_policies at table1: 77 bytes a record held), so that is about 240 MB.
@@ -160,6 +166,9 @@ class ScenarioConfig:
                               " sim_duration_min - sample_interval_min")
         if not 1 <= c.replications <= MAX_REPLICATIONS:
             raise ConfigError(f"replications must be between 1 and {MAX_REPLICATIONS}")
+        if not -MAX_SEED <= c.base_seed <= c.base_seed + c.replications - 1 <= MAX_SEED:
+            raise ConfigError(f"every replication seed, base_seed to base_seed + replications - 1,"
+                              f" must lie between -{MAX_SEED} and {MAX_SEED}")
 
     @property
     def n_steps(self) -> int:

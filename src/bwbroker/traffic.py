@@ -18,12 +18,13 @@ The free play
 -------------
 Besides its events, a Trace carries what a cell that admitted every viewer
 would hold after each step: on_air[t], its channels on air, and
-live_calls[t], its live calls.  Both are policy-blind.  The viewer side
-derives on_air as it draws, so sweep points that share a viewer side share
-it too.  A hand-made list of steps gets both series from the same two
-functions (on_air_series, live_call_series), fed from its events by
-as_trace.  The engine scores a policy's steps from these series until the
-policy first blocks or drops a channel (see engine.run_trace).
+live_calls[t], its live calls.  Both are policy-blind.  Each side derives
+its series as it draws, the viewer side on_air (on_air_series) and the call
+side live_calls (live_call_series), so sweep points that share a side share
+its series too.  A Trace is made only from its two sides: a hand-made one
+from hand-made sides, whose series come from the same two functions.  The
+engine scores a policy's steps from these series until the policy first
+blocks or drops a channel (see engine.run_trace).
 """
 
 from __future__ import annotations
@@ -74,25 +75,29 @@ class TrafficEvent(NamedTuple):
 CALL_ARRIVAL = TrafficEvent(NON_IPTV_ARRIVE)
 CALL_DEPARTURE = TrafficEvent(NON_IPTV_DEPART)
 
-# the order of the kinds within a step: a new viewer meets the step's updated call load
-_PLAY_ORDER = {VIEWER_DEPART: 0, NON_IPTV_DEPART: 1, NON_IPTV_ARRIVE: 2, VIEWER_ARRIVE: 3}
-
 
 class Trace(list):
-    """Every step of one replication: as a list, one list of events a step, in play order.
+    """Every step of one replication, made from its two sides.
 
-    What the engine plays of a step, it reads from the per-step series:
-    viewers_out[t] and viewers_in[t], the step's viewer departures and
-    arrivals; on_air[t], the channels on air after the step had every viewer
-    been admitted; live_calls[t], the calls live after it.
+    viewers is (viewers_out, viewers_in, on_air), as viewer_side returns it:
+    per step, the viewer departures and arrivals, and the channels on air
+    after the step had every viewer been admitted.  calls is (calls_out,
+    calls_in, live_calls), as call_side returns it: per step, the call
+    departure and arrival counts, and the calls live after the step.  As a
+    list, a Trace holds one list of events a step, in play order: viewer
+    departures, call departures, call arrivals, then viewer arrivals, so a new
+    viewer meets the step's updated call load.  ValueError if the sides differ
+    in step count.
     """
 
     __slots__ = ("viewers_out", "viewers_in", "on_air", "live_calls")
 
-    def __init__(self, steps, viewers_out, viewers_in, on_air, live_calls):
-        super().__init__(steps)
-        self.viewers_out, self.viewers_in = viewers_out, viewers_in
-        self.on_air, self.live_calls = on_air, live_calls
+    def __init__(self, viewers, calls):
+        self.viewers_out, self.viewers_in, self.on_air = viewers
+        calls_out, calls_in, self.live_calls = calls
+        steps = zip(self.viewers_out, calls_out, calls_in, self.viewers_in, strict=True)
+        super().__init__([[*v_out, *(CALL_DEPARTURE,) * c_out, *(CALL_ARRIVAL,) * c_in, *v_in]
+                          for v_out, c_out, c_in, v_in in steps])
 
 
 def on_air_series(viewers_out, viewers_in) -> tuple[int, ...]:
@@ -134,29 +139,6 @@ def live_call_series(calls_out, calls_in) -> tuple[int, ...]:
         live += into - out
         series.append(live)
     return tuple(series)
-
-
-def as_trace(steps: list) -> Trace:
-    """steps as a Trace, steps itself if it is one.
-
-    A plain list of steps, each a list of TrafficEvents, must keep
-    build_trace's order within a step: viewer departures, call departures,
-    call arrivals, viewer arrivals.  ValueError otherwise.
-    """
-    if isinstance(steps, Trace):
-        return steps
-    viewers_out, calls_out, calls_in, viewers_in = [], [], [], []
-    for step, events in enumerate(steps):
-        kinds = [event[0] for event in events]
-        if kinds != sorted(kinds, key=_PLAY_ORDER.__getitem__):
-            raise ValueError(f"step {step}: events out of order; a step plays viewer"
-                             " departures, call departures, call arrivals, then viewer arrivals")
-        viewers_out.append(tuple(ev for ev in events if ev[0] is VIEWER_DEPART))
-        calls_out.append(kinds.count(NON_IPTV_DEPART))
-        calls_in.append(kinds.count(NON_IPTV_ARRIVE))
-        viewers_in.append(tuple(ev for ev in events if ev[0] is VIEWER_ARRIVE))
-    return Trace(steps, viewers_out, viewers_in, on_air_series(viewers_out, viewers_in),
-                 live_call_series(calls_out, calls_in))
 
 
 # Largest mean drawn with one run of the product method: exp(-500) is far
@@ -302,8 +284,9 @@ def viewer_side(seed: int, n_steps: int, dt_min: float, rate_per_min: float,
 
 @lru_cache(maxsize=1)
 def call_side(seed: int, n_steps: int, dt_min: float, rate_per_min: float,
-              mean_hold_min: float) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Per step, the call departure and arrival counts; stream 1 draws a count, then each hold."""
+              mean_hold_min: float) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """Per step, the call departure and arrival counts and the calls then live; stream 1
+    draws a count, then each hold."""
     rng = RngStream(seed, 1)
     draw, arrivals_in_step = rng.random, poisson_counter(rate_per_min, dt_min, rng)
     departures = [0] * n_steps
@@ -314,7 +297,8 @@ def call_side(seed: int, n_steps: int, dt_min: float, rate_per_min: float,
             hold_steps = -mean_hold_min * log1p(-draw()) / dt_min
             if hold_steps < n_steps and (depart := step + (ceil(hold_steps) or 1)) < n_steps:
                 departures[depart] += 1
-    return tuple(departures), tuple(arrivals)
+    departures, arrivals = tuple(departures), tuple(arrivals)
+    return departures, arrivals, live_call_series(departures, arrivals)
 
 
 def build_trace(config: ScenarioConfig, seed: int) -> Trace:
@@ -322,20 +306,15 @@ def build_trace(config: ScenarioConfig, seed: int) -> Trace:
 
     The trace is policy-blind: it holds every arrival and its departure,
     and the engine ignores departures of viewers it never admitted, so
-    both policies can be compared on one trace.  Within a step come
-    viewer departures, call departures, call arrivals, then viewer
-    arrivals, so a new viewer meets the step's updated background load.
-    A hold of tau minutes lasts ceil(tau / t1) steps, at least one; a
+    both policies can be compared on one trace.  A hold of tau minutes lasts ceil(tau / t1) steps, at least one; a
     hold of n_steps steps or more (even inf) is dropped unrounded, since
     its departure would fall past the last step.  Each call returns
-    fresh lists, merged from the memoised sides, and the sides' series.
+    fresh lists, merged from the memoised sides, with the sides' series.
     """
     n, t1 = config.n_steps, config.sample_interval_min
-    viewers_out, viewers_in, on_air = viewer_side(
-        seed, n, t1, config.iptv_viewer_arrival_rate_per_min, config.iptv_viewer_mean_hold_min,
-        config.num_channels_catalog, config.channel_popularity_skew)
-    calls_out, calls_in = call_side(
-        seed, n, t1, config.non_iptv_arrival_rate_per_min, config.non_iptv_mean_hold_min)
-    steps = [[*v_out, *(CALL_DEPARTURE,) * c_out, *(CALL_ARRIVAL,) * c_in, *v_in]
-             for v_out, c_out, c_in, v_in in zip(viewers_out, calls_out, calls_in, viewers_in)]
-    return Trace(steps, viewers_out, viewers_in, on_air, live_call_series(calls_out, calls_in))
+    return Trace(
+        viewer_side(seed, n, t1, config.iptv_viewer_arrival_rate_per_min,
+                    config.iptv_viewer_mean_hold_min, config.num_channels_catalog,
+                    config.channel_popularity_skew),
+        call_side(seed, n, t1, config.non_iptv_arrival_rate_per_min,
+                  config.non_iptv_mean_hold_min))

@@ -37,8 +37,8 @@ def reference_steps(config, seed):
                         config.iptv_viewer_mean_hold_min, config.num_channels_catalog,
                         config.channel_popularity_skew)
     viewers_out, viewers_in = sides[0], sides[1]  # the side also carries its free play
-    calls_out, calls_in = call_side(seed, n, dt, config.non_iptv_arrival_rate_per_min,
-                                    config.non_iptv_mean_hold_min)
+    calls_out, calls_in, _ = call_side(seed, n, dt, config.non_iptv_arrival_rate_per_min,
+                                       config.non_iptv_mean_hold_min)
 
     def pairs(events):
         return [(ev.channel_id, ev.viewer_id) for ev in events]

@@ -169,6 +169,27 @@ def test_garbage_seed_env_is_reported(tiny_file, tmp_path, monkeypatch, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args,env", [
+    # seed + 1 has 4,301 digits, too many to format as text
+    pytest.param(["--seed", "9" * 4300], None, id="flag-4300-nines"),
+    pytest.param([], "9" * 4300, id="env-4300-nines"),
+    # the second replication's seed is one past MAX_SEED
+    pytest.param(["--seed", str(2**63 - 1)], None, id="flag-max-seed"),
+])
+def test_a_seed_override_past_max_seed_exits_2_without_running(tmp_path, capsys, monkeypatch,
+                                                                args, env):
+    monkeypatch.delenv("BWBROKER_SEED", raising=False)
+    if env is not None:
+        monkeypatch.setenv("BWBROKER_SEED", env)
+    p = tmp_path / "c.yaml"
+    p.write_text("sim_duration_min: 120\nreplications: 2\n")
+    for command in (["run", str(p)], ["sweep", str(p), "--figure", "fig5"]):
+        rc = main([*command, *args, "--out", str(tmp_path / "x"), "--jobs", "1"])
+        assert rc == 2
+        assert "base_seed" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+
 def test_missing_config_exits_2(capsys):
     rc = main(["run", "definitely_missing.yaml"])
     assert rc == 2
@@ -198,6 +219,9 @@ def test_unknown_figure_is_rejected_by_the_parser(tiny_file):
     ("replications: 2.7\n", "replications"),
     ("replications: true\n", "replications"),
     ("capacity_mbps: yes\n", "capacity_mbps"),
+    # integers too large for a float once exited 3
+    pytest.param("capacity_mbps: 1" + "0" * 400 + "\n", "capacity_mbps", id="capacity_mbps-1e400"),
+    pytest.param("warmup_min: 1" + "0" * 400 + "\n", "warmup_min", id="warmup_min-1e400"),
 ])
 def test_bad_values_exit_2(tmp_path, capsys, line, message):
     p = tmp_path / "c.yaml"
@@ -297,6 +321,11 @@ def test_step_count_past_the_ceiling_exits_2_without_running(tmp_path, capsys, m
                  "iptv_channel_min_bw_mbps: 5.0e-10\nnon_iptv_arrival_rate_per_min: 6\n"
                  "sim_duration_min: 240\nreplications: 2\n", "iptv_channel_min_bw_mbps",
                  id="iptv_channel_min_bw_mbps-5e-10"),
+    # seeds once exited 3: past Python's integer-to-text limit, or at a later
+    # replication whose seed base_seed + r could not be formatted
+    pytest.param("base_seed: " + "1" * 5000 + "\n", "cannot parse", id="base_seed-5000-digits"),
+    pytest.param("base_seed: " + "9" * 4300 + "\nreplications: 2\n", "base_seed",
+                 id="base_seed-4300-nines"),
 ])
 def test_config_past_a_ceiling_exits_2_without_running(tmp_path, capsys, monkeypatch,
                                                         line, message):

@@ -29,8 +29,8 @@ from bwbroker.engine import (
 )
 from bwbroker.metrics import aggregate, replication_means
 from bwbroker.model import ConfigError
-from bwbroker.traffic import CALL_ARRIVAL, EventKind, TrafficEvent, build_trace
-from bwbroker.traffic import RngStream, call_side, viewer_side
+from bwbroker.traffic import VIEWER_ARRIVE, VIEWER_DEPART, RngStream, Trace, TrafficEvent
+from bwbroker.traffic import build_trace, call_side, live_call_series, on_air_series, viewer_side
 
 
 def _viewer_sweep(config, rates):
@@ -39,24 +39,22 @@ def _viewer_sweep(config, rates):
         (r, replace(config, iptv_viewer_arrival_rate_per_min=r)) for r in rates))
 
 
-def _arrivals(n_channels, n_unit_calls):
-    """One step's worth of fresh traffic: calls first, then viewers."""
-    ev = [CALL_ARRIVAL] * n_unit_calls
-    ev += [
-        TrafficEvent(EventKind.VIEWER_ARRIVE, channel_id=k + 1, viewer_id=k)
-        for k in range(n_channels)
-    ]
-    return ev
+def _viewers(kind, n):
+    """Viewers 0 to n - 1, viewer k on channel k + 1."""
+    return tuple(TrafficEvent(kind, k + 1, k) for k in range(n))
 
 
-def _departures(n_channels):
-    """The departures of the viewers _arrivals(n_channels, ...) brought in."""
-    return [TrafficEvent(EventKind.VIEWER_DEPART, channel_id=k + 1, viewer_id=k)
-            for k in range(n_channels)]
+def _trace(*steps):
+    """A hand-made trace; each step is (viewers departing, calls arriving, viewers arriving)."""
+    leaving = tuple(_viewers(VIEWER_DEPART, out) for out, _, _ in steps)
+    joining = tuple(_viewers(VIEWER_ARRIVE, into) for _, _, into in steps)
+    calls_in, calls_out = tuple(calls for _, calls, _ in steps), (0,) * len(steps)
+    return Trace((leaving, joining, on_air_series(leaving, joining)),
+                 (calls_out, calls_in, live_call_series(calls_out, calls_in)))
 
 
 def test_idle_step(cfg):
-    records = run_trace(cfg, PolicyKind.SLA, [[], _arrivals(10, 0), []])
+    records = run_trace(cfg, PolicyKind.SLA, _trace((0, 0, 0), (0, 0, 10), (0, 0, 0)))
     r = records[0]
     assert r.satisfaction == 1.0
     assert r.utilization == 0.0
@@ -69,7 +67,7 @@ def test_idle_step(cfg):
 
 
 def test_step_equal_degradation(cfg):
-    (r,) = run_trace(cfg, PolicyKind.NON_SLA, [_arrivals(20, 30)])
+    (r,) = run_trace(cfg, PolicyKind.NON_SLA, _trace((0, 30, 20)))
     assert r.per_channel_bw_mbps == pytest.approx(12 / 7, rel=1e-12)
     assert r.satisfaction == pytest.approx(6 / 7, rel=1e-12)
     assert r.utilization == pytest.approx(1.0, abs=1e-12)
@@ -78,15 +76,14 @@ def test_step_equal_degradation(cfg):
     assert r.active_channels == 20
     assert r.blocks == 0 and r.drops == 0
     # the step's 20 channels are the history's sample; the SLA run reserves on it
-    sla = run_trace(cfg, PolicyKind.SLA, [_arrivals(20, 30), []])
+    sla = run_trace(cfg, PolicyKind.SLA, _trace((0, 30, 20), (0, 0, 0)))
     assert sla[1].reserved_mbps == 40.0
 
 
 def test_step_reservation_shields_channels(cfg):
     # a first step of 20 channels fills the history; in the second they go
     # off air and come back into a step with 30 calls
-    records = run_trace(cfg, PolicyKind.SLA,
-                        [_arrivals(20, 0), _departures(20) + _arrivals(20, 30)])
+    records = run_trace(cfg, PolicyKind.SLA, _trace((0, 0, 20), (20, 30, 20)))
     r = records[1]
     assert r.reserved_mbps == 40.0
     assert r.per_channel_bw_mbps == 2.0
@@ -103,14 +100,6 @@ def test_step_times_do_not_drift(short_cfg):
     records = run_trace(fine, PolicyKind.SLA, build_trace(fine, 7))
     assert len(records) == 120
     assert [r.t_min for r in records] == [i * 0.1 for i in range(120)]
-
-
-def test_a_plain_list_of_steps_plays_as_its_trace(short_cfg):
-    heavy = replace(short_cfg, non_iptv_arrival_rate_per_min=4.5)
-    trace = build_trace(heavy, 7)
-    for kind in PolicyKind:
-        assert run_trace(heavy, kind, [list(events) for events in trace]) == \
-            run_trace(heavy, kind, trace)
 
 
 def test_a_policy_builds_its_cell_only_at_its_first_block_or_drop(short_cfg, monkeypatch):

@@ -11,6 +11,7 @@ from bwbroker.model import (
     MAX_CHANNELS,
     MAX_MBPS,
     MAX_REPLICATIONS,
+    MAX_SEED,
     MAX_STEPS,
     CellState,
     ConfigError,
@@ -103,6 +104,10 @@ def test_zero_arrival_rates_are_legal():
     ("sim_duration_min", 60.0 * (MAX_STEPS + 1)),  # one step past MAX_STEPS
     ("history_window_min", 1.0e300),              # a window past MAX_STEPS samples
     ("non_iptv_arrival_rate_per_min", 1.0e12),    # 7.2e14 arrivals, past MAX_ARRIVALS
+    ("base_seed", MAX_SEED - 18),                 # the 20th replication's seed past MAX_SEED
+    ("base_seed", -MAX_SEED - 1),
+    # base_seed + 1 has 4,301 digits, too many to format as text
+    pytest.param("base_seed", int("9" * 4300), id="base_seed-4300-nines"),
 ])
 def test_validate_rejects(field, value):
     bad = dataclasses.replace(table1(), **{field: value})
@@ -114,6 +119,11 @@ def test_a_warmup_up_to_the_last_step_is_accepted():
     dataclasses.replace(table1(), warmup_min=719.0).validate()
     dataclasses.replace(table1(), sample_interval_min=0.5, history_window_min=30.0,
                         warmup_min=719.5).validate()
+
+
+def test_seeds_up_to_max_seed_are_accepted():
+    dataclasses.replace(table1(), base_seed=MAX_SEED - 19).validate()
+    dataclasses.replace(table1(), base_seed=-MAX_SEED).validate()
 
 
 def test_max_steps_itself_is_accepted():

@@ -17,13 +17,14 @@ from bwbroker.traffic import (
     CALL_DEPARTURE,
     EventKind,
     RngStream,
+    Trace,
     TrafficEvent,
-    as_trace,
     build_trace,
     call_side,
     channel_probabilities,
     effective_hold_min,
     live_call_series,
+    on_air_series,
     poisson_counter,
     viewer_rate_for_mean_channels,
     viewer_side,
@@ -394,16 +395,20 @@ def test_memoised_sides_match_fresh_builds_whatever_field_changes():
 
 
 def test_a_traces_free_play_is_that_of_its_events():
-    # the series build_trace derives from its sides are those as_trace derives
-    # from the same events handed over as a plain list
+    # the series the sides derive as they draw are those recomputed from the
+    # trace's own events
     trace = build_trace(replace(table1(), sim_duration_min=200.0, warmup_min=0.0), 4)
-    plain = as_trace([list(events) for events in trace])
-    assert plain == trace
-    assert (plain.on_air, plain.live_calls) == (trace.on_air, trace.live_calls)
-    assert (plain.viewers_out, plain.viewers_in) == (list(trace.viewers_out),
-                                                     list(trace.viewers_in))
+
+    def of_kind(kind):
+        return [tuple(ev for ev in events if ev.kind is kind) for events in trace]
+
+    viewers_out, viewers_in = of_kind(EventKind.VIEWER_DEPART), of_kind(EventKind.VIEWER_ARRIVE)
+    calls_out, calls_in = ([len(evs) for evs in of_kind(kind)]
+                           for kind in (EventKind.NON_IPTV_DEPART, EventKind.NON_IPTV_ARRIVE))
+    assert (list(trace.viewers_out), list(trace.viewers_in)) == (viewers_out, viewers_in)
+    assert trace.on_air == on_air_series(viewers_out, viewers_in)
+    assert trace.live_calls == live_call_series(calls_out, calls_in)
     assert max(trace.on_air) > 0 and max(trace.live_calls) > 0
-    assert as_trace(trace) is trace
 
 
 def _viewer(kind, channel, viewer):
@@ -412,27 +417,35 @@ def _viewer(kind, channel, viewer):
 
 def test_free_play_ignores_departures_of_viewers_not_on_their_channel():
     arrive, depart = EventKind.VIEWER_ARRIVE, EventKind.VIEWER_DEPART
-    trace = as_trace([
-        [_viewer(arrive, 1, 0), _viewer(arrive, 1, 1), _viewer(arrive, 2, 2)],
-        [_viewer(depart, 1, 0), _viewer(depart, 2, 9), _viewer(depart, 3, 1)],
-        [_viewer(depart, 1, 1), _viewer(depart, 1, 1), CALL_ARRIVAL, CALL_ARRIVAL],
-        [_viewer(depart, 2, 2), CALL_DEPARTURE, _viewer(arrive, 2, 2)],
-    ])
+    viewers_out = ((),
+                   (_viewer(depart, 1, 0), _viewer(depart, 2, 9), _viewer(depart, 3, 1)),
+                   (_viewer(depart, 1, 1), _viewer(depart, 1, 1)),
+                   (_viewer(depart, 2, 2),))
+    viewers_in = ((_viewer(arrive, 1, 0), _viewer(arrive, 1, 1), _viewer(arrive, 2, 2)),
+                  (), (), (_viewer(arrive, 2, 2),))
+    calls_out, calls_in = (0, 0, 0, 1), (0, 0, 2, 0)
+    trace = Trace((viewers_out, viewers_in, on_air_series(viewers_out, viewers_in)),
+                  (calls_out, calls_in, live_call_series(calls_out, calls_in)))
     assert trace.on_air == (2, 2, 1, 1)
     assert trace.live_calls == (0, 0, 2, 1)
+    # merged in play order: viewer departures, call departures, call arrivals, viewer arrivals
+    assert trace == [list(viewers_in[0]), list(viewers_out[1]),
+                     [*viewers_out[2], CALL_ARRIVAL, CALL_ARRIVAL],
+                     [*viewers_out[3], CALL_DEPARTURE, *viewers_in[3]]]
 
 
-@pytest.mark.parametrize("step", [
-    [_viewer(EventKind.VIEWER_ARRIVE, 1, 0), CALL_ARRIVAL],     # a viewer before a call
-    [CALL_ARRIVAL, CALL_DEPARTURE],                            # a call arrival first
-    [CALL_DEPARTURE, _viewer(EventKind.VIEWER_DEPART, 1, 0)],  # a departure after a call
-])
-def test_a_hand_made_step_out_of_play_order_is_refused(step):
-    with pytest.raises(ValueError, match="step 1: events out of order"):
-        as_trace([[CALL_ARRIVAL], step])
+def test_sides_of_different_lengths_are_refused():
+    # a trace of the shorter side's steps would silently drop the longer side's rest
+    viewers = ((),) * 3, ((),) * 3, (0,) * 3
+    calls = (0, 0), (0, 0), (0, 0)
+    assert len(Trace(viewers, ((0,) * 3,) * 3)) == 3
+    with pytest.raises(ValueError):
+        Trace(viewers, calls)
+    with pytest.raises(ValueError):
+        Trace(tuple(side[:1] for side in viewers), calls)
 
 
 def test_a_call_departure_needs_a_live_call():
     assert live_call_series((0, 1, 0), (1, 1, 0)) == (1, 1, 1)
     with pytest.raises(ValueError, match="step 1: 2 calls depart, but 1 are live"):
-        as_trace([[CALL_ARRIVAL], [CALL_DEPARTURE, CALL_DEPARTURE]])
+        live_call_series((0, 2), (1, 0))
