@@ -10,10 +10,10 @@ steps, more than model.MAX_ARRIVALS expected arrivals a replication, a
 catalog of more than model.MAX_CHANNELS channels, more than
 model.MAX_REPLICATIONS replications, a run of more than
 model.MAX_STEP_RECORDS step records, a config a sweep or one of its
-points cannot use, a file that does not decode, an --out that cannot be
-made a directory, bad command line arguments), 3 for unexpected
-runtime failures.  The env var BWBROKER_SEED overrides the
-configured base seed; an explicit --seed flag beats both.
+points cannot use, a file that does not decode or gives a key twice, an
+--out that cannot be made a directory or written to, bad command line
+arguments), 3 for unexpected runtime failures.  The env var BWBROKER_SEED
+overrides the configured base seed; an explicit --seed flag beats both.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ import argparse
 import dataclasses
 import os
 import sys
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -57,12 +58,26 @@ def _jobs(text: str) -> int:
     return jobs
 
 
+class _UniqueKeyLoader(yaml.SafeLoader):
+    """A SafeLoader that refuses a mapping which gives a key twice: the last would win."""
+
+    def construct_mapping(self, node, deep=False):
+        # a key merged in with << may be overridden; the merge expands in the super call
+        own = [key for key, _ in node.value if key.tag != "tag:yaml.org,2002:merge"]
+        mapping = super().construct_mapping(node, deep=deep)  # an unhashable key raises here
+        counts = Counter(self.construct_object(key, deep=deep) for key in own)
+        if repeated := sorted(str(key) for key, n in counts.items() if n > 1):
+            raise yaml.constructor.ConstructorError(
+                None, None, f"repeated keys: {', '.join(repeated)}", node.start_mark)
+        return mapping
+
+
 def load_config(source: str) -> ScenarioConfig:
     """Build a scenario from a preset name or a flat YAML file.
 
-    File keys must be ScenarioConfig field names; anything else is a hard
-    error so a typo cannot silently fall back to a default.  Omitted keys
-    take the table1 preset defaults.
+    File keys must be ScenarioConfig field names, each given once; anything
+    else is a hard error so a typo cannot silently fall back to a default.
+    Omitted keys take the table1 preset defaults.
     """
     if source in PRESETS:
         return PRESETS[source]()
@@ -71,7 +86,7 @@ def load_config(source: str) -> ScenarioConfig:
         raise ConfigError(f"config file not found: {source}")
     try:
         # from bytes, an undecodable file is a YAMLError like any other
-        data = yaml.safe_load(path.read_bytes())
+        data = yaml.load(path.read_bytes(), Loader=_UniqueKeyLoader)
     except (yaml.YAMLError, ValueError) as exc:  # ValueError: an integer past Python's digit limit
         raise ConfigError(f"cannot parse {source}: {exc}") from exc
     if data is None:
@@ -92,9 +107,7 @@ def load_config(source: str) -> ScenarioConfig:
             coerced[key] = int(raw) if key in _INT_FIELDS else float(raw)
         except (TypeError, ValueError, OverflowError) as exc:  # an int too large for a float
             raise ConfigError(f"{source}: bad value for {key}: {raw!r}") from exc
-    config = replace(PRESETS["table1"](), **coerced)
-    config.validate()
-    return config
+    return replace(PRESETS["table1"](), **coerced)
 
 
 def _resolve_seed(config: ScenarioConfig, flag_seed: int | None) -> ScenarioConfig:
@@ -112,13 +125,20 @@ def _resolve_seed(config: ScenarioConfig, flag_seed: int | None) -> ScenarioConf
 
 
 def _write_csv_atomic(path: Path, header: list[str], *chunks: str) -> None:
-    """Write the header row, then the chunks of CSV text, to path."""
+    """Write the header row, then the chunks of CSV text, to path; ConfigError if it cannot."""
     # write-then-rename so a crash can never leave a half-written file
     tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", newline="") as f:
-        f.write(csv_text([header]))
-        f.writelines(chunks)
-    os.replace(tmp, path)
+    opened = False
+    try:
+        with open(tmp, "w", newline="") as f:
+            opened = True
+            f.write(csv_text([header]))
+            f.writelines(chunks)
+        os.replace(tmp, path)
+    except OSError as exc:
+        if opened:  # a file or directory that was already at tmp is left as it was
+            tmp.unlink(missing_ok=True)
+        raise ConfigError(f"cannot write outputs to --out {path.parent}: {exc}") from exc
 
 
 def _summary_row(policy: PolicyKind, s: RunSummary) -> list:

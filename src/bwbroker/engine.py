@@ -133,7 +133,6 @@ def run_paired(
     config: ScenarioConfig, seed: int, policies: tuple[PolicyKind, ...] = tuple(PolicyKind)
 ) -> dict[PolicyKind, list[StepRecord]]:
     """Run the given policies over one shared traffic trace (paired comparison)."""
-    config.validate()
     trace = build_trace(config, seed)
     return {kind: run_trace(config, kind, trace) for kind in policies}
 
@@ -156,8 +155,7 @@ def _map(fn, jobs: int, *arg_lists: list, run: int = 1) -> list:
 
 
 def check_run(config: ScenarioConfig, policies: tuple[PolicyKind, ...]) -> None:
-    """Validate config, and that the run's step rows, all held at once as text, fit the ceiling."""
-    config.validate()
+    """Check that the run's step rows, all held at once as text, fit the ceiling."""
     if (records := config.replications * config.n_steps * len(policies)) > MAX_STEP_RECORDS:
         raise ConfigError(f"replications * steps * policies is {records} step records, more"
                           f" than the {MAX_STEP_RECORDS} a run may hold")
@@ -199,14 +197,10 @@ def run_policies(
 
 @dataclass(frozen=True)
 class Sweep:
-    """One swept parameter and its points, (value, config) pairs validated at construction."""
+    """One swept parameter and its points, (value, config) pairs, each config valid as built."""
 
     axis: str
     points: tuple[tuple[float, ScenarioConfig], ...]
-
-    def __post_init__(self) -> None:
-        for _, config in self.points:
-            config.validate()
 
 
 @dataclass(frozen=True)

@@ -62,7 +62,7 @@ MAX_STEP_RECORDS = 3_000_000
 
 
 class ConfigError(ValueError):
-    """A scenario configuration failed validation."""
+    """A scenario configuration, or the input it was read from, is invalid."""
 
 
 @dataclass(frozen=True)
@@ -70,7 +70,9 @@ class ScenarioConfig:
     """Every knob of one simulation scenario.
 
     Field names double as the keys of the flat config file accepted by
-    the command line tools, so renames here are interface changes.
+    the command line tools, so renames here are interface changes.  Every
+    construction checks itself, dataclasses.replace included, so no
+    inconsistent config exists.
     """
 
     capacity_mbps: float
@@ -91,7 +93,7 @@ class ScenarioConfig:
     replications: int
     base_seed: int
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         """Raise ConfigError unless the scenario is internally consistent."""
         c = self
         for f in dataclasses.fields(c):

@@ -3,11 +3,13 @@
 One test per criterion, each printing a single ACCEPTANCE line with the
 measured numbers, so a verbose run doubles as a checklist.  Closed-form
 relations must agree with independent reference implementations to 1e-9;
-curve-level comparisons of replication means carry a +/-0.05 band.
+curve-level comparisons of replication means carry a +/-0.05 band, except
+against the time-exact non-SLA oracle, which they must meet within 4 SEs.
 """
 
 import hashlib
 import math
+import operator
 import os
 import random
 import time
@@ -226,6 +228,121 @@ def test_criterion_satisfaction_tracks_channel_count(channel_sweep):
             failing.append(details[-1])
     print(f"ACCEPTANCE satisfaction-vs-channels: {'PASS' if not failing else 'FAIL'} "
           f"({'; '.join(details)})")
+    assert not failing, "; ".join(failing)
+
+
+PRUNE = 1e-13     # probabilities below this are left out of the oracle's sums
+
+
+def _live_mean(rate, hold, dt, step):
+    """Mean arrivals of a rate still live after step, from an empty cell.
+
+    An arrival of step s lasts ceil(hold draw / dt) steps, at least one, so it
+    is still live after step t with probability q^(t - s), q = exp(-dt / hold);
+    step None gives the stationary mean.
+    """
+    q = math.exp(-dt / hold)
+    return rate * dt * (1.0 if step is None else 1.0 - q ** (step + 1)) / (1.0 - q)
+
+
+def _support(mean):
+    """The counts a Poisson pmf of this mean is summed over: an explicit bound far
+    past any count of probability PRUNE."""
+    return range(int(mean + 12 * math.sqrt(mean) + 30) + 1)
+
+
+def _poisson_pmf(mean):
+    """(first count, pmf from it on), without the counts of probability below PRUNE."""
+    if mean == 0.0:
+        return 0, [1.0]
+    log_mean = math.log(mean)
+    pmf = [math.exp(k * log_mean - mean - math.lgamma(k + 1)) for k in _support(mean)]
+    kept = [k for k, p in enumerate(pmf) if p >= PRUNE]
+    return kept[0], pmf[kept[0]:kept[-1] + 1]
+
+
+def _on_air_pmf(on_air_probs):
+    """pmf of the count of independent channels on air (Poisson-binomial)."""
+    pmf = [1.0]
+    for p in on_air_probs:
+        pmf = [a * (1.0 - p) + b * p for a, b in zip(pmf + [0.0], [0.0] + pmf)]
+    return pmf
+
+
+def _non_sla_oracle(cfg):
+    """Time-exact expected post-warmup (SL, utilization) of non-SLA with nothing
+    blocked or dropped, from an empty cell.
+
+    After step t the live calls C are Poisson, and channel k is on air
+    independently with probability 1 - exp(-p_k * viewer mean), since each viewer
+    picks it independently; N counts those on air.  The step's SL is
+    min(1, cap / (full * N + b * C)), 1 with no channel on air, and its
+    utilization min(1, (full * N + b * C) / cap).  Both means approach
+    stationarity geometrically, so steps are summed exactly until the means are
+    within 1e-9 (relative) of it, and each later step is weighted by the
+    stationary value.
+    """
+    cap, full, b = cfg.capacity_mbps, cfg.iptv_channel_max_bw_mbps, cfg.non_iptv_call_bw_mbps
+    dt, n_steps = cfg.sample_interval_min, cfg.n_steps
+    calls = (cfg.non_iptv_arrival_rate_per_min, cfg.non_iptv_mean_hold_min)
+    viewers = (cfg.iptv_viewer_arrival_rate_per_min, cfg.iptv_viewer_mean_hold_min)
+    probs = channel_probabilities(cfg.num_channels_catalog, cfg.channel_popularity_skew)
+    # a step's call mean is at most the stationary one, so its counts fit these rows
+    counts = _support(_live_mean(*calls, dt, None))
+    sl_rows = [[min(1.0, cap / (full * n + b * c)) if n else 1.0 for c in counts]
+               for n in range(len(probs) + 1)]
+    util_rows = [[min(1.0, (full * n + b * c) / cap) for c in counts]
+                 for n in range(len(probs) + 1)]
+
+    def expected(step):
+        first, call_pmf = _poisson_pmf(_live_mean(*calls, dt, step))
+        last = first + len(call_pmf)
+        viewer_mean = _live_mean(*viewers, dt, step)
+        sl = util = 0.0
+        on_air = _on_air_pmf([1.0 - math.exp(-pick * viewer_mean) for pick in probs])
+        for n, p in enumerate(on_air):
+            if p >= PRUNE:
+                sl += p * sum(map(operator.mul, call_pmf, sl_rows[n][first:last]))
+                util += p * sum(map(operator.mul, call_pmf, util_rows[n][first:last]))
+        return sl, util
+
+    # the first post-warmup step, as metrics.replication_means finds it
+    start = next(t for t in range(n_steps) if t * dt >= cfg.warmup_min - 1e-9)
+    slowest = math.exp(-dt / max(calls[1], viewers[1]))
+    sl = util = 0.0
+    step = start
+    while step < n_steps and slowest ** (step + 1) > 1e-9:
+        step_sl, step_util = expected(step)
+        sl, util, step = sl + step_sl, util + step_util, step + 1
+    rest = n_steps - step
+    return tuple((total + rest * stationary) / (n_steps - start)
+                 for total, stationary in zip((sl, util), expected(None)))
+
+
+def test_criterion_non_sla_curves_match_the_time_exact_oracle(load_sweep, channel_sweep):
+    # every sweep point where non-SLA never blocked or dropped: at seed 42, fig3's six
+    # lightest loads (12 to 42 Mbps) and all of fig5; a zero SE (fig5's top point has
+    # utilization 1.0 in every replication) is held to an absolute 1e-9
+    t0 = time.perf_counter()
+    worst, checked, failing = 0.0, 0, []
+    for sweep, by_policy in (load_sweep, channel_sweep):
+        for value, cfg in sweep.points:
+            s = by_policy[PolicyKind.NON_SLA][value]
+            if s.block_rate or s.drop_rate:
+                continue
+            checked += 1
+            sl, util = _non_sla_oracle(cfg)
+            for name, sim, se, exact in (("SL", s.mean_satisfaction, s.se_satisfaction, sl),
+                                         ("util", s.mean_utilization, s.se_utilization, util)):
+                if se:
+                    worst = max(worst, abs(sim - exact) / se)
+                if abs(sim - exact) > max(4 * se, 1e-9):
+                    failing.append(f"{sweep.axis}={value:.4g} {name}: {sim:.5f} vs {exact:.5f}"
+                                   f" (SE {se:.5f})")
+    elapsed = time.perf_counter() - t0
+    print(f"ACCEPTANCE non-SLA-time-exact-oracle: {'PASS' if not failing else 'FAIL'} "
+          f"({checked} points, max |z|={worst:.2f} vs 4, {elapsed:.1f}s)")
+    assert checked == 12
     assert not failing, "; ".join(failing)
 
 

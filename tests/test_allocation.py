@@ -273,7 +273,6 @@ def test_per_channel_rule_matches_one_at_a_time_shed():
         cfg = replace(base, capacity_mbps=cap, iptv_channel_max_bw_mbps=full,
                       iptv_channel_min_bw_mbps=rng.uniform(0.4, 1.0) * full,
                       iptv_reservation_cap_mbps=rng.uniform(full, cap))
-        cfg.validate()
         floor = cfg.iptv_channel_min_bw_mbps - BW_TOL
         policy = rng.choice(list(PolicyKind))
         if rng.random() < 0.7:

@@ -46,6 +46,14 @@ def test_yaml_overrides_merge_with_defaults(tiny_file):
     assert c.capacity_mbps == 60.0          # untouched default
 
 
+def test_keys_merged_in_may_be_overridden(tmp_path):
+    # only a key given twice in the file's own mapping is a repeat
+    p = tmp_path / "c.yaml"
+    p.write_text("<<: {capacity_mbps: 90, replications: 3}\ncapacity_mbps: 80\n")
+    c = load_config(str(p))
+    assert (c.capacity_mbps, c.replications) == (80.0, 3)
+
+
 def test_missing_config_file_is_reported():
     with pytest.raises(ConfigError, match="no_such_file.yaml"):
         load_config("no_such_file.yaml")
@@ -186,7 +194,9 @@ def test_a_seed_override_past_max_seed_exits_2_without_running(tmp_path, capsys,
     for command in (["run", str(p)], ["sweep", str(p), "--figure", "fig5"]):
         rc = main([*command, *args, "--out", str(tmp_path / "x"), "--jobs", "1"])
         assert rc == 2
-        assert "base_seed" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "base_seed" in err
+        assert "sweep cannot use" not in err    # the seed is at fault, not the preset
         assert not (tmp_path / "x").exists()
 
 
@@ -222,6 +232,9 @@ def test_unknown_figure_is_rejected_by_the_parser(tiny_file):
     # integers too large for a float once exited 3
     pytest.param("capacity_mbps: 1" + "0" * 400 + "\n", "capacity_mbps", id="capacity_mbps-1e400"),
     pytest.param("warmup_min: 1" + "0" * 400 + "\n", "warmup_min", id="warmup_min-1e400"),
+    # the second value once silently won
+    pytest.param("capacity_mbps: 90\n'capacity_mbps': 45\n", "repeated keys: capacity_mbps",
+                 id="repeated-key"),
 ])
 def test_bad_values_exit_2(tmp_path, capsys, line, message):
     p = tmp_path / "c.yaml"
@@ -370,6 +383,21 @@ def test_unusable_out_exits_2_before_any_replication(tmp_path, capsys, monkeypat
     rc = main([*command, "--out", str(tmp_path / out), "--jobs", "2"])
     assert rc == 2
     assert f"--out {tmp_path / out}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,written", [
+    (["run"], "summary.csv"),
+    (["sweep", "--figure", "fig3"], "sweep_fig3.csv"),
+], ids=["run", "sweep"])
+def test_unwritable_output_exits_2_and_leaves_no_temp_file(tmp_path, capsys, command, written):
+    p = tmp_path / "c.yaml"
+    p.write_text("sim_duration_min: 30\nwarmup_min: 10\nreplications: 1\n")
+    out = tmp_path / "out"
+    (out / written).mkdir(parents=True)        # an output that cannot be replaced
+    rc = main([command[0], str(p), *command[1:], "--out", str(out), "--jobs", "1"])
+    assert rc == 2
+    assert f"cannot write outputs to --out {out}" in capsys.readouterr().err
+    assert not list(out.glob("*.tmp"))
 
 
 def test_runtime_error_without_a_message_names_its_type(tmp_path, capsys, monkeypatch):

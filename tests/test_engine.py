@@ -96,7 +96,6 @@ def test_step_times_do_not_drift(short_cfg):
     # adding 0.1 ten times gives 0.9999999999999999; step * dt gives 1.0
     fine = replace(short_cfg, sample_interval_min=0.1, history_window_min=6.0,
                    sim_duration_min=12.0, warmup_min=6.0)
-    fine.validate()
     records = run_trace(fine, PolicyKind.SLA, build_trace(fine, 7))
     assert len(records) == 120
     assert [r.t_min for r in records] == [i * 0.1 for i in range(120)]
@@ -278,8 +277,8 @@ def test_parallel_sweep_builds_a_viewer_side_once_per_seed(short_cfg, monkeypatc
 
 
 def test_invalid_sweep_point_fails_before_any_pool(short_cfg, pools):
-    below_cap = replace(short_cfg, capacity_mbps=30.0)    # under the 40 reservation cap
     with pytest.raises(ConfigError, match="capacity_mbps"):
+        below_cap = replace(short_cfg, capacity_mbps=30.0)    # under the 40 reservation cap
         run_experiment(Sweep("capacity_mbps", ((60.0, short_cfg), (30.0, below_cap))), jobs=4)
     assert pools == []
 

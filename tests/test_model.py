@@ -44,7 +44,6 @@ def test_available_bandwidth_is_clamped_leftover(capacity, demand):
 
 def test_table1_constants():
     c = table1()
-    c.validate()
     assert c.capacity_mbps == 60.0
     assert c.iptv_channel_max_bw_mbps == 2.0
     assert c.iptv_channel_min_bw_mbps == 1.0
@@ -63,12 +62,11 @@ def test_step_and_window_counts():
 
 
 def test_zero_arrival_rates_are_legal():
-    quiet = dataclasses.replace(
+    dataclasses.replace(
         table1(),
         iptv_viewer_arrival_rate_per_min=0.0,
         non_iptv_arrival_rate_per_min=0.0,
     )
-    quiet.validate()
 
 
 @pytest.mark.parametrize("field,value", [
@@ -110,24 +108,23 @@ def test_zero_arrival_rates_are_legal():
     pytest.param("base_seed", int("9" * 4300), id="base_seed-4300-nines"),
 ])
 def test_validate_rejects(field, value):
-    bad = dataclasses.replace(table1(), **{field: value})
     with pytest.raises(ConfigError):
-        bad.validate()
+        dataclasses.replace(table1(), **{field: value})
 
 
 def test_a_warmup_up_to_the_last_step_is_accepted():
-    dataclasses.replace(table1(), warmup_min=719.0).validate()
+    dataclasses.replace(table1(), warmup_min=719.0)
     dataclasses.replace(table1(), sample_interval_min=0.5, history_window_min=30.0,
-                        warmup_min=719.5).validate()
+                        warmup_min=719.5)
 
 
 def test_seeds_up_to_max_seed_are_accepted():
-    dataclasses.replace(table1(), base_seed=MAX_SEED - 19).validate()
-    dataclasses.replace(table1(), base_seed=-MAX_SEED).validate()
+    dataclasses.replace(table1(), base_seed=MAX_SEED - 19)
+    dataclasses.replace(table1(), base_seed=-MAX_SEED)
 
 
 def test_max_steps_itself_is_accepted():
-    dataclasses.replace(table1(), sim_duration_min=float(MAX_STEPS)).validate()
+    dataclasses.replace(table1(), sim_duration_min=float(MAX_STEPS))
 
 
 def test_cell_tracks_channels_and_demand():

@@ -57,7 +57,7 @@ def small_configs(draw):
     n_steps = draw(st.integers(1, 120))
     full = draw(st.floats(0.5, 5.0))
     capacity = draw(st.floats(full, 100.0))
-    config = ScenarioConfig(
+    return ScenarioConfig(
         capacity_mbps=capacity,
         iptv_channel_max_bw_mbps=full,
         iptv_channel_min_bw_mbps=full * draw(st.floats(0.2, 1.0)),
@@ -76,8 +76,6 @@ def small_configs(draw):
         replications=draw(st.integers(1, 2)),
         base_seed=draw(st.integers(0, 10**6)),
     )
-    config.validate()
-    return config
 
 
 @settings(max_examples=40, deadline=None)

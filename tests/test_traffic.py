@@ -385,7 +385,6 @@ def test_memoised_sides_match_fresh_builds_whatever_field_changes():
     build_trace(cfg, 5)
     for name, value in NEXT_VALUES.items():
         cfg = replace(cfg, **{name: value})
-        cfg.validate()
         shared = build_trace(cfg, 5)
         viewer_side.cache_clear()
         call_side.cache_clear()
