@@ -164,13 +164,17 @@ def _print_summary(policy: PolicyKind, s: RunSummary) -> None:
     )
 
 
-def _out_dir(path: str) -> Path:
-    """Create the output directory: after every config check, before any replication."""
+def _out_dir(path: str, names: list[str]) -> Path:
+    """Create the output directory and check that no directory takes one of the names
+    the command will write there: after every config check, before any replication."""
+    out = Path(path)
     try:
-        Path(path).mkdir(parents=True, exist_ok=True)
+        out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot write outputs to --out {path}: {exc}") from exc
-    return Path(path)
+    if taken := [name for name in names if (out / name).is_dir()]:
+        raise ConfigError(f"cannot write outputs to --out {path}: {taken[0]} is a directory")
+    return out
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -180,7 +184,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     else:
         policies = (PolicyKind(args.policy),)
     check_run(config, policies)
-    out_dir = _out_dir(args.out)
+    out_dir = _out_dir(args.out, [f"steps_{p.value}.csv" for p in policies] + ["summary.csv"])
     by_policy = run_policies(config, policies=policies, jobs=args.jobs)
     for policy, run in by_policy.items():
         _write_csv_atomic(out_dir / f"steps_{policy.value}.csv", STEP_CSV_HEADER, *run.steps_csv)
@@ -197,7 +201,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     except (ArithmeticError, ValueError) as exc:
         # the preset derives its rates from the config, which can put them out of reach
         raise ConfigError(f"the {args.figure} sweep cannot use this config: {exc}") from exc
-    out_dir = _out_dir(args.out)
+    out_dir = _out_dir(args.out, [f"sweep_{args.figure}.csv"])
     points = run_experiment(sweep, jobs=args.jobs)
 
     rows = ([p.sweep_value] + _summary_row(p.policy, p.summary) for p in points)

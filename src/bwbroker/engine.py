@@ -2,10 +2,10 @@
 
 run_trace plays one replication of one policy.  Each step runs a fixed
 sequence: fix the reservation, apply departures, admit arrivals, allocate,
-then score the step with the leftover after non-IPTV demand and the
-borrowing.  Only the SLA has a broker: its history gets each step's offered
-demand right after allocation, so a reservation only ever sees past steps.
-Without an SLA no history is kept and the reservation stays zero.
+then record what the step was given and decided.  Only the SLA has a
+broker: its history gets each step's offered demand right after
+allocation, so a reservation only ever sees past steps.  Without an SLA no
+history is kept and the reservation stays zero.
 
 A policy plays a replication in two phases.  Until it first blocks or drops
 a channel, its cell is the trace's free play, the cell that admitted every
@@ -35,12 +35,11 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 from .allocation import PolicyKind, admit_channel, allocate_non_sla, allocate_sla, per_channel
-from .broker import DemandHistory, compute_borrowing, compute_reservation
+from .broker import DemandHistory, compute_reservation
 from .metrics import ReplicationMeans, RunSummary, StepRecord, replication_means
 from .metrics import step_rows_csv, step_satisfaction, step_utilization, summarize
 from .metrics import aggregate  # noqa: F401 - uncalled; perfbench/layers.py wraps engine.aggregate
 from .model import BW_TOL, MAX_STEP_RECORDS, CellState, ConfigError, ScenarioConfig
-from .model import available_bandwidth
 from .traffic import Trace, build_trace, viewer_rate_for_mean_channels
 
 
@@ -68,8 +67,8 @@ def run_trace(config: ScenarioConfig, policy_kind: PolicyKind, trace: Trace) -> 
     if sla:
         history = DemandHistory.for_config(config)
         record_sample = history.record_sample
-    full, capacity = config.iptv_channel_max_bw_mbps, config.capacity_mbps
-    call_bw, floor = config.non_iptv_call_bw_mbps, config.iptv_channel_min_bw_mbps - BW_TOL
+    full, call_bw = config.iptv_channel_max_bw_mbps, config.non_iptv_call_bw_mbps
+    floor = config.iptv_channel_min_bw_mbps - BW_TOL
     dt, reservation_cap = config.sample_interval_min, config.iptv_reservation_cap_mbps
     viewers_out, viewers_in, on_air = trace.viewers_out, trace.viewers_in, trace.on_air
     state = None  # the policy's own cell, from its first step that is not free
@@ -104,7 +103,6 @@ def run_trace(config: ScenarioConfig, policy_kind: PolicyKind, trace: Trace) -> 
 
         # offered demand of this step: what is on air now, before any drops
         offered_channels = len(active)
-        offered_demand = full * offered_channels
         if sla:
             decision = by_reservation(active, non_iptv, reserved, config)
             record_sample(offered_channels)  # after allocation: only later steps see it
@@ -115,11 +113,9 @@ def run_trace(config: ScenarioConfig, policy_kind: PolicyKind, trace: Trace) -> 
             drop_channel(channel_id)
 
         # blocked activations demanded full quality and got nothing this step
-        sl_demand = offered_demand + full * blocks
-        available = available_bandwidth(capacity, non_iptv)
+        sl_demand = full * offered_channels + full * blocks
         append(new_record(StepRecord, (
-            step * dt, non_iptv, offered_demand, available, reserved,
-            compute_borrowing(reserved, available), offered_channels,
+            step * dt, non_iptv, reserved, offered_channels,
             decision.per_channel_bw_mbps, step_satisfaction(decision, sl_demand),
             step_utilization(decision, config), blocks, len(dropped))))
     return records
@@ -175,8 +171,8 @@ def paired_steps(
 ) -> list[tuple[ReplicationMeans, str]]:
     """Each policy's means over one paired replication and its steps-CSV rows: a run task."""
     by_policy = run_paired(config, replication_seed(config.base_seed, replication), policies)
-    return [(replication_means(records, config.warmup_min), step_rows_csv(replication, records))
-            for records in by_policy.values()]
+    return [(replication_means(records, config.warmup_min),
+             step_rows_csv(replication, records, config)) for records in by_policy.values()]
 
 
 def run_policies(

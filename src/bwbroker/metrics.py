@@ -12,24 +12,20 @@ from dataclasses import dataclass
 from itertools import compress
 from typing import Iterable, NamedTuple, Sequence
 
-from .model import BW_TOL, AllocationDecision, ScenarioConfig
+from .broker import compute_borrowing
+from .model import BW_TOL, AllocationDecision, ScenarioConfig, available_bandwidth
 
 
 class StepRecord(NamedTuple):
-    """One simulated step of one policy, everything a later plot needs.
+    """One simulated step of one policy: what it was given and what it decided.
 
-    The fields are in the column order of the steps CSV.  active_channels
-    counts the channels that were on air when allocation ran, including
-    any the allocator then dropped, so iptv_demand_mbps is always the
-    per-channel demand times active_channels.
+    active_channels counts the channels that were on air when allocation
+    ran, including any the allocator then dropped.
     """
 
     t_min: float
     non_iptv_demand_mbps: float
-    iptv_demand_mbps: float
-    available_mbps: float
     reserved_mbps: float
-    borrowed_mbps: float
     active_channels: int
     per_channel_bw_mbps: float
     satisfaction: float
@@ -49,9 +45,14 @@ def csv_text(rows: Iterable[Sequence]) -> str:
     return text.getvalue()
 
 
-def step_rows_csv(replication: int, records: Iterable[StepRecord]) -> str:
-    """The steps-CSV rows of one replication, (replication, *record) a step, as text."""
-    return csv_text((replication, *r) for r in records)
+def step_rows_csv(replication: int, records: Iterable[StepRecord], config: ScenarioConfig) -> str:
+    """The steps-CSV rows of one replication as text.  B_IPTV_demand, B_A and B_B follow
+    from the record: the full rate times N_IPTV, the leftover after B_I, the borrowing."""
+    full, capacity = config.iptv_channel_max_bw_mbps, config.capacity_mbps
+    return csv_text(
+        (replication, t, non_iptv, full * n, (available := available_bandwidth(capacity, non_iptv)),
+         reserved, compute_borrowing(reserved, available), n, rate, sl, util, blocks, drops)
+        for t, non_iptv, reserved, n, rate, sl, util, blocks, drops in records)
 
 
 @dataclass(frozen=True)

@@ -134,12 +134,15 @@ def test_single_policy_run_plays_only_that_policy(tiny_file, tmp_path, monkeypat
         return run_trace(config, policy_kind, trace)
 
     monkeypatch.setattr(engine, "run_trace", recording_run_trace)
-    both, sla = tmp_path / "both", tmp_path / "sla"
+    both = tmp_path / "both"
     assert main(["run", str(tiny_file), "--out", str(both), "--jobs", "1"]) == 0
-    played.clear()
-    assert main(["run", str(tiny_file), "--out", str(sla), "--jobs", "1", "--policy", "sla"]) == 0
-    assert played == [PolicyKind.SLA] * 2       # once for each of the two replications
-    assert (sla / "steps_sla.csv").read_bytes() == (both / "steps_sla.csv").read_bytes()
+    for policy in PolicyKind:  # each policy alone, under one test id
+        played.clear()
+        alone, name = tmp_path / policy.value, f"steps_{policy.value}.csv"
+        assert main(["run", str(tiny_file), "--out", str(alone), "--jobs", "1",
+                     "--policy", policy.value]) == 0
+        assert played == [policy] * 2       # once for each of the two replications
+        assert (alone / name).read_bytes() == (both / name).read_bytes()
 
 
 def test_repeat_runs_are_byte_identical(tiny_file, tmp_path):
@@ -215,6 +218,18 @@ def test_sweep_writes_per_point_rows(tiny_file, tmp_path, capsys):
     assert rows[0] == "sweep_value," + ",".join(SUMMARY_CSV_HEADER)
     assert len(rows) == 1 + 14 * 2          # 14 load points, both policies
     assert "mean_SL=" in capsys.readouterr().out
+
+
+def test_fig4_sweep_is_the_fig3_sweep(tiny_file, tmp_path, capsys):
+    printed = {}
+    for figure in ("fig3", "fig4"):
+        capsys.readouterr()
+        assert main(["sweep", str(tiny_file), "--figure", figure, "--out", str(tmp_path / figure),
+                     "--jobs", "1"]) == 0
+        printed[figure] = capsys.readouterr().out
+    assert printed["fig4"] == printed["fig3"]
+    assert ((tmp_path / "fig4" / "sweep_fig4.csv").read_bytes()
+            == (tmp_path / "fig3" / "sweep_fig3.csv").read_bytes())
 
 
 def test_unknown_figure_is_rejected_by_the_parser(tiny_file):
@@ -398,6 +413,41 @@ def test_unwritable_output_exits_2_and_leaves_no_temp_file(tmp_path, capsys, com
     assert rc == 2
     assert f"cannot write outputs to --out {out}" in capsys.readouterr().err
     assert not list(out.glob("*.tmp"))
+
+
+@pytest.mark.parametrize("command,taken", [
+    (["run"], "summary.csv"),
+    (["sweep", "--figure", "fig5"], "sweep_fig5.csv"),
+], ids=["run", "sweep"])
+def test_an_output_name_taken_by_a_directory_exits_2_before_any_replication(
+        tiny_file, tmp_path, capsys, monkeypatch, command, taken):
+    played = []
+    run_trace = engine.run_trace
+
+    def recording_run_trace(*args):
+        played.append(args[1])
+        return run_trace(*args)
+
+    monkeypatch.setattr(engine, "run_trace", recording_run_trace)
+    out = tmp_path / "out"
+    (out / taken).mkdir(parents=True)
+    rc = main([command[0], str(tiny_file), *command[1:], "--out", str(out), "--jobs", "1"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"cannot write outputs to --out {out}: {taken} is a directory" in captured.err
+    assert not list(out.glob("steps_*.csv")) and not list(out.glob("*.tmp"))
+    assert played == []
+
+
+def test_a_write_that_fails_is_a_config_error_and_keeps_what_was_at_the_temp_name(tmp_path):
+    # a failure only the write finds: a directory at the temporary name
+    (tmp_path / "summary.csv.tmp" / "kept").mkdir(parents=True)
+    with pytest.raises(ConfigError) as exc:
+        cli._write_csv_atomic(tmp_path / "summary.csv", SUMMARY_CSV_HEADER, "")
+    assert str(exc.value).startswith(f"cannot write outputs to --out {tmp_path}: ")
+    assert (tmp_path / "summary.csv.tmp" / "kept").is_dir()
+    assert not (tmp_path / "summary.csv").exists()
 
 
 def test_runtime_error_without_a_message_names_its_type(tmp_path, capsys, monkeypatch):

@@ -31,6 +31,7 @@ from bwbroker.metrics import aggregate, replication_means
 from bwbroker.model import ConfigError
 from bwbroker.traffic import VIEWER_ARRIVE, VIEWER_DEPART, RngStream, Trace, TrafficEvent
 from bwbroker.traffic import build_trace, call_side, live_call_series, on_air_series, viewer_side
+from test_metrics import written_rows
 
 
 def _viewer_sweep(config, rates):
@@ -72,7 +73,7 @@ def test_step_equal_degradation(cfg):
     assert r.satisfaction == pytest.approx(6 / 7, rel=1e-12)
     assert r.utilization == pytest.approx(1.0, abs=1e-12)
     assert r.reserved_mbps == 0.0
-    assert r.borrowed_mbps == 0.0
+    assert written_rows([r], cfg)[0]["B_B"] == 0.0
     assert r.active_channels == 20
     assert r.blocks == 0 and r.drops == 0
     # the step's 20 channels are the history's sample; the SLA run reserves on it
@@ -88,7 +89,7 @@ def test_step_reservation_shields_channels(cfg):
     assert r.reserved_mbps == 40.0
     assert r.per_channel_bw_mbps == 2.0
     assert r.satisfaction == 1.0
-    assert r.borrowed_mbps == 10.0
+    assert written_rows(records, cfg)[1]["B_B"] == 10.0
     assert r.utilization == pytest.approx(1.0, abs=1e-12)
 
 
@@ -173,15 +174,15 @@ def test_step_records_respect_capacity_and_floors(short_cfg):
     heavy = replace(short_cfg, non_iptv_arrival_rate_per_min=4.5)
     saw_drops = False
     for kind in PolicyKind:
-        for r in run_trace(heavy, kind, build_trace(heavy, 3)):
+        records = run_trace(heavy, kind, build_trace(heavy, 3))
+        for r, row in zip(records, written_rows(records, heavy)):
             assert r.utilization <= 1.0 + 1e-9
             assert r.per_channel_bw_mbps <= heavy.iptv_channel_max_bw_mbps + 1e-9
             survivors = r.active_channels - r.drops
             if survivors > 0:
                 assert r.per_channel_bw_mbps >= heavy.iptv_channel_min_bw_mbps - 1e-9
             assert 0.0 <= r.reserved_mbps <= heavy.iptv_reservation_cap_mbps + 1e-9
-            assert r.borrowed_mbps == pytest.approx(
-                max(0.0, r.reserved_mbps - r.available_mbps), abs=1e-9)
+            assert row["B_B"] == pytest.approx(max(0.0, row["B_R"] - row["B_A"]), abs=1e-9)
             saw_drops = saw_drops or r.drops > 0
     assert saw_drops     # the surge has to actually exercise the shed path
 
@@ -348,10 +349,19 @@ def test_run_worker_returns_no_step_record(short_cfg):
     assert [type(text) for _, text in result] == [str, str]
 
 
-def _csv_writer_text(replication, records):
-    """The steps-CSV rows of records as csv.writer writes them."""
+def _csv_writer_text(replication, records, config):
+    """The steps-CSV rows of records as csv.writer writes them, each derived column
+    stated afresh: the full rate a channel on air, the leftover, the borrowing."""
+    full, capacity = config.iptv_channel_max_bw_mbps, config.capacity_mbps
+    rows = []
+    for r in records:
+        available = max(0.0, capacity - r.non_iptv_demand_mbps)
+        rows.append((replication, r.t_min, r.non_iptv_demand_mbps, full * r.active_channels,
+                     available, r.reserved_mbps, max(0.0, r.reserved_mbps - available),
+                     r.active_channels, r.per_channel_bw_mbps, r.satisfaction, r.utilization,
+                     r.blocks, r.drops))
     text = io.StringIO()
-    csv.writer(text, lineterminator="\n").writerows((replication, *r) for r in records)
+    csv.writer(text, lineterminator="\n").writerows(rows)
     return text.getvalue()
 
 
@@ -359,7 +369,7 @@ def test_run_worker_formats_and_reduces_the_records_of_run_paired(short_cfg):
     by_policy = run_paired(short_cfg, replication_seed(short_cfg.base_seed, 1))
     task = paired_steps(short_cfg, 1, tuple(PolicyKind))
     assert task == [(replication_means(records, short_cfg.warmup_min),
-                     _csv_writer_text(1, records)) for records in by_policy.values()]
+                     _csv_writer_text(1, records, short_cfg)) for records in by_policy.values()]
 
 
 def test_run_policies_matches_aggregate_over_run_paired(short_cfg):
@@ -369,7 +379,8 @@ def test_run_policies_matches_aggregate_over_run_paired(short_cfg):
     for policy in PolicyKind:
         records = [by_policy[policy] for by_policy in paired]
         assert out[policy].summary == aggregate(records, short_cfg.warmup_min)
-        assert out[policy].steps_csv == tuple(map(_csv_writer_text, reps, records))
+        assert out[policy].steps_csv == tuple(
+            _csv_writer_text(rep, rep_records, short_cfg) for rep, rep_records in zip(reps, records))
 
 
 def test_only_the_sla_run_keeps_a_broker_history(short_cfg, monkeypatch):

@@ -1,5 +1,7 @@
-"""Per-step scoring and cross-replication aggregation."""
+"""Per-step scoring, the steps-CSV rows and cross-replication aggregation."""
 
+import csv
+import io
 import math
 import random
 import statistics
@@ -9,10 +11,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from bwbroker.metrics import (
+    STEP_CSV_HEADER,
     RunSummary,
     StepRecord,
     aggregate,
     replication_means,
+    step_rows_csv,
     step_satisfaction,
     step_utilization,
 )
@@ -32,11 +36,20 @@ def decision(per, n, grant=0.0, drops=()):
 
 def rec(t, sl, util=0.5, blocks=0, drops=0, n=10):
     return StepRecord(
-        t_min=t, non_iptv_demand_mbps=0.0, iptv_demand_mbps=20.0,
-        available_mbps=30.0, reserved_mbps=0.0, borrowed_mbps=0.0,
+        t_min=t, non_iptv_demand_mbps=0.0, reserved_mbps=0.0,
         active_channels=n, per_channel_bw_mbps=2.0,
         satisfaction=sl, utilization=util, blocks=blocks, drops=drops,
     )
+
+
+INTEGER_COLUMNS = {"replication", "N_IPTV", "blocks", "drops"}
+
+
+def written_rows(records, config, replication=0):
+    """The rows step_rows_csv writes for records, parsed back: a dict a row, by column name."""
+    text = io.StringIO(step_rows_csv(replication, records, config))
+    return [{name: (int if name in INTEGER_COLUMNS else float)(value) for name, value in row.items()}
+            for row in csv.DictReader(text, fieldnames=STEP_CSV_HEADER)]
 
 
 def test_step_satisfaction_examples():

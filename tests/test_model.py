@@ -18,6 +18,7 @@ from bwbroker.model import (
     available_bandwidth,
     table1,
 )
+from test_metrics import written_rows
 
 bw = st.floats(min_value=0.0, max_value=1e6, allow_nan=False)
 
@@ -176,4 +177,5 @@ def test_every_channel_on_air_is_charged_the_full_rate(short_cfg):
     full = short_cfg.iptv_channel_max_bw_mbps
     for records in run_paired(short_cfg, 7).values():
         assert max(r.active_channels for r in records) > 1
-        assert all(r.iptv_demand_mbps == full * r.active_channels for r in records)
+        assert all(row["B_IPTV_demand"] == full * row["N_IPTV"]
+                   for row in written_rows(records, short_cfg))

@@ -18,6 +18,7 @@ from bwbroker.metrics import aggregate
 from bwbroker.model import ScenarioConfig
 from bwbroker.traffic import NON_IPTV_ARRIVE, NON_IPTV_DEPART, build_trace
 from test_acceptance import EQ_TOL
+from test_metrics import written_rows
 
 
 class StepMonitor:
@@ -95,13 +96,13 @@ def test_random_valid_configs_keep_step_invariants(config):
             assert [r.non_iptv_demand_mbps for r in records] == call_demand
             monitors[policy](records)
             runs[policy].append(records)
-            for r in records:
+            for r, row in zip(records, written_rows(records, config)):
                 assert 0.0 <= r.satisfaction <= 1.0
                 delivered_iptv = r.per_channel_bw_mbps * (r.active_channels - r.drops)
                 delivered = r.utilization * config.capacity_mbps
-                assert delivered_iptv <= r.iptv_demand_mbps + EQ_TOL
+                assert delivered_iptv <= row["B_IPTV_demand"] + EQ_TOL
                 assert delivered - delivered_iptv <= r.non_iptv_demand_mbps + EQ_TOL
-                assert r.borrowed_mbps == max(0.0, r.reserved_mbps - r.available_mbps)
+                assert row["B_B"] == max(0.0, row["B_R"] - row["B_A"])
     for policy, monitor in monitors.items():
         # the reduction a sweep worker makes agrees with the reference scan, field by field
         s = aggregate(runs[policy], config.warmup_min)

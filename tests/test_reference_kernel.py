@@ -1,10 +1,11 @@
 """The simulation loop against a literal reference kernel (reference_kernel.py).
 
-Every record of run_paired must match the reference's, for both policies:
-the integer columns exactly, the float columns within EQ_TOL.  Random small
-configs cover the common case; an overload strategy makes sure the blocking
-and shedding paths are compared too, including runs whose first block or
-drop falls on the first step or on the last.
+Every steps-CSV row that step_rows_csv writes for run_paired must match the
+reference's record, for both policies: the integer columns exactly, the
+float columns within EQ_TOL.  Random small configs cover the common case;
+an overload strategy makes sure the blocking and shedding paths are
+compared too, including runs whose first block or drop falls on the first
+step or on the last.
 """
 
 from dataclasses import replace
@@ -14,13 +15,14 @@ from hypothesis import strategies as st
 
 from bwbroker.allocation import PolicyKind
 from bwbroker.engine import run_paired
-from bwbroker.metrics import StepRecord
+from bwbroker.metrics import STEP_CSV_HEADER
 from bwbroker.model import ScenarioConfig, table1
 from reference_kernel import reference_run, reference_steps
 from test_acceptance import EQ_TOL
+from test_metrics import INTEGER_COLUMNS, written_rows
 from test_properties import small_configs
 
-INTEGER_COLUMNS = {"active_channels", "blocks", "drops"}
+COLUMNS = STEP_CSV_HEADER[1:]  # the reference states no replication column
 
 
 def _first_fork(records):
@@ -29,16 +31,19 @@ def _first_fork(records):
 
 
 def _compare(config):
-    """Check run_paired against the reference on the config's base seed; per policy,
-    the step of its first block or drop (None if it had none) and whether it dropped."""
+    """Check the rows written for run_paired against the reference on the config's
+    base seed; per policy, the step of its first block or drop (None if it had none)
+    and whether it dropped."""
     seed = config.base_seed
     steps = reference_steps(config, seed)
     forks = {}
     for policy, records in run_paired(config, seed).items():
         expected = reference_run(config, policy, steps)
         assert len(records) == len(expected) == config.n_steps
-        for step, (got, want) in enumerate(zip(records, expected)):
-            for name, a, b in zip(StepRecord._fields, got, want):
+        for step, (row, want) in enumerate(zip(written_rows(records, config), expected)):
+            assert len(want) == len(COLUMNS)
+            for name, b in zip(COLUMNS, want):
+                a = row[name]
                 if name in INTEGER_COLUMNS:
                     assert a == b, (policy, step, name, a, b)
                 else:
