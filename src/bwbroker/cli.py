@@ -26,8 +26,6 @@ from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
-import yaml
-
 from .allocation import PolicyKind
 from .engine import FIGURE_SWEEPS, check_run, run_experiment, run_policies
 from .metrics import STEP_CSV_HEADER, RunSummary, csv_text
@@ -58,20 +56,6 @@ def _jobs(text: str) -> int:
     return jobs
 
 
-class _UniqueKeyLoader(yaml.SafeLoader):
-    """A SafeLoader that refuses a mapping which gives a key twice: the last would win."""
-
-    def construct_mapping(self, node, deep=False):
-        # a key merged in with << may be overridden; the merge expands in the super call
-        own = [key for key, _ in node.value if key.tag != "tag:yaml.org,2002:merge"]
-        mapping = super().construct_mapping(node, deep=deep)  # an unhashable key raises here
-        counts = Counter(self.construct_object(key, deep=deep) for key in own)
-        if repeated := sorted(str(key) for key, n in counts.items() if n > 1):
-            raise yaml.constructor.ConstructorError(
-                None, None, f"repeated keys: {', '.join(repeated)}", node.start_mark)
-        return mapping
-
-
 def load_config(source: str) -> ScenarioConfig:
     """Build a scenario from a preset name or a flat YAML file.
 
@@ -84,9 +68,24 @@ def load_config(source: str) -> ScenarioConfig:
     path = Path(source)
     if not path.is_file():
         raise ConfigError(f"config file not found: {source}")
+    import yaml  # here, not at the top: a preset run never needs PyYAML's import time
+
+    class UniqueKeyLoader(yaml.SafeLoader):
+        """A SafeLoader that refuses a mapping which gives a key twice: the last would win."""
+
+        def construct_mapping(self, node, deep=False):
+            # a key merged in with << may be overridden; the merge expands in the super call
+            own = [key for key, _ in node.value if key.tag != "tag:yaml.org,2002:merge"]
+            mapping = super().construct_mapping(node, deep=deep)  # an unhashable key raises here
+            counts = Counter(self.construct_object(key, deep=deep) for key in own)
+            if repeated := sorted(str(key) for key, n in counts.items() if n > 1):
+                raise yaml.constructor.ConstructorError(
+                    None, None, f"repeated keys: {', '.join(repeated)}", node.start_mark)
+            return mapping
+
     try:
         # from bytes, an undecodable file is a YAMLError like any other
-        data = yaml.load(path.read_bytes(), Loader=_UniqueKeyLoader)
+        data = yaml.load(path.read_bytes(), Loader=UniqueKeyLoader)
     except (yaml.YAMLError, ValueError) as exc:  # ValueError: an integer past Python's digit limit
         raise ConfigError(f"cannot parse {source}: {exc}") from exc
     if data is None:
@@ -124,10 +123,15 @@ def _resolve_seed(config: ScenarioConfig, flag_seed: int | None) -> ScenarioConf
     return replace(config, base_seed=seed)
 
 
+def _temp_path(path: Path) -> Path:
+    """Where _write_csv_atomic writes path before it renames the file into place."""
+    return path.with_name(path.name + ".tmp")
+
+
 def _write_csv_atomic(path: Path, header: list[str], *chunks: str) -> None:
     """Write the header row, then the chunks of CSV text, to path; ConfigError if it cannot."""
     # write-then-rename so a crash can never leave a half-written file
-    tmp = path.with_name(path.name + ".tmp")
+    tmp = _temp_path(path)
     opened = False
     try:
         with open(tmp, "w", newline="") as f:
@@ -166,13 +170,15 @@ def _print_summary(policy: PolicyKind, s: RunSummary) -> None:
 
 def _out_dir(path: str, names: list[str]) -> Path:
     """Create the output directory and check that no directory takes one of the names
-    the command will write there: after every config check, before any replication."""
+    the command will write there, or the temporary name it writes each through:
+    after every config check, before any replication."""
     out = Path(path)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot write outputs to --out {path}: {exc}") from exc
-    if taken := [name for name in names if (out / name).is_dir()]:
+    paths = [p for name in names for p in (out / name, _temp_path(out / name))]
+    if taken := [p.name for p in paths if p.is_dir()]:
         raise ConfigError(f"cannot write outputs to --out {path}: {taken[0]} is a directory")
     return out
 

@@ -9,7 +9,7 @@ import operator
 import statistics
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import compress
+from itertools import compress, repeat
 from typing import Iterable, NamedTuple, Sequence
 
 from .broker import compute_borrowing
@@ -45,14 +45,21 @@ def csv_text(rows: Iterable[Sequence]) -> str:
     return text.getvalue()
 
 
-def step_rows_csv(replication: int, records: Iterable[StepRecord], config: ScenarioConfig) -> str:
-    """The steps-CSV rows of one replication as text.  B_IPTV_demand, B_A and B_B follow
-    from the record: the full rate times N_IPTV, the leftover after B_I, the borrowing."""
+def step_rows_csv(replication: int, records: Sequence[StepRecord], config: ScenarioConfig) -> str:
+    """The steps-CSV rows of one replication as text, formatted a column at a time as csv_text
+    would write them: a float by repr, an int by str, neither quoted.  B_IPTV_demand, B_A and
+    B_B follow from the record: the full rate times N_IPTV, the leftover after B_I, the
+    borrowing."""
+    if not records:
+        return ""
     full, capacity = config.iptv_channel_max_bw_mbps, config.capacity_mbps
-    return csv_text(
-        (replication, t, non_iptv, full * n, (available := available_bandwidth(capacity, non_iptv)),
-         reserved, compute_borrowing(reserved, available), n, rate, sl, util, blocks, drops)
-        for t, non_iptv, reserved, n, rate, sl, util, blocks, drops in records)
+    t, non_iptv, reserved, n, rate, sl, util, blocks, drops = zip(*records)
+    available = tuple(map(available_bandwidth, repeat(capacity), non_iptv))
+    columns = (repeat(str(replication)), map(repr, t), map(repr, non_iptv),
+               map(repr, [full * k for k in n]), map(repr, available), map(repr, reserved),
+               map(repr, map(compute_borrowing, reserved, available)), map(str, n),
+               map(repr, rate), map(repr, sl), map(repr, util), map(str, blocks), map(str, drops))
+    return "\n".join(map(",".join, zip(*columns))) + "\n"
 
 
 @dataclass(frozen=True)

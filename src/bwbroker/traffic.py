@@ -19,11 +19,11 @@ The free play
 Besides its events, a Trace carries what a cell that admitted every viewer
 would hold after each step: on_air[t], its channels on air, and
 live_calls[t], its live calls.  Both are policy-blind.  Each side derives
-its series as it draws, the viewer side on_air (on_air_series) and the call
-side live_calls (live_call_series), so sweep points that share a side share
-its series too.  A Trace is made only from its two sides: a hand-made one
-from hand-made sides, whose series come from the same two functions.  The
-engine scores a policy's steps from these series until the policy first
+its series as it draws: the viewer side counts on_air from a viewer count a
+channel, the call side sums live_calls (live_call_series), so sweep points
+that share a side share its series too.  A Trace is made only from its two
+sides: a hand-made one from hand-made sides, which supply their own series.
+The engine scores a policy's steps from these series until the policy first
 blocks or drops a channel (see engine.run_trace).
 """
 
@@ -83,11 +83,12 @@ class Trace(list):
     per step, the viewer departures and arrivals, and the channels on air
     after the step had every viewer been admitted.  calls is (calls_out,
     calls_in, live_calls), as call_side returns it: per step, the call
-    departure and arrival counts, and the calls live after the step.  As a
-    list, a Trace holds one list of events a step, in play order: viewer
-    departures, call departures, call arrivals, then viewer arrivals, so a new
-    viewer meets the step's updated call load.  ValueError if the sides differ
-    in step count.
+    departure and arrival counts, and the calls live after the step.  The
+    Trace takes both series as given: the sides count them as they draw, and a
+    hand-made side supplies its own.  As a list, a Trace holds one list of
+    events a step, in play order: viewer departures, call departures, call
+    arrivals, then viewer arrivals, so a new viewer meets the step's updated
+    call load.  ValueError if the sides differ in step count.
     """
 
     __slots__ = ("viewers_out", "viewers_in", "on_air", "live_calls")
@@ -98,32 +99,6 @@ class Trace(list):
         steps = zip(self.viewers_out, calls_out, calls_in, self.viewers_in, strict=True)
         super().__init__([[*v_out, *(CALL_DEPARTURE,) * c_out, *(CALL_ARRIVAL,) * c_in, *v_in]
                           for v_out, c_out, c_in, v_in in steps])
-
-
-def on_air_series(viewers_out, viewers_in) -> tuple[int, ...]:
-    """Per step, the channels on air after it, had every viewer been admitted.
-
-    A step's viewer departures go before its arrivals.  A departure of a
-    viewer not on its channel is ignored, and a channel is on air while a
-    viewer is on it, as in model.CellState.
-    """
-    watching: dict[int, set[int]] = {}
-    on_air = []
-    for leaving, joining in zip(viewers_out, viewers_in):
-        for _, channel, viewer in leaving:
-            viewers = watching.get(channel)
-            if viewers is not None and viewer in viewers:
-                viewers.remove(viewer)
-                if not viewers:
-                    del watching[channel]
-        for _, channel, viewer in joining:
-            viewers = watching.get(channel)
-            if viewers is None:
-                watching[channel] = {viewer}
-            else:
-                viewers.add(viewer)
-        on_air.append(len(watching))
-    return tuple(on_air)
 
 
 def live_call_series(calls_out, calls_in) -> tuple[int, ...]:
@@ -258,8 +233,8 @@ def viewer_side(seed: int, n_steps: int, dt_min: float, rate_per_min: float,
                 mean_hold_min: float, catalog_size: int,
                 skew: float) -> tuple[tuple, tuple, tuple[int, ...]]:
     """Per step, the viewer departures, the viewer arrivals and the channels then on
-    air had every viewer been admitted; stream 0 draws a count, then each viewer's
-    channel and hold."""
+    air had every viewer been admitted, counted as they are drawn; stream 0 draws a
+    count, then each viewer's channel and hold."""
     viewer_side.cache_clear()  # a miss: drop the old side first, so two never coexist
     rng = RngStream(seed, 0)
     draw, cdf = rng.random, _popularity_cdf(catalog_size, skew)
@@ -268,8 +243,16 @@ def viewer_side(seed: int, n_steps: int, dt_min: float, rate_per_min: float,
     arrivals_in_step = poisson_counter(rate_per_min, dt_min, rng)
     departures: list[list[TrafficEvent]] = [[] for _ in range(n_steps)]
     arrivals: list[list[TrafficEvent]] = [[] for _ in range(n_steps)]
-    viewer_id = 0
+    # viewers on each channel id; every departure is of an earlier arrival on its
+    # channel, so the counts give the channels on air exactly
+    watching = [0] * (catalog_size + 1)
+    on_air: list[int] = []
+    viewer_id = on = 0
     for step, joined in enumerate(arrivals):
+        for _, channel, _ in departures[step]:  # complete: a hold lasts a step or more
+            watching[channel] -= 1
+            if not watching[channel]:
+                on -= 1
         for _ in range(arrivals_in_step()):
             channel = bisect_right(cdf, draw()) + 1
             hold_steps = -mean_hold_min * log1p(-draw()) / dt_min
@@ -277,9 +260,12 @@ def viewer_side(seed: int, n_steps: int, dt_min: float, rate_per_min: float,
             if hold_steps < n_steps and (depart := step + (ceil(hold_steps) or 1)) < n_steps:
                 departures[depart].append(event(TrafficEvent, (VIEWER_DEPART, channel, viewer_id)))
             joined.append(event(TrafficEvent, (VIEWER_ARRIVE, channel, viewer_id)))
+            if not watching[channel]:
+                on += 1
+            watching[channel] += 1
             viewer_id += 1
-    departures, arrivals = tuple(map(tuple, departures)), tuple(map(tuple, arrivals))
-    return departures, arrivals, on_air_series(departures, arrivals)
+        on_air.append(on)
+    return tuple(map(tuple, departures)), tuple(map(tuple, arrivals)), tuple(on_air)
 
 
 @lru_cache(maxsize=1)

@@ -4,6 +4,9 @@ import csv
 import hashlib
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -418,7 +421,10 @@ def test_unwritable_output_exits_2_and_leaves_no_temp_file(tmp_path, capsys, com
 @pytest.mark.parametrize("command,taken", [
     (["run"], "summary.csv"),
     (["sweep", "--figure", "fig5"], "sweep_fig5.csv"),
-], ids=["run", "sweep"])
+    (["run"], "summary.csv.tmp"),            # the temporary name an output is written to
+    (["run"], "steps_sla.csv.tmp"),
+    (["sweep", "--figure", "fig5"], "sweep_fig5.csv.tmp"),
+], ids=["run", "sweep", "run-tmp", "run-steps-tmp", "sweep-tmp"])
 def test_an_output_name_taken_by_a_directory_exits_2_before_any_replication(
         tiny_file, tmp_path, capsys, monkeypatch, command, taken):
     played = []
@@ -436,8 +442,16 @@ def test_an_output_name_taken_by_a_directory_exits_2_before_any_replication(
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"cannot write outputs to --out {out}: {taken} is a directory" in captured.err
-    assert not list(out.glob("steps_*.csv")) and not list(out.glob("*.tmp"))
+    assert [p.name for p in out.iterdir()] == [taken]  # nothing was written
     assert played == []
+
+
+def test_a_preset_run_never_imports_pyyaml():
+    # only a config file is YAML; PyYAML is a fifth of the CLI's import time
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = "import sys, bwbroker.cli; sys.exit('yaml' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def test_a_write_that_fails_is_a_config_error_and_keeps_what_was_at_the_temp_name(tmp_path):

@@ -30,7 +30,8 @@ from bwbroker.engine import (
 from bwbroker.metrics import aggregate, replication_means
 from bwbroker.model import ConfigError
 from bwbroker.traffic import VIEWER_ARRIVE, VIEWER_DEPART, RngStream, Trace, TrafficEvent
-from bwbroker.traffic import build_trace, call_side, live_call_series, on_air_series, viewer_side
+from bwbroker.traffic import build_trace, call_side, live_call_series, viewer_side
+from free_play import on_air_series
 from test_metrics import written_rows
 
 

@@ -7,20 +7,22 @@ import random
 import statistics
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from bwbroker.broker import compute_borrowing
 from bwbroker.metrics import (
     STEP_CSV_HEADER,
     RunSummary,
     StepRecord,
     aggregate,
+    csv_text,
     replication_means,
     step_rows_csv,
     step_satisfaction,
     step_utilization,
 )
-from bwbroker.model import AllocationDecision, table1
+from bwbroker.model import AllocationDecision, available_bandwidth, table1
 
 bw = st.floats(min_value=0.0, max_value=1e6, allow_nan=False)
 
@@ -50,6 +52,35 @@ def written_rows(records, config, replication=0):
     text = io.StringIO(step_rows_csv(replication, records, config))
     return [{name: (int if name in INTEGER_COLUMNS else float)(value) for name, value in row.items()}
             for row in csv.DictReader(text, fieldnames=STEP_CSV_HEADER)]
+
+
+def rows_one_at_a_time(replication, records, config):
+    """The steps-CSV text as csv.writer writes it, a row at a time: step_rows_csv's oracle."""
+    full, capacity = config.iptv_channel_max_bw_mbps, config.capacity_mbps
+    return csv_text(
+        (replication, t, non_iptv, full * n, (available := available_bandwidth(capacity, non_iptv)),
+         reserved, compute_borrowing(reserved, available), n, rate, sl, util, blocks, drops)
+        for t, non_iptv, reserved, n, rate, sl, util, blocks, drops in records)
+
+
+# finite floats, the edge values among them often: signed zeros, subnormals, the least
+# normal, reprs with an exponent and the largest float
+EDGE_FLOATS = (0.0, -0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e-05, 1e16,
+               1.7976931348623157e308)
+finite = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(allow_nan=False, allow_infinity=False))
+# available_bandwidth refuses a negative B_I; -0.0 is not negative
+non_negative = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(min_value=0.0, allow_infinity=False))
+count = st.integers(0, 2**40)
+step_record = st.builds(StepRecord, finite, non_negative, finite, count, finite, finite, finite,
+                        count, count)
+
+
+@settings(max_examples=300, deadline=None)
+@given(replication=count, records=st.lists(step_record, max_size=30))
+@example(replication=3, records=[])
+def test_step_rows_are_the_text_csv_writer_writes(replication, records):
+    cfg = table1()
+    assert step_rows_csv(replication, records, cfg) == rows_one_at_a_time(replication, records, cfg)
 
 
 def test_step_satisfaction_examples():

@@ -6,7 +6,7 @@ from math import exp as math_exp
 from dataclasses import replace
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bwbroker import traffic
@@ -24,11 +24,11 @@ from bwbroker.traffic import (
     channel_probabilities,
     effective_hold_min,
     live_call_series,
-    on_air_series,
     poisson_counter,
     viewer_rate_for_mean_channels,
     viewer_side,
 )
+from free_play import on_air_series
 
 
 def test_stream_values_are_frozen():
@@ -408,6 +408,18 @@ def test_a_traces_free_play_is_that_of_its_events():
     assert trace.on_air == on_air_series(viewers_out, viewers_in)
     assert trace.live_calls == live_call_series(calls_out, calls_in)
     assert max(trace.on_air) > 0 and max(trace.live_calls) > 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32), n_steps=st.integers(1, 150), dt=st.floats(0.5, 2.0),
+       rate=st.one_of(st.just(0.0), st.floats(0.0, 30.0)),
+       hold=st.one_of(st.floats(1e-6, 0.01), st.floats(0.01, 60.0), st.floats(1e4, 1e9)),
+       catalog=st.one_of(st.just(1), st.integers(1, 60)), skew=st.floats(0.0, 2.0))
+def test_the_on_air_series_a_viewer_side_counts_is_that_of_its_events(
+        seed, n_steps, dt, rate, hold, catalog, skew):
+    # holds far below one step depart the next step; holds far past the run never do
+    viewers_out, viewers_in, on_air = viewer_side(seed, n_steps, dt, rate, hold, catalog, skew)
+    assert on_air == on_air_series(viewers_out, viewers_in)
 
 
 def _viewer(kind, channel, viewer):
