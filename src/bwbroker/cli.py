@@ -10,10 +10,11 @@ steps, more than model.MAX_ARRIVALS expected arrivals a replication, a
 catalog of more than model.MAX_CHANNELS channels, more than
 model.MAX_REPLICATIONS replications, a run of more than
 model.MAX_STEP_RECORDS step records, a config a sweep or one of its
-points cannot use, a file that does not decode or gives a key twice, an
---out that cannot be made a directory or written to, bad command line
-arguments), 3 for unexpected runtime failures.  The env var BWBROKER_SEED
-overrides the configured base seed; an explicit --seed flag beats both.
+points cannot use, a file that cannot be read, does not decode, nests
+past the recursion limit or gives a key twice, an --out that cannot be
+made a directory or written to, bad command line arguments), 3 for
+unexpected runtime failures.  The --seed flag overrides the configured
+base seed.
 """
 
 from __future__ import annotations
@@ -66,8 +67,12 @@ def load_config(source: str) -> ScenarioConfig:
     if source in PRESETS:
         return PRESETS[source]()
     path = Path(source)
-    if not path.is_file():
-        raise ConfigError(f"config file not found: {source}")
+    try:  # a name too long to look up raises, as does a file that cannot be read
+        if not path.is_file():
+            raise ConfigError(f"config file not found: {source}")
+        content = path.read_bytes()
+    except OSError as exc:
+        raise ConfigError(f"cannot read {source}: {exc}") from exc
     import yaml  # here, not at the top: a preset run never needs PyYAML's import time
 
     class UniqueKeyLoader(yaml.SafeLoader):
@@ -85,8 +90,9 @@ def load_config(source: str) -> ScenarioConfig:
 
     try:
         # from bytes, an undecodable file is a YAMLError like any other
-        data = yaml.load(path.read_bytes(), Loader=UniqueKeyLoader)
-    except (yaml.YAMLError, ValueError) as exc:  # ValueError: an integer past Python's digit limit
+        data = yaml.load(content, Loader=UniqueKeyLoader)
+    # ValueError: an integer past Python's digit limit; RecursionError: nesting past its stack
+    except (yaml.YAMLError, ValueError, RecursionError) as exc:
         raise ConfigError(f"cannot parse {source}: {exc}") from exc
     if data is None:
         data = {}
@@ -109,18 +115,8 @@ def load_config(source: str) -> ScenarioConfig:
     return replace(PRESETS["table1"](), **coerced)
 
 
-def _resolve_seed(config: ScenarioConfig, flag_seed: int | None) -> ScenarioConfig:
-    seed = flag_seed
-    if seed is None:
-        env = os.environ.get("BWBROKER_SEED")
-        if env is not None:
-            try:
-                seed = int(env)
-            except ValueError as exc:
-                raise ConfigError(f"BWBROKER_SEED must be an integer, got {env!r}") from exc
-    if seed is None:
-        return config
-    return replace(config, base_seed=seed)
+def _resolve_seed(config: ScenarioConfig, seed: int | None) -> ScenarioConfig:
+    return config if seed is None else replace(config, base_seed=seed)
 
 
 def _temp_path(path: Path) -> Path:
@@ -185,13 +181,9 @@ def _out_dir(path: str, names: list[str]) -> Path:
 
 def cmd_run(args: argparse.Namespace) -> int:
     config = _resolve_seed(load_config(args.config), args.seed)
-    if args.policy == "both":
-        policies: tuple[PolicyKind, ...] = tuple(PolicyKind)
-    else:
-        policies = (PolicyKind(args.policy),)
-    check_run(config, policies)
-    out_dir = _out_dir(args.out, [f"steps_{p.value}.csv" for p in policies] + ["summary.csv"])
-    by_policy = run_policies(config, policies=policies, jobs=args.jobs)
+    check_run(config)
+    out_dir = _out_dir(args.out, [f"steps_{p.value}.csv" for p in PolicyKind] + ["summary.csv"])
+    by_policy = run_policies(config, jobs=args.jobs)
     for policy, run in by_policy.items():
         _write_csv_atomic(out_dir / f"steps_{policy.value}.csv", STEP_CSV_HEADER, *run.steps_csv)
         _print_summary(policy, run.summary)
@@ -244,11 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
         " to run (default: the CPUs this process may use)",
     )
 
-    p_run = sub.add_parser("run", parents=[common], help="run one scenario")
-    p_run.add_argument(
-        "--policy", choices=["sla", "nonsla", "both"], default="both",
-        help="which allocation policy to run (default: both)",
-    )
+    p_run = sub.add_parser("run", parents=[common], help="run one scenario under both policies")
     p_run.set_defaults(func=cmd_run)
 
     p_sweep = sub.add_parser("sweep", parents=[common], help="run a figure-style sweep")

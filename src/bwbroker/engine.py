@@ -125,12 +125,10 @@ def replication_seed(base_seed: int, replication: int) -> int:
     return base_seed + replication
 
 
-def run_paired(
-    config: ScenarioConfig, seed: int, policies: tuple[PolicyKind, ...] = tuple(PolicyKind)
-) -> dict[PolicyKind, list[StepRecord]]:
-    """Run the given policies over one shared traffic trace (paired comparison)."""
+def run_paired(config: ScenarioConfig, seed: int) -> dict[PolicyKind, list[StepRecord]]:
+    """Run both policies over one shared traffic trace (paired comparison)."""
     trace = build_trace(config, seed)
-    return {kind: run_trace(config, kind, trace) for kind in policies}
+    return {kind: run_trace(config, kind, trace) for kind in PolicyKind}
 
 
 def paired_means(config: ScenarioConfig, seed: int) -> list[ReplicationMeans]:
@@ -150,9 +148,9 @@ def _map(fn, jobs: int, *arg_lists: list, run: int = 1) -> list:
     return list(map(fn, *arg_lists))
 
 
-def check_run(config: ScenarioConfig, policies: tuple[PolicyKind, ...]) -> None:
+def check_run(config: ScenarioConfig) -> None:
     """Check that the run's step rows, all held at once as text, fit the ceiling."""
-    if (records := config.replications * config.n_steps * len(policies)) > MAX_STEP_RECORDS:
+    if (records := config.replications * config.n_steps * len(PolicyKind)) > MAX_STEP_RECORDS:
         raise ConfigError(f"replications * steps * policies is {records} step records, more"
                           f" than the {MAX_STEP_RECORDS} a run may hold")
 
@@ -166,26 +164,20 @@ class PolicyRun:
     steps_csv: tuple[str, ...]
 
 
-def paired_steps(
-    config: ScenarioConfig, replication: int, policies: tuple[PolicyKind, ...]
-) -> list[tuple[ReplicationMeans, str]]:
+def paired_steps(config: ScenarioConfig, replication: int) -> list[tuple[ReplicationMeans, str]]:
     """Each policy's means over one paired replication and its steps-CSV rows: a run task."""
-    by_policy = run_paired(config, replication_seed(config.base_seed, replication), policies)
+    by_policy = run_paired(config, replication_seed(config.base_seed, replication))
     return [(replication_means(records, config.warmup_min),
              step_rows_csv(replication, records, config)) for records in by_policy.values()]
 
 
-def run_policies(
-    config: ScenarioConfig,
-    policies: tuple[PolicyKind, ...] = tuple(PolicyKind),
-    jobs: int = 1,
-) -> dict[PolicyKind, PolicyRun]:
-    """All configured replications of the given policies on shared traces."""
-    check_run(config, policies)
+def run_policies(config: ScenarioConfig, jobs: int = 1) -> dict[PolicyKind, PolicyRun]:
+    """All configured replications of both policies on shared traces."""
+    check_run(config)
     n = config.replications
-    results = _map(paired_steps, jobs, [config] * n, range(n), [policies] * n)
+    results = _map(paired_steps, jobs, [config] * n, range(n))
     return {p: PolicyRun(summarize([means for means, _ in reps]), tuple(text for _, text in reps))
-            for p, reps in zip(policies, zip(*results))}
+            for p, reps in zip(PolicyKind, zip(*results))}
 
 
 # ---------------------------------------------------------------------------
@@ -278,4 +270,4 @@ def fig5_sweep(config: ScenarioConfig) -> Sweep:
         (v, replace(base, iptv_viewer_arrival_rate_per_min=v)) for v in rates))
 
 
-FIGURE_SWEEPS = {"fig3": fig3_sweep, "fig4": fig3_sweep, "fig5": fig5_sweep}
+FIGURE_SWEEPS = {"fig3": fig3_sweep, "fig5": fig5_sweep}

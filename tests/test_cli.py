@@ -4,9 +4,12 @@ import csv
 import hashlib
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -87,13 +90,27 @@ def test_unparseable_value_is_rejected(tmp_path):
     (b"\xff\n", "cannot parse"),                        # not UTF-8
     (b"1: 2\n", "unknown config keys: 1"),
     (b"foo: 1\n2: 3\n", "unknown config keys: 2, foo"),  # keys that do not sort together
-], ids=["not-utf8", "int-key", "mixed-keys"])
+    (b"[" * 5000, "cannot parse"),                      # nested past the recursion limit
+], ids=["not-utf8", "int-key", "mixed-keys", "nested-5000-deep"])
 def test_undecodable_file_or_non_string_key_exits_2(tmp_path, capsys, content, message):
     p = tmp_path / "c.yaml"
     p.write_bytes(content)
     rc = main(["run", str(p), "--out", str(tmp_path / "x"), "--jobs", "1"])
     assert rc == 2
     assert message in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+def test_a_config_file_that_cannot_be_read_exits_2(tmp_path, capsys):
+    p = tmp_path / "c.yaml"
+    p.write_text(TINY)
+    too_long = tmp_path / ("c" * 300 + ".yaml")     # past the 255 bytes a name may take
+    # the read is mocked, since root can read a file of mode 000
+    with mock.patch.object(Path, "read_bytes", side_effect=PermissionError(13, "Permission denied")):
+        for config in (p, too_long):
+            rc = main(["run", str(config), "--out", str(tmp_path / "x"), "--jobs", "1"])
+            assert rc == 2
+            assert capsys.readouterr().err.startswith(f"error: cannot read {config}: "), config
     assert not (tmp_path / "x").exists()
 
 
@@ -119,15 +136,6 @@ def test_run_writes_steps_and_summary(tiny_file, tmp_path, capsys):
     assert "sla" in printed and "nonsla" in printed
 
 
-def test_run_single_policy(tiny_file, tmp_path):
-    out = tmp_path / "out"
-    rc = main(["run", str(tiny_file), "--out", str(out), "--policy", "sla"])
-    assert rc == 0
-    assert (out / "steps_sla.csv").is_file()
-    assert not (out / "steps_nonsla.csv").exists()
-    assert len((out / "summary.csv").read_text().splitlines()) == 2
-
-
 def test_single_policy_run_plays_only_that_policy(tiny_file, tmp_path, monkeypatch):
     played = []
     run_trace = engine.run_trace
@@ -137,15 +145,8 @@ def test_single_policy_run_plays_only_that_policy(tiny_file, tmp_path, monkeypat
         return run_trace(config, policy_kind, trace)
 
     monkeypatch.setattr(engine, "run_trace", recording_run_trace)
-    both = tmp_path / "both"
-    assert main(["run", str(tiny_file), "--out", str(both), "--jobs", "1"]) == 0
-    for policy in PolicyKind:  # each policy alone, under one test id
-        played.clear()
-        alone, name = tmp_path / policy.value, f"steps_{policy.value}.csv"
-        assert main(["run", str(tiny_file), "--out", str(alone), "--jobs", "1",
-                     "--policy", policy.value]) == 0
-        assert played == [policy] * 2       # once for each of the two replications
-        assert (alone / name).read_bytes() == (both / name).read_bytes()
+    assert main(["run", str(tiny_file), "--out", str(tmp_path / "out"), "--jobs", "1"]) == 0
+    assert played == list(PolicyKind) * 2   # each policy once in each of the two replications
 
 
 def test_repeat_runs_are_byte_identical(tiny_file, tmp_path):
@@ -157,44 +158,34 @@ def test_repeat_runs_are_byte_identical(tiny_file, tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
-def test_seed_precedence(tiny_file, tmp_path, monkeypatch):
-    def run(out, *extra):
-        assert main(["run", str(tiny_file), "--out", str(tmp_path / out),
-                     "--policy", "sla", *extra]) == 0
-        return (tmp_path / out / "steps_sla.csv").read_bytes()
+def _run_outputs(config_file, out, *extra):
+    """The files a run of config_file writes to out, by name."""
+    assert main(["run", str(config_file), "--out", str(out), "--jobs", "1", *extra]) == 0
+    return {p.name: p.read_bytes() for p in out.iterdir()}
 
+
+def test_seed_precedence(tiny_file, tmp_path):
+    flag = _run_outputs(tiny_file, tmp_path / "flag", "--seed", "5")
+    assert flag != _run_outputs(tiny_file, tmp_path / "config")    # base_seed: 3
+    seed5 = tmp_path / "seed5.yaml"
+    seed5.write_text(TINY.replace("base_seed: 3", "base_seed: 5"))
+    assert flag == _run_outputs(seed5, tmp_path / "config5")
+
+
+def test_a_seed_in_the_environment_is_ignored(tiny_file, tmp_path, monkeypatch):
     monkeypatch.delenv("BWBROKER_SEED", raising=False)
-    flag = run("flag", "--seed", "5")
+    without = _run_outputs(tiny_file, tmp_path / "without")
     monkeypatch.setenv("BWBROKER_SEED", "99")
-    flag_beats_env = run("both", "--seed", "5")
-    monkeypatch.setenv("BWBROKER_SEED", "5")
-    env_only = run("env")
-    monkeypatch.delenv("BWBROKER_SEED")
-    config_only = run("config")        # falls back to base_seed: 3
-
-    assert flag == flag_beats_env == env_only
-    assert config_only != flag
+    assert _run_outputs(tiny_file, tmp_path / "with") == without
 
 
-def test_garbage_seed_env_is_reported(tiny_file, tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("BWBROKER_SEED", "not-a-number")
-    rc = main(["run", str(tiny_file), "--out", str(tmp_path / "x")])
-    assert rc == 2
-    assert "error:" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("args,env", [
+@pytest.mark.parametrize("args", [
     # seed + 1 has 4,301 digits, too many to format as text
-    pytest.param(["--seed", "9" * 4300], None, id="flag-4300-nines"),
-    pytest.param([], "9" * 4300, id="env-4300-nines"),
+    pytest.param(["--seed", "9" * 4300], id="flag-4300-nines"),
     # the second replication's seed is one past MAX_SEED
-    pytest.param(["--seed", str(2**63 - 1)], None, id="flag-max-seed"),
+    pytest.param(["--seed", str(2**63 - 1)], id="flag-max-seed"),
 ])
-def test_a_seed_override_past_max_seed_exits_2_without_running(tmp_path, capsys, monkeypatch,
-                                                                args, env):
-    monkeypatch.delenv("BWBROKER_SEED", raising=False)
-    if env is not None:
-        monkeypatch.setenv("BWBROKER_SEED", env)
+def test_a_seed_override_past_max_seed_exits_2_without_running(tmp_path, capsys, args):
     p = tmp_path / "c.yaml"
     p.write_text("sim_duration_min: 120\nreplications: 2\n")
     for command in (["run", str(p)], ["sweep", str(p), "--figure", "fig5"]):
@@ -223,22 +214,14 @@ def test_sweep_writes_per_point_rows(tiny_file, tmp_path, capsys):
     assert "mean_SL=" in capsys.readouterr().out
 
 
-def test_fig4_sweep_is_the_fig3_sweep(tiny_file, tmp_path, capsys):
-    printed = {}
-    for figure in ("fig3", "fig4"):
-        capsys.readouterr()
-        assert main(["sweep", str(tiny_file), "--figure", figure, "--out", str(tmp_path / figure),
-                     "--jobs", "1"]) == 0
-        printed[figure] = capsys.readouterr().out
-    assert printed["fig4"] == printed["fig3"]
-    assert ((tmp_path / "fig4" / "sweep_fig4.csv").read_bytes()
-            == (tmp_path / "fig3" / "sweep_fig3.csv").read_bytes())
-
-
-def test_unknown_figure_is_rejected_by_the_parser(tiny_file):
-    with pytest.raises(SystemExit) as exc:
-        main(["sweep", str(tiny_file), "--figure", "fig9"])
-    assert exc.value.code == 2
+def test_unknown_figure_is_rejected_by_the_parser(tiny_file, tmp_path):
+    # fig3's CSV carries both SL and utilization, and every run plays both policies
+    for args in (["sweep", "--figure", "fig9"], ["sweep", "--figure", "fig4"],
+                 ["run", "--policy", "sla"]):
+        with pytest.raises(SystemExit) as exc:
+            main([args[0], str(tiny_file), *args[1:], "--out", str(tmp_path / "x")])
+        assert exc.value.code == 2, args
+    assert not (tmp_path / "x").exists()
 
 
 @pytest.mark.parametrize("line,message", [
@@ -444,6 +427,19 @@ def test_an_output_name_taken_by_a_directory_exits_2_before_any_replication(
     assert f"cannot write outputs to --out {out}: {taken} is a directory" in captured.err
     assert [p.name for p in out.iterdir()] == [taken]  # nothing was written
     assert played == []
+
+
+def test_every_readme_command_line_parses():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```[^\n]*\n(.*?)^```", readme, flags=re.M | re.S)
+    lines = [line for block in blocks for line in block.splitlines()
+             if line.startswith("bwbroker ")]
+    assert len(lines) >= 3
+    for line in lines:
+        try:
+            build_parser().parse_args(shlex.split(line, comments=True)[1:])
+        except SystemExit:
+            pytest.fail(f"README line does not parse: {line}")
 
 
 def test_a_preset_run_never_imports_pyyaml():

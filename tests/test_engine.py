@@ -314,7 +314,6 @@ def test_only_runs_are_bounded_by_the_step_record_ceiling(short_cfg, monkeypatch
     monkeypatch.setattr(engine, "MAX_STEP_RECORDS", 479)
     with pytest.raises(ConfigError, match="480 step records"):
         run_policies(short_cfg)
-    assert len(run_policies(short_cfg, policies=(PolicyKind.SLA,))[PolicyKind.SLA].steps_csv) == 2
     # a sweep keeps only each replication's means, so nothing bounds its records
     assert len(run_experiment(_viewer_sweep(short_cfg, (0.8,)))) == 2
 
@@ -344,7 +343,7 @@ class _GlobalsSeen(pickle.Unpickler):
 
 
 def test_run_worker_returns_no_step_record(short_cfg):
-    loader = _GlobalsSeen(pickle.dumps(paired_steps(short_cfg, 1, tuple(PolicyKind))))
+    loader = _GlobalsSeen(pickle.dumps(paired_steps(short_cfg, 1)))
     result = loader.load()
     assert loader.seen == {"bwbroker.metrics.ReplicationMeans"}
     assert [type(text) for _, text in result] == [str, str]
@@ -368,7 +367,7 @@ def _csv_writer_text(replication, records, config):
 
 def test_run_worker_formats_and_reduces_the_records_of_run_paired(short_cfg):
     by_policy = run_paired(short_cfg, replication_seed(short_cfg.base_seed, 1))
-    task = paired_steps(short_cfg, 1, tuple(PolicyKind))
+    task = paired_steps(short_cfg, 1)
     assert task == [(replication_means(records, short_cfg.warmup_min),
                      _csv_writer_text(1, records, short_cfg)) for records in by_policy.values()]
 
@@ -393,11 +392,14 @@ def test_only_the_sla_run_keeps_a_broker_history(short_cfg, monkeypatch):
             super().__init__(*args)
 
     monkeypatch.setattr(engine, "DemandHistory", CountedHistory)
-    for policies, builds in (((PolicyKind.NON_SLA,), 0), ((PolicyKind.SLA,), 1),
-                             (tuple(PolicyKind), 1)):
+    trace = build_trace(short_cfg, 7)
+    for policy, builds in ((PolicyKind.NON_SLA, 0), (PolicyKind.SLA, 1)):
         built.clear()
-        run_paired(short_cfg, 7, policies)
-        assert len(built) == builds, policies
+        run_trace(short_cfg, policy, trace)
+        assert len(built) == builds, policy
+    built.clear()
+    run_paired(short_cfg, 7)
+    assert len(built) == 1
 
 
 def test_replication_seeds_are_consecutive():

@@ -4,9 +4,9 @@
 
 runs `run table1`, `sweep table1 --figure fig3` and `--figure fig5`, at
 seeds 42 and 1009, at `--jobs 1` and `--jobs 2`, against the `src/` of the
-checkout this script sits in, with BWBROKER_SEED removed from the
-environment.  Each command writes its CSVs and its stdout (`stdout.txt`)
-under OUT/<command>-seed<seed>-jobs<jobs>/, and OUT must not exist yet.
+checkout this script sits in.  Each command writes its CSVs and its stdout
+(`stdout.txt`) under OUT/<command>-seed<seed>-jobs<jobs>/, and OUT must not
+exist yet.
 Two checkouts agree when `diff -r` finds nothing between their OUTs; within
 one OUT, each -jobs1 directory should equal its -jobs2 twin.
 """
@@ -34,8 +34,8 @@ def main(argv: list[str]) -> int:
     if out.exists():  # stale files in it would show up in the diff
         print(f"{out} exists already", file=sys.stderr)
         return 2
-    env = {k: v for k, v in os.environ.items() if k != "BWBROKER_SEED"}
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
     for name, args in COMMANDS.items():
         for seed in SEEDS:
             for jobs in JOBS:
