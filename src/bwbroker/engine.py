@@ -27,12 +27,24 @@ The step records of a replication stay in the process that played it:
 a pool worker returns only what the parent needs of them, each policy's
 means (metrics.replication_means) and, for a run, its steps-CSV rows as
 text (metrics.step_rows_csv).
+
+The two replication tasks, paired_means and paired_steps, run with
+CPython's cyclic garbage collector paused, and restore it after, so that
+the tens of thousands of tuples a replication allocates do not keep
+triggering collections that re-walk the memoised traffic sides.  This is
+safe because a replication makes no reference cycles: its reference
+counts free everything it drops, and the collector would find nothing.
+tests/test_engine.py::test_a_replication_makes_no_reference_cycles guards
+that premise.  The pause is made by the task itself, in whatever process
+runs it, so it does not depend on the pool's start method.
 """
 
 from __future__ import annotations
 
+import gc
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from functools import wraps
 
 from .allocation import PolicyKind, admit_channel, allocate_non_sla, allocate_sla, per_channel
 from .broker import DemandHistory, compute_reservation
@@ -125,12 +137,27 @@ def replication_seed(base_seed: int, replication: int) -> int:
     return base_seed + replication
 
 
+def _collector_paused(task):
+    """task, run with the cyclic garbage collector disabled, then re-enabled if it was."""
+    @wraps(task)
+    def paused(*args, **kwargs):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return task(*args, **kwargs)
+        finally:
+            if enabled:
+                gc.enable()
+    return paused
+
+
 def run_paired(config: ScenarioConfig, seed: int) -> dict[PolicyKind, list[StepRecord]]:
     """Run both policies over one shared traffic trace (paired comparison)."""
     trace = build_trace(config, seed)
     return {kind: run_trace(config, kind, trace) for kind in PolicyKind}
 
 
+@_collector_paused
 def paired_means(config: ScenarioConfig, seed: int) -> list[ReplicationMeans]:
     """Each policy's means over one paired replication, in PolicyKind order: a sweep task."""
     return [replication_means(r, config.warmup_min) for r in run_paired(config, seed).values()]
@@ -164,6 +191,7 @@ class PolicyRun:
     steps_csv: tuple[str, ...]
 
 
+@_collector_paused
 def paired_steps(config: ScenarioConfig, replication: int) -> list[tuple[ReplicationMeans, str]]:
     """Each policy's means over one paired replication and its steps-CSV rows: a run task."""
     by_policy = run_paired(config, replication_seed(config.base_seed, replication))

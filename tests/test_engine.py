@@ -1,6 +1,7 @@
 """Step composition, paired runs, sweeps and reproducibility."""
 
 import csv
+import gc
 import io
 import multiprocessing
 import os
@@ -370,6 +371,71 @@ def test_run_worker_formats_and_reduces_the_records_of_run_paired(short_cfg):
     task = paired_steps(short_cfg, 1)
     assert task == [(replication_means(records, short_cfg.warmup_min),
                      _csv_writer_text(1, records, short_cfg)) for records in by_policy.values()]
+
+
+def test_a_replication_makes_no_reference_cycles(short_cfg):
+    # the premise of running the tasks with the cyclic collector paused: with
+    # DEBUG_SAVEALL a collection keeps, in gc.garbage, every object it would free
+    heavy = replace(short_cfg, non_iptv_arrival_rate_per_min=4.5)  # both policies fork at seed 6
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        paired_steps(short_cfg, 1)
+        means = paired_means(heavy, 6)
+        found = gc.collect()
+        garbage = list(gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        if enabled:
+            gc.enable()
+    assert any(m.blocks > 0 and m.drops > 0 for m in means)  # after the warm-up, too
+    assert found == 0
+    assert garbage == []
+
+
+@pytest.fixture(params=[True, False], ids=["enabled", "disabled"])
+def collector(request):
+    """The collector's state before a task, set; the state the test found is restored after."""
+    enabled = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    (gc.enable if enabled else gc.disable)()
+
+
+def test_a_task_pauses_the_collector_and_restores_it(short_cfg, monkeypatch, collector):
+    seen = []  # gc.isenabled() while each task plays its replication
+
+    def paired(config, seed):
+        seen.append(gc.isenabled())
+        return by_seed(config, seed)
+
+    by_seed = engine.run_paired
+    monkeypatch.setattr(engine, "run_paired", paired)
+    paired_means(short_cfg, 7)
+    assert gc.isenabled() is collector
+    paired_steps(short_cfg, 1)
+    assert gc.isenabled() is collector
+    assert seen == [False, False]
+
+
+def test_a_task_that_raises_restores_the_collector(short_cfg, monkeypatch, collector):
+    def failing(config, seed):
+        raise RuntimeError("replication failed")
+
+    monkeypatch.setattr(engine, "run_paired", failing)
+    for task, arg in ((paired_means, 7), (paired_steps, 1)):
+        with pytest.raises(RuntimeError, match="replication failed"):
+            task(short_cfg, arg)
+        assert gc.isenabled() is collector
+
+
+def test_a_paused_task_still_pickles_as_itself():
+    # _map sends the tasks to pool workers by reference
+    for task in (engine.paired_means, engine.paired_steps):
+        assert pickle.loads(pickle.dumps(task)) is task
 
 
 def test_run_policies_matches_aggregate_over_run_paired(short_cfg):
