@@ -18,10 +18,12 @@ channel activation and again in allocation, so a free step blocks and drops
 nothing.  Since it sheds nothing, allocation never reads which channels are
 on air, and a free step passes it range(on_air[t]).  At the first step that
 fails the test, the policy builds its cell, a model.CellState viewer ledger,
-from the earlier steps' viewer events, every viewer admitted, and from then
-on plays the viewer events itself, with admission.  Calls are never played:
-both phases take the step's non-IPTV demand from the trace's running count,
-live_calls, which the call side derives as it draws.
+from the earlier steps' viewers, every one admitted, and from then on plays
+the viewers itself, with admission: a step's leaving ids depart, then its
+new ids arrive, each viewer on its channel, trace.channels[id].  The engine
+never reads the trace's event lists.  Calls are never played: both phases
+take the step's non-IPTV demand from the trace's running count, live_calls,
+which the call side derives as it draws.
 
 The step records of a replication stay in the process that played it:
 a pool worker returns only what the parent needs of them, each policy's
@@ -57,12 +59,12 @@ from .traffic import Trace, build_trace, viewer_rate_for_mean_channels
 
 def _admitted_cell(trace: Trace, steps: int) -> CellState:
     """The viewer ledger after the first steps of trace, every viewer admitted."""
-    state = CellState()
-    for leaving, joining in zip(trace.viewers_out[:steps], trace.viewers_in[:steps]):
-        for _, channel_id, viewer_id in leaving:
-            state.viewer_departs(viewer_id, channel_id)
-        for _, channel_id, viewer_id in joining:
-            state.admit_viewer(viewer_id, channel_id)
+    state, channels, starts = CellState(), trace.channels, trace.starts
+    for step, leaving in enumerate(trace.leaving[:steps]):
+        for viewer_id in leaving:
+            state.viewer_departs(viewer_id, channels[viewer_id])
+        for viewer_id in range(starts[step], starts[step + 1]):
+            state.admit_viewer(viewer_id, channels[viewer_id])
     return state
 
 
@@ -82,7 +84,7 @@ def run_trace(config: ScenarioConfig, policy_kind: PolicyKind, trace: Trace) -> 
     full, call_bw = config.iptv_channel_max_bw_mbps, config.non_iptv_call_bw_mbps
     floor = config.iptv_channel_min_bw_mbps - BW_TOL
     dt, reservation_cap = config.sample_interval_min, config.iptv_reservation_cap_mbps
-    viewers_out, viewers_in, on_air = trace.viewers_out, trace.viewers_in, trace.on_air
+    leaving, channels, starts, on_air = trace.leaving, trace.channels, trace.starts, trace.on_air
     state = None  # the policy's own cell, from its first step that is not free
     records: list[StepRecord] = []
     append, new_record = records.append, tuple.__new__
@@ -104,11 +106,11 @@ def run_trace(config: ScenarioConfig, policy_kind: PolicyKind, trace: Trace) -> 
                 admit_viewer, viewer_departs = state.admit_viewer, state.viewer_departs
                 drop_channel = state.drop_channel
         if state is not None:
-            for _, channel_id, viewer_id in viewers_out[step]:
-                viewer_departs(viewer_id, channel_id)
-            for _, channel_id, viewer_id in viewers_in[step]:
-                if channel_id in active or admit(policy_kind, len(active), non_iptv, reserved,
-                                                 config):
+            for viewer_id in leaving[step]:
+                viewer_departs(viewer_id, channels[viewer_id])
+            for viewer_id in range(starts[step], starts[step + 1]):
+                if (channel_id := channels[viewer_id]) in active or admit(
+                        policy_kind, len(active), non_iptv, reserved, config):
                     admit_viewer(viewer_id, channel_id)
                 else:
                     blocks += 1

@@ -1,4 +1,4 @@
-"""Seeded traffic generation: viewer and background-call event streams.
+"""Seeded traffic generation: the viewers and the background calls of a replication.
 
 Determinism contract
 --------------------
@@ -13,10 +13,12 @@ event sequence, bit for bit, everywhere.
 Each traffic class has its own stream, drawn only by its side (viewer_side,
 call_side): a pure function of the seed and that side's own config fields,
 memoised on them, so sweep points equal in those fields share one build.
+The viewer side holds its viewers, numbered in arrival order, in the shape
+the engine reads them; the call side holds counts, since calls are alike.
 
 The free play
 -------------
-Besides its events, a Trace carries what a cell that admitted every viewer
+Besides its steps, a Trace carries what a cell that admitted every viewer
 would hold after each step: on_air[t], its channels on air, and
 live_calls[t], its live calls.  Both are policy-blind.  Each side derives
 its series as it draws: the viewer side counts on_air from a viewer count a
@@ -36,6 +38,7 @@ from bisect import bisect_right
 from collections.abc import Callable
 from enum import Enum
 from functools import lru_cache
+from itertools import islice
 from math import ceil, log1p
 from typing import NamedTuple
 
@@ -64,41 +67,61 @@ VIEWER_ARRIVE, VIEWER_DEPART, NON_IPTV_ARRIVE, NON_IPTV_DEPART = EventKind
 
 
 class TrafficEvent(NamedTuple):
-    """One arrival or departure; call events carry no ids."""
+    """One arrival or departure, of a viewer or a call; it carries no ids."""
 
     kind: EventKind
-    channel_id: int | None = None
-    viewer_id: int | None = None
 
 
-# every call is alike, so all call events are these two shared objects
-CALL_ARRIVAL = TrafficEvent(NON_IPTV_ARRIVE)
-CALL_DEPARTURE = TrafficEvent(NON_IPTV_DEPART)
+# every event of a kind is alike, so all events are these four shared objects
+VIEWER_ARRIVAL, VIEWER_DEPARTURE = TrafficEvent(VIEWER_ARRIVE), TrafficEvent(VIEWER_DEPART)
+CALL_ARRIVAL, CALL_DEPARTURE = TrafficEvent(NON_IPTV_ARRIVE), TrafficEvent(NON_IPTV_DEPART)
+
+
+class _Runs(dict):
+    """The runs of one event by length, seeded with the run of 1: each other run is made
+    when a merge first asks for it, then kept, one for each step count seen."""
+
+    def __missing__(self, length: int) -> tuple[TrafficEvent, ...]:
+        run = self[length] = self[1] * length
+        return run
+
+
+_RUNS = [_Runs({1: (event,)})
+         for event in (VIEWER_DEPARTURE, CALL_DEPARTURE, CALL_ARRIVAL, VIEWER_ARRIVAL)]
 
 
 class Trace(list):
     """Every step of one replication, made from its two sides.
 
-    viewers is (viewers_out, viewers_in, on_air), as viewer_side returns it:
-    per step, the viewer departures and arrivals, and the channels on air
-    after the step had every viewer been admitted.  calls is (calls_out,
-    calls_in, live_calls), as call_side returns it: per step, the call
-    departure and arrival counts, and the calls live after the step.  The
-    Trace takes both series as given: the sides count them as they draw, and a
-    hand-made side supplies its own.  As a list, a Trace holds one list of
-    events a step, in play order: viewer departures, call departures, call
-    arrivals, then viewer arrivals, so a new viewer meets the step's updated
-    call load.  ValueError if the sides differ in step count.
+    viewers is (leaving, channels, starts, on_air), as viewer_side returns it;
+    calls is (calls_out, calls_in, live_calls), as call_side returns it: per
+    step, the call departure and arrival counts, and the calls live after it.
+    The Trace takes both series as given: the sides count them as they draw,
+    and a hand-made side supplies its own.  ValueError unless leaving, on_air,
+    calls_out and calls_in have one entry a step, starts one more, and
+    starts[-1] is len(channels).  As a list, a Trace holds one list a step
+    of shared, id-free markers, in play order: viewer departures, call
+    departures, call arrivals, then viewer arrivals.  Only the benchmark
+    harness (perfbench/) reads it, to count events by kind; it goes when the
+    harness reads the engine's own counts (ROADMAP item 1(b)).
     """
 
-    __slots__ = ("viewers_out", "viewers_in", "on_air", "live_calls")
+    __slots__ = ("leaving", "channels", "starts", "on_air", "live_calls")
 
     def __init__(self, viewers, calls):
-        self.viewers_out, self.viewers_in, self.on_air = viewers
+        self.leaving, self.channels, self.starts, self.on_air = viewers
         calls_out, calls_in, self.live_calls = calls
-        steps = zip(self.viewers_out, calls_out, calls_in, self.viewers_in, strict=True)
-        super().__init__([[*v_out, *(CALL_DEPARTURE,) * c_out, *(CALL_ARRIVAL,) * c_in, *v_in]
-                          for v_out, c_out, c_in, v_in in steps])
+        leaving, starts, on_air = self.leaving, self.starts, self.on_air
+        if not len(starts) - 1 == len(leaving) == len(on_air) == len(calls_out) == len(calls_in):
+            raise ValueError(f"step counts differ: {len(starts)} starts, {len(leaving)} leaving,"
+                             f" {len(on_air)} on air, {len(calls_out)} and {len(calls_in)} calls")
+        if starts[-1] != len(self.channels):
+            raise ValueError(f"the starts count {starts[-1]} viewers,"
+                             f" the channels {len(self.channels)}")
+        leave, hang_up, call, join = _RUNS
+        steps = zip(leaving, calls_out, calls_in, starts, islice(starts, 1, None))
+        super().__init__([[*leave[len(ids)], *hang_up[out], *call[into], *join[end - start]]
+                          for ids, out, into, start, end in steps])
 
 
 def live_call_series(calls_out, calls_in) -> tuple[int, ...]:
@@ -231,25 +254,26 @@ def viewer_rate_for_mean_channels(
 @lru_cache(maxsize=1)
 def viewer_side(seed: int, n_steps: int, dt_min: float, rate_per_min: float,
                 mean_hold_min: float, catalog_size: int,
-                skew: float) -> tuple[tuple, tuple, tuple[int, ...]]:
-    """Per step, the viewer departures, the viewer arrivals and the channels then on
-    air had every viewer been admitted, counted as they are drawn; stream 0 draws a
-    count, then each viewer's channel and hold."""
+                skew: float) -> tuple[tuple, tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """(leaving, channels, starts, on_air): leaving[t], the ids of the viewers that depart
+    at step t; channels[v], viewer v's channel, ids in arrival order; step t's arrivals,
+    range(starts[t], starts[t + 1]); and on_air[t], the channels then on air had every
+    viewer been admitted, counted as drawn.  Stream 0 draws a count, then each viewer's
+    channel and hold."""
     viewer_side.cache_clear()  # a miss: drop the old side first, so two never coexist
     rng = RngStream(seed, 0)
     draw, cdf = rng.random, _popularity_cdf(catalog_size, skew)
-    # TrafficEvent's own __new__ is a Python-level call; tuple.__new__ is not
-    event = tuple.__new__
     arrivals_in_step = poisson_counter(rate_per_min, dt_min, rng)
-    departures: list[list[TrafficEvent]] = [[] for _ in range(n_steps)]
-    arrivals: list[list[TrafficEvent]] = [[] for _ in range(n_steps)]
+    leaving: list[list[int]] = [[] for _ in range(n_steps)]
+    channels: list[int] = []
+    starts, on_air = [0], []
     # viewers on each channel id; every departure is of an earlier arrival on its
     # channel, so the counts give the channels on air exactly
     watching = [0] * (catalog_size + 1)
-    on_air: list[int] = []
     viewer_id = on = 0
-    for step, joined in enumerate(arrivals):
-        for _, channel, _ in departures[step]:  # complete: a hold lasts a step or more
+    for step, departing in enumerate(leaving):
+        for viewer in departing:  # complete: a hold lasts a step or more
+            channel = channels[viewer]
             watching[channel] -= 1
             if not watching[channel]:
                 on -= 1
@@ -258,14 +282,15 @@ def viewer_side(seed: int, n_steps: int, dt_min: float, rate_per_min: float,
             hold_steps = -mean_hold_min * log1p(-draw()) / dt_min
             # a hold is never negative, so `ceil or 1` is max(1, ceil)
             if hold_steps < n_steps and (depart := step + (ceil(hold_steps) or 1)) < n_steps:
-                departures[depart].append(event(TrafficEvent, (VIEWER_DEPART, channel, viewer_id)))
-            joined.append(event(TrafficEvent, (VIEWER_ARRIVE, channel, viewer_id)))
+                leaving[depart].append(viewer_id)
+            channels.append(channel)
             if not watching[channel]:
                 on += 1
             watching[channel] += 1
             viewer_id += 1
+        starts.append(viewer_id)
         on_air.append(on)
-    return tuple(map(tuple, departures)), tuple(map(tuple, arrivals)), tuple(on_air)
+    return tuple(map(tuple, leaving)), tuple(channels), tuple(starts), tuple(on_air)
 
 
 @lru_cache(maxsize=1)
@@ -288,14 +313,14 @@ def call_side(seed: int, n_steps: int, dt_min: float, rate_per_min: float,
 
 
 def build_trace(config: ScenarioConfig, seed: int) -> Trace:
-    """The ordered event list of every step of one replication.
+    """The trace of one replication: its two memoised sides, and a fresh list a step.
 
     The trace is policy-blind: it holds every arrival and its departure,
     and the engine ignores departures of viewers it never admitted, so
-    both policies can be compared on one trace.  A hold of tau minutes lasts ceil(tau / t1) steps, at least one; a
-    hold of n_steps steps or more (even inf) is dropped unrounded, since
-    its departure would fall past the last step.  Each call returns
-    fresh lists, merged from the memoised sides, with the sides' series.
+    both policies can be compared on one trace.  A hold of tau minutes
+    lasts ceil(tau / t1) steps, at least one; a hold of n_steps steps or
+    more (even inf) is dropped unrounded, since its departure would fall
+    past the last step.
     """
     n, t1 = config.n_steps, config.sample_interval_min
     return Trace(

@@ -33,18 +33,19 @@ def reference_steps(config, seed):
     """Per step: (viewer departures, call departures, call arrivals, viewer arrivals),
     each viewer a (channel, viewer) pair, read from the two traffic sides."""
     n, dt = config.n_steps, config.sample_interval_min
-    sides = viewer_side(seed, n, dt, config.iptv_viewer_arrival_rate_per_min,
-                        config.iptv_viewer_mean_hold_min, config.num_channels_catalog,
-                        config.channel_popularity_skew)
-    viewers_out, viewers_in = sides[0], sides[1]  # the side also carries its free play
+    # the side also carries its free play, which the reference recomputes
+    leaving, channels, starts, _ = viewer_side(
+        seed, n, dt, config.iptv_viewer_arrival_rate_per_min, config.iptv_viewer_mean_hold_min,
+        config.num_channels_catalog, config.channel_popularity_skew)
     calls_out, calls_in, _ = call_side(seed, n, dt, config.non_iptv_arrival_rate_per_min,
                                        config.non_iptv_mean_hold_min)
 
-    def pairs(events):
-        return [(ev.channel_id, ev.viewer_id) for ev in events]
+    def pairs(ids):
+        return [(channels[viewer], viewer) for viewer in ids]
 
-    return [(pairs(v_out), c_out, c_in, pairs(v_in))
-            for v_out, c_out, c_in, v_in in zip(viewers_out, calls_out, calls_in, viewers_in)]
+    steps = zip(leaving, calls_out, calls_in, starts, starts[1:])
+    return [(pairs(out), c_out, c_in, pairs(range(start, end)))
+            for out, c_out, c_in, start, end in steps]
 
 
 def per_channel_rate(config, sla, n, calls_mbps, reserved):

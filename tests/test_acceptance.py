@@ -443,8 +443,7 @@ def test_criterion_traffic_statistics():
                       iptv_viewer_arrival_rate_per_min=30.0,
                       non_iptv_arrival_rate_per_min=0.0,
                       sim_duration_min=1000.0, warmup_min=0.0)
-    counts = Counter(ev.channel_id for events in build_trace(viewers, 77)
-                     for ev in events if ev.kind is EventKind.VIEWER_ARRIVE)
+    counts = Counter(build_trace(viewers, 77).channels)
     picks = sum(counts.values())
     probs = channel_probabilities(10, 1.0)
     zipf_worst = max(abs(counts.get(k + 1, 0) / picks - p)

@@ -30,7 +30,7 @@ from bwbroker.engine import (
 )
 from bwbroker.metrics import aggregate, replication_means
 from bwbroker.model import ConfigError
-from bwbroker.traffic import VIEWER_ARRIVE, VIEWER_DEPART, RngStream, Trace, TrafficEvent
+from bwbroker.traffic import RngStream, Trace
 from bwbroker.traffic import build_trace, call_side, live_call_series, viewer_side
 from free_play import on_air_series
 from test_metrics import written_rows
@@ -42,17 +42,20 @@ def _viewer_sweep(config, rates):
         (r, replace(config, iptv_viewer_arrival_rate_per_min=r)) for r in rates))
 
 
-def _viewers(kind, n):
-    """Viewers 0 to n - 1, viewer k on channel k + 1."""
-    return tuple(TrafficEvent(kind, k + 1, k) for k in range(n))
-
-
 def _trace(*steps):
-    """A hand-made trace; each step is (viewers departing, calls arriving, viewers arriving)."""
-    leaving = tuple(_viewers(VIEWER_DEPART, out) for out, _, _ in steps)
-    joining = tuple(_viewers(VIEWER_ARRIVE, into) for _, _, into in steps)
+    """A hand-made trace; each step is (viewers departing, calls arriving, viewers arriving).
+
+    A step's k-th arriving viewer is on channel k + 1, and its departing viewers
+    are the first ones of the step before.
+    """
+    leaving, channels, starts, previous = [], [], [0], 0
+    for out, _, into in steps:
+        leaving.append(tuple(range(previous, previous + out)))
+        previous = len(channels)
+        channels += range(1, into + 1)
+        starts.append(len(channels))
     calls_in, calls_out = tuple(calls for _, calls, _ in steps), (0,) * len(steps)
-    return Trace((leaving, joining, on_air_series(leaving, joining)),
+    return Trace((leaving, channels, starts, on_air_series(leaving, channels, starts)),
                  (calls_out, calls_in, live_call_series(calls_out, calls_in)))
 
 

@@ -36,8 +36,7 @@ def _traced(tmp_path, scenario_text, command) -> dict:
         str(tmp_path / "counts.bin"), str(tmp_path / "spans.json"), "--",
         command[0], str(scenario), *command[1:], "--jobs", "1", "--out", str(tmp_path / "out"),
     ]
-    env = {k: v for k, v in os.environ.items() if k != "BWBROKER_SEED"}
-    env.update(PYTHONPATH=str(SRC), BWBENCH_SRC=str(SRC))
+    env = dict(os.environ, PYTHONPATH=str(SRC), BWBENCH_SRC=str(SRC))
     proc = subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.strip().splitlines()[-1])["layers"]

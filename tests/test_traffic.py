@@ -10,15 +10,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bwbroker import traffic
-from bwbroker.engine import FIG5_CHANNEL_TARGETS
+from bwbroker.allocation import PolicyKind
+from bwbroker.engine import FIG5_CHANNEL_TARGETS, run_trace
 from bwbroker.model import ScenarioConfig, table1
 from bwbroker.traffic import (
     CALL_ARRIVAL,
     CALL_DEPARTURE,
+    VIEWER_ARRIVAL,
+    VIEWER_DEPARTURE,
     EventKind,
     RngStream,
     Trace,
-    TrafficEvent,
     build_trace,
     call_side,
     channel_probabilities,
@@ -28,7 +30,7 @@ from bwbroker.traffic import (
     viewer_rate_for_mean_channels,
     viewer_side,
 )
-from free_play import on_air_series
+from free_play import event_viewer_side, on_air_series
 
 
 def test_stream_values_are_frozen():
@@ -126,8 +128,7 @@ def _viewers_only(cfg, **fields):
 
 
 def _arrival_channels(trace):
-    return [ev.channel_id for events in trace for ev in events
-            if ev.kind is EventKind.VIEWER_ARRIVE]
+    return list(trace.channels)
 
 
 def test_pick_channel_single_channel_catalog():
@@ -176,14 +177,11 @@ def test_holding_time_mean_converges():
     # of 10 has probability e^-20, so every one of them departs in the trace
     cfg = _viewers_only(table1(), iptv_viewer_arrival_rate_per_min=2.0,
                         sim_duration_min=1200.0)
-    arrived = {}
-    residency = []
-    for step, events in enumerate(build_trace(cfg, 31)):
-        for ev in events:
-            if ev.kind is EventKind.VIEWER_ARRIVE and step < 1000:
-                arrived[ev.viewer_id] = step
-            elif ev.kind is EventKind.VIEWER_DEPART and ev.viewer_id in arrived:
-                residency.append(step - arrived[ev.viewer_id])
+    trace = build_trace(cfg, 31)
+    arrived = {viewer: step for step in range(1000)
+               for viewer in range(trace.starts[step], trace.starts[step + 1])}
+    residency = [step - arrived[viewer] for step, ids in enumerate(trace.leaving)
+                 for viewer in ids if viewer in arrived]
     n = len(residency)
     assert n == len(arrived) > 1800
     # residency is the hold rounded up to whole steps of 1 minute
@@ -198,14 +196,14 @@ def test_holding_time_is_positive_and_finite(mean, seed):
                   sim_duration_min=30.0, warmup_min=0.0)
     viewers = set()
     calls = 0
-    for events in build_trace(cfg, seed):
+    trace = build_trace(cfg, seed)
+    for step, events in enumerate(trace):
         calls -= sum(ev.kind is EventKind.NON_IPTV_DEPART for ev in events)
         assert calls >= 0
-        for ev in events:
-            if ev.kind is EventKind.VIEWER_DEPART:
-                viewers.remove(ev.viewer_id)
+        for viewer in trace.leaving[step]:
+            viewers.remove(viewer)
         calls += sum(ev.kind is EventKind.NON_IPTV_ARRIVE for ev in events)
-        viewers.update(ev.viewer_id for ev in events if ev.kind is EventKind.VIEWER_ARRIVE)
+        viewers.update(range(trace.starts[step], trace.starts[step + 1]))
 
 
 def test_effective_hold_accounts_for_step_rounding():
@@ -293,12 +291,12 @@ def test_first_step_events_are_frozen():
         EventKind.NON_IPTV_ARRIVE, EventKind.VIEWER_ARRIVE,
         EventKind.VIEWER_ARRIVE, EventKind.VIEWER_ARRIVE,
     ]
-    assert all(e.channel_id is None and e.viewer_id is None for e in ev[:3])
-    assert [(e.viewer_id, e.channel_id) for e in ev[3:]] == [(0, 16), (1, 19), (2, 13)]
+    assert ev == [CALL_ARRIVAL] * 3 + [VIEWER_ARRIVAL] * 3  # shared, id-free markers
+    assert [(v, trace.channels[v]) for v in range(trace.starts[0], trace.starts[1])] == [
+        (0, 16), (1, 19), (2, 13)]
     # viewers 0, 1, 2 depart at steps 2, 16 and 10 respectively
-    departs = {e.viewer_id: (step, e.channel_id)
-               for step, events in enumerate(trace) for e in events
-               if e.kind is EventKind.VIEWER_DEPART and e.viewer_id < 3}
+    departs = {v: (step, trace.channels[v])
+               for step, ids in enumerate(trace.leaving) for v in ids if v < 3}
     assert departs == {0: (2, 16), 1: (16, 19), 2: (10, 13)}
     # call departures of steps 1-40; the calls of step 0 leave at 2, 36 and 4
     assert [sum(e.kind is EventKind.NON_IPTV_DEPART for e in trace[step])
@@ -313,21 +311,21 @@ def test_every_arrival_departs_exactly_once():
                   sim_duration_min=400.0, warmup_min=0.0)
     short = build_trace(cfg, 9)
     longer = build_trace(replace(cfg, sim_duration_min=800.0), 9)
-    # a longer run draws the same events; it only emits more of them
+    # a longer run draws the same viewers; it only emits more of them
     assert longer[:400] == short
+    assert longer.leaving[:400] == short.leaving and longer.starts[:401] == short.starts
+    assert longer.channels[:len(short.channels)] == short.channels
     arrived = {}
     departed = set()
-    for step, events in enumerate(longer):
+    for step, ids in enumerate(longer.leaving):
         if step == 400:
             on_air = set(arrived) - departed
-        for ev in events:
-            if ev.kind is EventKind.VIEWER_ARRIVE:
-                arrived[ev.viewer_id] = (step, ev.channel_id)
-            elif ev.kind is EventKind.VIEWER_DEPART:
-                assert arrived[ev.viewer_id][0] < step
-                assert arrived[ev.viewer_id][1] == ev.channel_id
-                assert ev.viewer_id not in departed
-                departed.add(ev.viewer_id)
+        for viewer in ids:  # a departure's channel is its viewer's: channels[viewer]
+            assert arrived[viewer] < step
+            assert viewer not in departed
+            departed.add(viewer)
+        arrived.update((viewer, step)
+                       for viewer in range(longer.starts[step], longer.starts[step + 1]))
     # a hold of 400 minutes at a mean of 10 has probability e^-40
     assert on_air and on_air <= departed
 
@@ -390,70 +388,115 @@ def test_memoised_sides_match_fresh_builds_whatever_field_changes():
         call_side.cache_clear()
         fresh = build_trace(cfg, 5)
         assert shared == fresh, name
+        assert (shared.leaving, shared.channels, shared.starts) == (
+            fresh.leaving, fresh.channels, fresh.starts), name
         assert (shared.on_air, shared.live_calls) == (fresh.on_air, fresh.live_calls), name
 
 
 def test_a_traces_free_play_is_that_of_its_events():
     # the series the sides derive as they draw are those recomputed from the
-    # trace's own events
+    # trace's own viewers and events, and its lists hold as many of each kind
+    # of event as the sides say
     trace = build_trace(replace(table1(), sim_duration_min=200.0, warmup_min=0.0), 4)
 
-    def of_kind(kind):
-        return [tuple(ev for ev in events if ev.kind is kind) for events in trace]
+    def counts(kind):
+        return [sum(ev.kind is kind for ev in events) for events in trace]
 
-    viewers_out, viewers_in = of_kind(EventKind.VIEWER_DEPART), of_kind(EventKind.VIEWER_ARRIVE)
-    calls_out, calls_in = ([len(evs) for evs in of_kind(kind)]
-                           for kind in (EventKind.NON_IPTV_DEPART, EventKind.NON_IPTV_ARRIVE))
-    assert (list(trace.viewers_out), list(trace.viewers_in)) == (viewers_out, viewers_in)
-    assert trace.on_air == on_air_series(viewers_out, viewers_in)
+    arrivals = [end - start for start, end in zip(trace.starts, trace.starts[1:])]
+    assert counts(EventKind.VIEWER_DEPART) == list(map(len, trace.leaving))
+    assert counts(EventKind.VIEWER_ARRIVE) == arrivals
+    calls_out, calls_in = counts(EventKind.NON_IPTV_DEPART), counts(EventKind.NON_IPTV_ARRIVE)
+    assert trace.on_air == on_air_series(trace.leaving, trace.channels, trace.starts)
     assert trace.live_calls == live_call_series(calls_out, calls_in)
     assert max(trace.on_air) > 0 and max(trace.live_calls) > 0
 
 
+# holds far below one step depart the next step; holds far past the run never do
+viewer_sides = given(
+    seed=st.integers(0, 2**32), n_steps=st.integers(1, 150), dt=st.floats(0.5, 2.0),
+    rate=st.one_of(st.just(0.0), st.floats(0.0, 30.0)),
+    hold=st.one_of(st.floats(1e-6, 0.01), st.floats(0.01, 60.0), st.floats(1e4, 1e9)),
+    catalog=st.one_of(st.just(1), st.integers(1, 60)), skew=st.floats(0.0, 2.0))
+
+
 @settings(max_examples=150, deadline=None)
-@given(seed=st.integers(0, 2**32), n_steps=st.integers(1, 150), dt=st.floats(0.5, 2.0),
-       rate=st.one_of(st.just(0.0), st.floats(0.0, 30.0)),
-       hold=st.one_of(st.floats(1e-6, 0.01), st.floats(0.01, 60.0), st.floats(1e4, 1e9)),
-       catalog=st.one_of(st.just(1), st.integers(1, 60)), skew=st.floats(0.0, 2.0))
+@viewer_sides
 def test_the_on_air_series_a_viewer_side_counts_is_that_of_its_events(
         seed, n_steps, dt, rate, hold, catalog, skew):
-    # holds far below one step depart the next step; holds far past the run never do
-    viewers_out, viewers_in, on_air = viewer_side(seed, n_steps, dt, rate, hold, catalog, skew)
-    assert on_air == on_air_series(viewers_out, viewers_in)
+    leaving, channels, starts, on_air = viewer_side(seed, n_steps, dt, rate, hold, catalog, skew)
+    assert on_air == on_air_series(leaving, channels, starts)
 
 
-def _viewer(kind, channel, viewer):
-    return TrafficEvent(kind, channel_id=channel, viewer_id=viewer)
+@settings(max_examples=150, deadline=None)
+@viewer_sides
+def test_the_viewer_side_draws_the_viewers_of_the_event_list_side(
+        seed, n_steps, dt, rate, hold, catalog, skew):
+    # the same channels, ids, departure steps and on-air counts as the side that
+    # drew a (channel, viewer) event per arrival and departure
+    leaving, channels, starts, on_air = viewer_side(seed, n_steps, dt, rate, hold, catalog, skew)
+    departures, arrivals, expected_on_air = event_viewer_side(
+        seed, n_steps, dt, rate, hold, catalog, skew)
+    assert [[(channels[v], v) for v in ids] for ids in leaving] == departures
+    assert [[(channels[v], v) for v in range(start, end)]
+            for start, end in zip(starts, starts[1:])] == arrivals
+    assert (len(starts), starts[0], len(channels)) == (n_steps + 1, 0, starts[-1])
+    assert on_air == expected_on_air
 
 
 def test_free_play_ignores_departures_of_viewers_not_on_their_channel():
-    arrive, depart = EventKind.VIEWER_ARRIVE, EventKind.VIEWER_DEPART
-    viewers_out = ((),
-                   (_viewer(depart, 1, 0), _viewer(depart, 2, 9), _viewer(depart, 3, 1)),
-                   (_viewer(depart, 1, 1), _viewer(depart, 1, 1)),
-                   (_viewer(depart, 2, 2),))
-    viewers_in = ((_viewer(arrive, 1, 0), _viewer(arrive, 1, 1), _viewer(arrive, 2, 2)),
-                  (), (), (_viewer(arrive, 2, 2),))
-    calls_out, calls_in = (0, 0, 0, 1), (0, 0, 2, 0)
-    trace = Trace((viewers_out, viewers_in, on_air_series(viewers_out, viewers_in)),
+    # a departure names a viewer id, and its channel is that viewer's; so a
+    # viewer is off its channel only if the policy's cell blocked or dropped it,
+    # and the cell ignores its departure.  Viewers 0, 1 and 2 arrive on channels
+    # 1, 2 and 3, viewer 3 on channel 3 at step 1, and viewer 4 on channel 3 at step 4.
+    leaving, channels = ((), (0,), (2,), (), (), (3,)), (1, 2, 3, 3, 3)
+    starts = (0, 3, 4, 4, 4, 5, 5)
+    calls_out, calls_in = (0, 0, 0, 0, 2, 0), (116, 0, 0, 2, 0, 0)
+    trace = Trace((leaving, channels, starts, on_air_series(leaving, channels, starts)),
                   (calls_out, calls_in, live_call_series(calls_out, calls_in)))
-    assert trace.on_air == (2, 2, 1, 1)
-    assert trace.live_calls == (0, 0, 2, 1)
+    # the free play admits every viewer, so it plays every departure
+    assert trace.on_air == (3, 2, 2, 2, 2, 2)
+    assert trace.live_calls == (116, 116, 116, 118, 116, 116)
     # merged in play order: viewer departures, call departures, call arrivals, viewer arrivals
-    assert trace == [list(viewers_in[0]), list(viewers_out[1]),
-                     [*viewers_out[2], CALL_ARRIVAL, CALL_ARRIVAL],
-                     [*viewers_out[3], CALL_DEPARTURE, *viewers_in[3]]]
+    assert trace == [[CALL_ARRIVAL] * 116 + [VIEWER_ARRIVAL] * 3,
+                     [VIEWER_DEPARTURE, VIEWER_ARRIVAL], [VIEWER_DEPARTURE], [CALL_ARRIVAL] * 2,
+                     [CALL_DEPARTURE] * 2 + [VIEWER_ARRIVAL], [VIEWER_DEPARTURE]]
+    # in a 60 Mbps cell, 116 calls leave room for two 2 Mbps channels at the 1 Mbps
+    # minimum: equal degradation blocks viewer 2 at step 0 and drops channel 3,
+    # viewer 3's, when two more calls come at step 3.  Viewer 4 brings channel 3
+    # back at step 4, and neither the blocked viewer's departure (step 2) nor the
+    # dropped one's (step 5) takes it off air
+    records = run_trace(table1(), PolicyKind.NON_SLA, trace)
+    assert [r.active_channels for r in records] == [2, 2, 2, 2, 2, 2]
+    assert [(r.blocks, r.drops) for r in records] == [(1, 0), (0, 0), (0, 0), (0, 1),
+                                                      (0, 0), (0, 0)]
+
+
+def _side(steps):
+    """A hand-made viewer side of steps steps without a viewer."""
+    return ((),) * steps, (), (0,) * (steps + 1), (0,) * steps
 
 
 def test_sides_of_different_lengths_are_refused():
     # a trace of the shorter side's steps would silently drop the longer side's rest
-    viewers = ((),) * 3, ((),) * 3, (0,) * 3
     calls = (0, 0), (0, 0), (0, 0)
-    assert len(Trace(viewers, ((0,) * 3,) * 3)) == 3
-    with pytest.raises(ValueError):
-        Trace(viewers, calls)
-    with pytest.raises(ValueError):
-        Trace(tuple(side[:1] for side in viewers), calls)
+    assert len(Trace(_side(2), calls)) == 2
+    with pytest.raises(ValueError, match="3 leaving, 3 on air, 2 and 2 calls"):
+        Trace(_side(3), calls)
+    with pytest.raises(ValueError, match="1 leaving, 1 on air, 2 and 2 calls"):
+        Trace(_side(1), calls)
+
+
+@pytest.mark.parametrize("side,message", [
+    ((((),) * 2, (), (0, 0), (0, 0)), "2 starts, 2 leaving, 2 on air"),
+    ((((),) * 2, (), (0, 0, 0), (0,)), "3 starts, 2 leaving, 1 on air"),
+    ((((),) * 2, (1,), (0, 0, 0), (0, 0)), "the starts count 0 viewers, the channels 1"),
+    ((((),) * 2, (), (0, 0, 1), (0, 0)), "the starts count 1 viewers, the channels 0"),
+], ids=["starts-too-short", "on-air-too-short", "a-channel-past-the-starts",
+        "a-start-past-the-channels"])
+def test_a_viewer_side_that_disagrees_with_itself_is_refused(side, message):
+    # found when the trace is made, not deep in a run
+    with pytest.raises(ValueError, match=message):
+        Trace(side, ((0, 0), (0, 0), (0, 0)))
 
 
 def test_a_call_departure_needs_a_live_call():
