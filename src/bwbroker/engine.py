@@ -28,7 +28,10 @@ which the call side derives as it draws.
 The step records of a replication stay in the process that played it:
 a pool worker returns only what the parent needs of them, each policy's
 means (metrics.replication_means) and, for a run, its steps-CSV rows as
-text (metrics.step_rows_csv).
+text (metrics.step_rows_csv).  A run's worker takes a block of consecutive
+replications, at most its share of them and MAX_BLOCK_RECORDS step records
+unless one replication alone has more, and sends the block's results back
+in one message.
 
 The two replication tasks, paired_means and paired_steps, run with
 CPython's cyclic garbage collector paused, and restore it after, so that
@@ -201,11 +204,19 @@ def paired_steps(config: ScenarioConfig, replication: int) -> list[tuple[Replica
              step_rows_csv(replication, records, config)) for records in by_policy.values()]
 
 
+# Most step records a block of a run's replications may have, unless one replication
+# alone has more.  A worker holds a block's results, and their pickled copy, until it
+# sends the block: a full block adds about 8 MB to its peak (model.MAX_STEP_RECORDS).
+MAX_BLOCK_RECORDS = 50_000
+
+
 def run_policies(config: ScenarioConfig, jobs: int = 1) -> dict[PolicyKind, PolicyRun]:
-    """All configured replications of both policies on shared traces."""
+    """All configured replications of both policies on shared traces, in replication order.
+    A pool worker plays them a block of consecutive replications at a time."""
     check_run(config)
     n = config.replications
-    results = _map(paired_steps, jobs, [config] * n, range(n))
+    block = max(1, MAX_BLOCK_RECORDS // (config.n_steps * len(PolicyKind)))
+    results = _map(paired_steps, jobs, [config] * n, range(n), run=block)
     return {p: PolicyRun(summarize([means for means, _ in reps]), tuple(text for _, text in reps))
             for p, reps in zip(PolicyKind, zip(*results))}
 

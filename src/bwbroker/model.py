@@ -57,7 +57,11 @@ MAX_SEED = 2**63 - 1
 
 # Most step records a `run` may hold, about 100 times table1's 28,800.  The parent
 # keeps each as its steps-CSV row, about 80 bytes of text (tracemalloc over
-# run_policies at table1: 77 bytes a record held), so that is about 240 MB.
+# run_policies at table1: 77 bytes a record held), so that is about 240 MB.  A pool
+# worker adds its block of replications (engine.MAX_BLOCK_RECORDS) and the steps
+# CSV's repr memo: at --jobs 2 and 1,041 table1 replications (2,998,080 records),
+# blocks of 17 (48,960 records) took a worker's peak RSS from 19.6 MB to 33.7 MB,
+# about 8 MB of it the block and 6 MB the memo, and the parent's stayed 139-145 MB.
 MAX_STEP_RECORDS = 3_000_000
 
 

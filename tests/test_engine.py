@@ -196,6 +196,13 @@ def test_parallel_execution_matches_serial(short_cfg):
     assert run_policies(short_cfg, jobs=2) == run_policies(short_cfg, jobs=1)
 
 
+def test_a_run_in_uneven_blocks_matches_serial(short_cfg):
+    five = replace(short_cfg, replications=5)    # blocks of 2, 2, 1 at jobs 2; of 1 at jobs 3
+    serial = run_policies(five, jobs=1)
+    assert run_policies(five, jobs=2) == serial
+    assert run_policies(five, jobs=3) == serial
+
+
 class _RecordingPool:
     """Stands in for ProcessPoolExecutor: notes each pool made and the chunk size of
     each map, runs its tasks in this process."""
@@ -253,8 +260,20 @@ def test_sweep_worker_takes_a_seeds_points_unless_a_worker_would_idle(short_cfg,
     run_experiment(sweep, jobs=4)    # 6 tasks: chunks of 2 would leave a worker idle
     run_experiment(_viewer_sweep(replace(short_cfg, replications=1), (0.8, 2.0, 3.0)), jobs=2)
     assert (made, chunks) == ([2, 4, 2], [3, 1, 1])
-    run_policies(short_cfg, jobs=2)  # a run keeps one replication a task
-    assert chunks[-1] == 1
+    five = replace(short_cfg, replications=5)
+    run_policies(five, jobs=2)   # a run's worker takes a block of its share of the replications
+    run_policies(five, jobs=3)
+    assert chunks[-2:] == [2, 1]
+
+
+def test_a_runs_block_keeps_within_its_step_records(short_cfg, pool_log, monkeypatch):
+    made, chunks = pool_log
+    eight = replace(short_cfg, replications=8)    # a share of 4 at jobs 2
+    per_replication = eight.n_steps * len(PolicyKind)
+    for cap in (3 * per_replication, 3 * per_replication - 1, per_replication - 1):
+        monkeypatch.setattr(engine, "MAX_BLOCK_RECORDS", cap)
+        run_policies(eight, jobs=2)
+    assert chunks == [3, 2, 1]
 
 
 @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",

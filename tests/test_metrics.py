@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from bwbroker import metrics
 from bwbroker.broker import compute_borrowing
 from bwbroker.metrics import (
     STEP_CSV_HEADER,
@@ -81,6 +82,55 @@ step_record = st.builds(StepRecord, finite, non_negative, finite, count, finite,
 def test_step_rows_are_the_text_csv_writer_writes(replication, records):
     cfg = table1()
     assert step_rows_csv(replication, records, cfg) == rows_one_at_a_time(replication, records, cfg)
+
+
+def same_value_record(v):
+    """A record whose every float column is v."""
+    return StepRecord(v, v, v, 1, v, v, v, 0, 0)
+
+
+@pytest.mark.parametrize("first, then", [(-0.0, 0.0), (0.0, -0.0), (3.0, 3), (3, 3.0)])
+def test_step_rows_keep_equal_values_of_other_sign_or_type_apart(first, then):
+    metrics._repr_memo.clear()  # so the first value formatted is first
+    cfg = table1()
+    for records in ([same_value_record(first)], [same_value_record(then)],
+                    [same_value_record(first), same_value_record(then)]):
+        assert step_rows_csv(0, records, cfg) == rows_one_at_a_time(0, records, cfg)
+
+
+# equal values that csv.writer writes differently, so that two lists often share one
+alike = st.sampled_from((0, 0.0, -0.0, 3, 3.0, 0.5, 10**16, 1e16))
+any_float = st.one_of(alike, finite)
+memo_record = st.builds(StepRecord, any_float, st.one_of(alike, non_negative), any_float, count,
+                        any_float, any_float, any_float, count, count)
+
+
+@settings(max_examples=150, deadline=None)
+@given(first=st.lists(memo_record, max_size=10), then=st.lists(memo_record, max_size=10))
+def test_step_rows_are_exact_whatever_was_formatted_before(first, then):
+    cfg = table1()
+    for replication, records in enumerate((first, then)):
+        assert step_rows_csv(replication, records, cfg) == rows_one_at_a_time(replication, records, cfg)
+
+
+@pytest.mark.parametrize("cap", [20, metrics.REPR_MEMO_CAP])
+def test_the_repr_memo_stays_within_its_cap(monkeypatch, cap):
+    sizes = []
+
+    class WatchedMemo(metrics._ReprMemo):
+        def __setitem__(self, key, text):
+            super().__setitem__(key, text)
+            sizes.append(len(self))
+
+    monkeypatch.setattr(metrics, "_repr_memo", WatchedMemo())
+    monkeypatch.setattr(metrics, "REPR_MEMO_CAP", cap)
+    cfg = table1()
+    # seven or eight distinct floats a record, the leftover and the borrowing among them
+    records = [StepRecord(i + 0.25, 1 / (i + 2), i + 0.5, 1, i + 0.75, -i - 0.25, -i - 0.5, 0, 0)
+               for i in range(cap // 2)]
+    for chunk in (records[:cap // 4], records, records[cap // 4:]):
+        assert step_rows_csv(0, chunk, cfg) == rows_one_at_a_time(0, chunk, cfg)
+    assert len(sizes) > 2 * cap and max(sizes) == cap and sizes.count(1) > 1
 
 
 def test_step_satisfaction_examples():
