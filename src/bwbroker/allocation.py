@@ -8,10 +8,12 @@ dropped rather than starved.
 
 Allocation reads only which channels are on air and the aggregate non-IPTV
 demand.  active maps each on-air channel to its viewers, and only the drop
-order reads the viewers or the channel ids; it is worked out only on a step
-that sheds.  So a step that sheds nothing may pass range(n) for its n
-channels on air (engine.run_trace does on a free step) and get the same
-decision as from any n-channel viewer map.
+order reads the viewers or the channel ids.  Each allocator tests the
+channels on air as they are with one per_channel call, and only below the
+minimum rate does it shed (_shed_until_viable) and work out the order.  So a
+step that sheds nothing may pass range(n) for its n channels on air
+(engine.run_trace does on a free step) and get the same decision as from
+any n-channel viewer map.
 """
 
 from __future__ import annotations
@@ -82,19 +84,14 @@ def _shed_until_viable(
 ) -> tuple[int, float, tuple[int, ...]]:
     """Drop channels until the survivors clear the minimum watchable rate.
 
-    The per-channel grant only improves as channels go, so shedding one
-    at a time finds the largest viable survivor count.  The drop order is
-    only worked out when the channels on air are not viable as they are.
+    Called only when the channels on air, one or more, are not viable as
+    they are.  The per-channel grant only improves as channels go, so
+    shedding one at a time finds the largest viable survivor count.
     Returns (survivors, per_channel, dropped_ids); with no survivors the
     per-channel rate is 0.0.
     """
     n = len(active)
-    if n == 0:
-        return 0, 0.0, ()
     floor = config.iptv_channel_min_bw_mbps - BW_TOL
-    per = per_channel(policy, n, non_iptv_mbps, reserved_mbps, config)
-    if per >= floor:
-        return n, per, ()
     order = _drop_order(active)
     for survivors in range(n - 1, 0, -1):
         per = per_channel(policy, survivors, non_iptv_mbps, reserved_mbps, config)
@@ -113,7 +110,10 @@ def allocate_non_sla(
     first) while the scaled per-channel rate sits below the minimum.
     """
     cap = config.capacity_mbps
-    survivors, per, dropped = _shed_until_viable(active, NON_SLA, non_iptv_mbps, 0.0, config)
+    survivors, dropped = len(active), ()
+    per = per_channel(NON_SLA, survivors, non_iptv_mbps, 0.0, config) if survivors else 0.0
+    if survivors and per < config.iptv_channel_min_bw_mbps - BW_TOL:
+        survivors, per, dropped = _shed_until_viable(active, NON_SLA, non_iptv_mbps, 0.0, config)
 
     total = config.iptv_channel_max_bw_mbps * survivors + non_iptv_mbps
     grant = non_iptv_mbps if total <= cap + BW_TOL else cap / total * non_iptv_mbps
@@ -138,7 +138,11 @@ def allocate_sla(
     if reserved_mbps > cap + BW_TOL:
         raise ValueError("reservation exceeds cell capacity")
 
-    survivors, per, dropped = _shed_until_viable(active, SLA, non_iptv_mbps, reserved_mbps, config)
+    survivors, dropped = len(active), ()
+    per = per_channel(SLA, survivors, non_iptv_mbps, reserved_mbps, config) if survivors else 0.0
+    if survivors and per < config.iptv_channel_min_bw_mbps - BW_TOL:
+        survivors, per, dropped = _shed_until_viable(
+            active, SLA, non_iptv_mbps, reserved_mbps, config)
 
     spent = per * survivors
     headroom = cap - spent

@@ -16,7 +16,9 @@ That test is exact: allocation.per_channel never rises as channels are
 added, and the step-by-step play tests this same value at the step's last
 channel activation and again in allocation, so a free step blocks and drops
 nothing.  Since it sheds nothing, allocation never reads which channels are
-on air, and a free step passes it range(on_air[t]).  At the first step that
+on air: a free step passes it range(on_air[t]), still calls the reservation,
+the allocator and the history once each, and records its on_air[t] channels
+with no block or drop, and no drop loop.  At the first step that
 fails the test, the policy builds its cell, a model.CellState viewer ledger,
 from the earlier steps' viewers, every one admitted, and from then on plays
 the viewers itself, with admission: a step's leaving ids depart, then its
@@ -98,25 +100,33 @@ def run_trace(config: ScenarioConfig, policy_kind: PolicyKind, trace: Trace) -> 
         if sla:
             reserved = reservation(history, reservation_cap)
         non_iptv = calls * call_bw
-        blocks = 0
         if state is None:
             n = on_air[step]
             if not n or rate(policy_kind, n, non_iptv, reserved, config) >= floor:
-                active = range(n)  # nothing is shed, so no channel id is read
-            else:
-                state = _admitted_cell(trace, step)
-                active = state.active_channels
-                admit_viewer, viewer_departs = state.admit_viewer, state.viewer_departs
-                drop_channel = state.drop_channel
-        if state is not None:
-            for viewer_id in leaving[step]:
-                viewer_departs(viewer_id, channels[viewer_id])
-            for viewer_id in range(starts[step], starts[step + 1]):
-                if (channel_id := channels[viewer_id]) in active or admit(
-                        policy_kind, len(active), non_iptv, reserved, config):
-                    admit_viewer(viewer_id, channel_id)
+                # a free step blocks, drops and sheds nothing, so no channel id is read
+                if sla:
+                    decision = by_reservation(range(n), non_iptv, reserved, config)
+                    record_sample(n)
                 else:
-                    blocks += 1
+                    decision = by_equal_degradation(range(n), non_iptv, config)
+                append(new_record(StepRecord, (
+                    step * dt, non_iptv, reserved, n, decision.per_channel_bw_mbps,
+                    step_satisfaction(decision, full * n), step_utilization(decision, config),
+                    0, 0)))
+                continue
+            state = _admitted_cell(trace, step)
+            active = state.active_channels
+            admit_viewer, viewer_departs = state.admit_viewer, state.viewer_departs
+            drop_channel = state.drop_channel
+        blocks = 0
+        for viewer_id in leaving[step]:
+            viewer_departs(viewer_id, channels[viewer_id])
+        for viewer_id in range(starts[step], starts[step + 1]):
+            if (channel_id := channels[viewer_id]) in active or admit(
+                    policy_kind, len(active), non_iptv, reserved, config):
+                admit_viewer(viewer_id, channel_id)
+            else:
+                blocks += 1
 
         # offered demand of this step: what is on air now, before any drops
         offered_channels = len(active)

@@ -59,9 +59,10 @@ MAX_SEED = 2**63 - 1
 # keeps each as its steps-CSV row, about 80 bytes of text (tracemalloc over
 # run_policies at table1: 77 bytes a record held), so that is about 240 MB.  A pool
 # worker adds its block of replications (engine.MAX_BLOCK_RECORDS) and the steps
-# CSV's repr memo: at --jobs 2 and 1,041 table1 replications (2,998,080 records),
-# blocks of 17 (48,960 records) took a worker's peak RSS from 19.6 MB to 33.7 MB,
-# about 8 MB of it the block and 6 MB the memo, and the parent's stayed 139-145 MB.
+# CSV's repr memo: at --jobs 2 and 1,041 table1 replications (1,499,040 records, half
+# the ceiling), blocks of 34 (48,960 records) took a worker's peak RSS from 19.6 MB to
+# 33.7 MB, about 8 MB of it the block and 6 MB the memo; the parent's peaked at
+# 139-145 MB, and the run wrote 113 MB of steps CSVs, about 75 bytes a row.
 MAX_STEP_RECORDS = 3_000_000
 
 

@@ -21,9 +21,11 @@ The free play
 Besides its steps, a Trace carries what a cell that admitted every viewer
 would hold after each step: on_air[t], its channels on air, and
 live_calls[t], its live calls.  Both are policy-blind.  Each side derives
-its series as it draws: the viewer side counts on_air from a viewer count a
-channel, the call side sums live_calls (live_call_series), so sweep points
-that share a side share its series too.  A Trace is made only from its two
+its series as it draws, so sweep points that share a side share its series
+too.  The viewer side draws a viewer's departure step as it arrives, so it
+knows each channel's runs of steps on air as it goes, and counts on_air
+from the steps at which runs start and end; the call side sums live_calls
+(live_call_series).  A Trace is made only from its two
 sides: a hand-made one from hand-made sides, which supply their own series.
 The engine scores a policy's steps from these series until the policy first
 blocks or drops a channel (see engine.run_trace).
@@ -38,7 +40,7 @@ from bisect import bisect_right
 from collections.abc import Callable
 from enum import Enum
 from functools import lru_cache
-from itertools import islice
+from itertools import accumulate, islice
 from math import ceil, log1p
 from typing import NamedTuple
 
@@ -166,16 +168,15 @@ def poisson_counter(rate_per_min: float, dt_min: float, rng: RngStream) -> Calla
     threshold = math.exp(-mean / chunks)
     draw = rng.random
 
-    def count() -> int:
+    def count() -> int:  # one chunk
         n = 0
-        for _ in range(chunks):
-            product = draw()
-            while product > threshold:
-                n += 1
-                product *= draw()
+        product = draw()
+        while product > threshold:
+            n += 1
+            product *= draw()
         return n
 
-    return count
+    return count if chunks == 1 else lambda: sum([count() for _ in range(chunks)])
 
 
 @lru_cache(maxsize=64)
@@ -266,30 +267,36 @@ def viewer_side(seed: int, n_steps: int, dt_min: float, rate_per_min: float,
     arrivals_in_step = poisson_counter(rate_per_min, dt_min, rng)
     leaving: list[list[int]] = [[] for _ in range(n_steps)]
     channels: list[int] = []
-    starts, on_air = [0], []
-    # viewers on each channel id; every departure is of an earlier arrival on its
-    # channel, so the counts give the channels on air exactly
-    watching = [0] * (catalog_size + 1)
-    viewer_id = on = 0
-    for step, departing in enumerate(leaving):
-        for viewer in departing:  # complete: a hold lasts a step or more
-            channel = channels[viewer]
-            watching[channel] -= 1
-            if not watching[channel]:
-                on -= 1
+    starts = [0]
+    # a viewer keeps its channel on air from its arrival step to its departure step, so
+    # a channel's steps on air form runs.  until[c] is the step channel c's current run
+    # ends, -1 before its first; change[t] is the change in channels on air at step t.
+    # A run that ends where the next starts nets 0.  change[n_steps], which is also
+    # change[-1], lies past the last step and is never summed
+    until = [-1] * (catalog_size + 1)
+    change = [0] * (n_steps + 1)
+    viewer_id = 0
+    for step in range(n_steps):
         for _ in range(arrivals_in_step()):
             channel = bisect_right(cdf, draw()) + 1
             hold_steps = -mean_hold_min * log1p(-draw()) / dt_min
             # a hold is never negative, so `ceil or 1` is max(1, ceil)
             if hold_steps < n_steps and (depart := step + (ceil(hold_steps) or 1)) < n_steps:
                 leaving[depart].append(viewer_id)
+            else:
+                depart = n_steps
             channels.append(channel)
-            if not watching[channel]:
-                on += 1
-            watching[channel] += 1
+            if step >= (end := until[channel]):  # a new run
+                change[step] += 1
+                change[end] -= 1
+                until[channel] = depart
+            elif depart > end:
+                until[channel] = depart
             viewer_id += 1
         starts.append(viewer_id)
-        on_air.append(on)
+    for end in until:
+        change[end] -= 1
+    on_air = accumulate(islice(change, n_steps))
     return tuple(map(tuple, leaving)), tuple(channels), tuple(starts), tuple(on_air)
 
 

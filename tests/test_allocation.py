@@ -203,6 +203,48 @@ def test_no_drop_order_is_sorted_when_nothing_is_shed(monkeypatch):
         assert all(r.drops == 0 for r in records)
 
 
+def _loads_about_the_floor(policy, n, cfg):
+    """Non-IPTV loads just under and just over the one that puts n channels at the floor."""
+    cap, full = cfg.capacity_mbps, cfg.iptv_channel_max_bw_mbps
+    floor = cfg.iptv_channel_min_bw_mbps
+    edge = cap * full / floor - full * n if policy is PolicyKind.NON_SLA else cap - floor * n
+    return [0.0] + [max(0.0, edge + d) for d in (-1.0, -1e-6, 1e-6, 1.0)]
+
+
+@pytest.mark.parametrize("policy", list(PolicyKind))
+def test_a_viable_allocation_reads_only_the_channel_count(monkeypatch, cfg, policy):
+    # the allocators test the channels on air as they are and shed only below the
+    # floor, so a viable step may pass range(n) for its n channels (a free step)
+    def allocate(active, non_iptv):
+        if policy is PolicyKind.SLA:
+            return allocate_sla(active, non_iptv, 0.0, cfg)
+        return allocate_non_sla(active, non_iptv, cfg)
+
+    cases = [(n, load) for n in range(cfg.num_channels_catalog + 1)
+             for load in _loads_about_the_floor(policy, n, cfg)]
+    expected = [allocate(make_state(n), load) for n, load in cases]
+
+    class Shed(Exception):
+        pass
+
+    def no_shed(*args):
+        raise Shed
+
+    monkeypatch.setattr(allocation, "_shed_until_viable", no_shed)
+    viable = shed = 0
+    for (n, load), decision in zip(cases, expected):
+        if decision.dropped_channel_ids:
+            shed += 1
+            with pytest.raises(Shed):
+                allocate(make_state(n), load)
+        else:
+            viable += 1
+            assert allocate(range(n), load) == allocate(make_state(n), load) == decision
+    assert viable > 2 * cfg.num_channels_catalog and shed > cfg.num_channels_catalog
+    # with no channel on air, the IPTV rate is 0.0 and the calls get what fits
+    assert allocate(range(0), 70.0) == (0.0, cfg.capacity_mbps, 0, ())
+
+
 # --- the shed rule as it was first written: one channel at a time, with the
 # per-channel rate restated per policy; kept as the reference
 

@@ -77,6 +77,18 @@ def test_a_reused_poisson_counter_draws_the_frozen_counts():
     assert [big() for _ in range(5)] == [poisson_counter(2000.0, 1.0, r)() for _ in range(5)]
 
 
+@pytest.mark.parametrize("rate,counts", [
+    (500.0, [489, 449, 496, 480, 516]),
+    (500.5, [489, 451, 493, 482, 519]),
+    (2000.0, [1914, 1980, 2039, 1952, 1911]),
+], ids=["one-chunk", "two-chunks", "four-chunks"])
+def test_a_poisson_counter_of_one_or_more_chunks_draws_the_frozen_counts(rate, counts):
+    # a mean past POISSON_CHUNK_MEAN is drawn as equal chunks, one after another
+    # from the same stream; these counts pin the draws and their order
+    count = poisson_counter(rate, 1.0, RngStream(13, 1))
+    assert [count() for _ in range(5)] == counts
+
+
 @pytest.mark.parametrize("rate,dt,message", [
     (-1.0, 1.0, "rate must be non-negative"),
     (1.0, 0.0, "dt must be positive"),
@@ -441,6 +453,30 @@ def test_the_viewer_side_draws_the_viewers_of_the_event_list_side(
             for start, end in zip(starts, starts[1:])] == arrivals
     assert (len(starts), starts[0], len(channels)) == (n_steps + 1, 0, starts[-1])
     assert on_air == expected_on_air
+
+
+@pytest.mark.parametrize("seed", [3, 17, 2011])
+def test_one_channel_whose_runs_end_where_the_next_ones_start(seed):
+    # holds under a step, about one viewer a step: each viewer leaves the step after
+    # it came, so the channel's run on air often ends at the step the next one starts
+    args = (seed, 200, 1.0, 1.0, 0.01, 1, 0.0)
+    leaving, channels, starts, on_air = viewer_side(*args)
+    back_to_back = [t for t, ids in enumerate(leaving) if ids and starts[t + 1] > starts[t]]
+    assert len(back_to_back) > 10
+    assert 0 in on_air and 1 in on_air
+    assert on_air == on_air_series(leaving, channels, starts) == event_viewer_side(*args)[2]
+
+
+@pytest.mark.parametrize("seed,catalog,skew", [(5, 1, 0.0), (8, 12, 0.0), (42, 30, 1.0)])
+def test_holds_too_long_to_count_in_steps_never_depart(seed, catalog, skew):
+    # a hold of 1e308 min is inf steps for a draw near 1, so the `hold_steps <
+    # n_steps` test must come before ceil, which refuses inf
+    assert -1e308 * math.log1p(-0.9) == math.inf
+    args = (seed, 60, 1.0, 2.0, 1e308, catalog, skew)
+    leaving, channels, starts, on_air = viewer_side(*args)
+    assert not any(leaving) and len(channels) > 60
+    assert list(on_air) == [len(set(channels[:end])) for end in starts[1:]]
+    assert on_air == on_air_series(leaving, channels, starts) == event_viewer_side(*args)[2]
 
 
 def test_free_play_ignores_departures_of_viewers_not_on_their_channel():
