@@ -33,17 +33,17 @@ from .metrics import STEP_CSV_HEADER, RunSummary, csv_text
 from .metrics import aggregate  # noqa: F401 - uncalled; perfbench/layers.py wraps cli.aggregate
 from .model import PRESETS, ConfigError, ScenarioConfig
 
-SUMMARY_CSV_HEADER = [
-    "policy",
-    "mean_SL",
-    "se_SL",
-    "mean_util",
-    "se_util",
-    "block_rate",
-    "drop_rate",
-    "mean_N_IPTV",
-]
-
+# each summary column: its CSV header, its RunSummary field and its format on stdout
+SUMMARY_COLUMNS = (
+    ("mean_SL", "mean_satisfaction", ".4f"),
+    ("se_SL", "se_satisfaction", ".4f"),
+    ("mean_util", "mean_utilization", ".4f"),
+    ("se_util", "se_utilization", ".4f"),
+    ("block_rate", "block_rate", ".4f"),
+    ("drop_rate", "drop_rate", ".4f"),
+    ("mean_N_IPTV", "mean_active_channels", ".2f"),
+)
+SUMMARY_CSV_HEADER = ["policy"] + [header for header, _, _ in SUMMARY_COLUMNS]
 SWEEP_CSV_HEADER = ["sweep_value"] + SUMMARY_CSV_HEADER
 
 _CONFIG_FIELDS = {f.name for f in dataclasses.fields(ScenarioConfig)}
@@ -142,26 +142,12 @@ def _write_csv_atomic(path: Path, header: list[str], *chunks: str) -> None:
 
 
 def _summary_row(policy: PolicyKind, s: RunSummary) -> list:
-    return [
-        policy.value,
-        s.mean_satisfaction,
-        s.se_satisfaction,
-        s.mean_utilization,
-        s.se_utilization,
-        s.block_rate,
-        s.drop_rate,
-        s.mean_active_channels,
-    ]
+    return [policy.value] + [getattr(s, field) for _, field, _ in SUMMARY_COLUMNS]
 
 
-def _print_summary(policy: PolicyKind, s: RunSummary) -> None:
-    print(
-        f"policy={policy.value} reps={s.replications}"
-        f" mean_SL={s.mean_satisfaction:.4f} se_SL={s.se_satisfaction:.4f}"
-        f" mean_util={s.mean_utilization:.4f} se_util={s.se_utilization:.4f}"
-        f" block_rate={s.block_rate:.4f} drop_rate={s.drop_rate:.4f}"
-        f" mean_N_IPTV={s.mean_active_channels:.2f}"
-    )
+def _summary_text(s: RunSummary, columns=SUMMARY_COLUMNS) -> str:
+    """The columns of s as header=value pairs for stdout, each in its format."""
+    return " ".join(f"{header}={getattr(s, field):{fmt}}" for header, field, fmt in columns)
 
 
 def _out_dir(path: str, names: list[str]) -> Path:
@@ -186,7 +172,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     by_policy = run_policies(config, jobs=args.jobs)
     for policy, run in by_policy.items():
         _write_csv_atomic(out_dir / f"steps_{policy.value}.csv", STEP_CSV_HEADER, *run.steps_csv)
-        _print_summary(policy, run.summary)
+        print(f"policy={policy.value} reps={run.summary.replications}",
+              _summary_text(run.summary))
     summary_rows = (_summary_row(policy, run.summary) for policy, run in by_policy.items())
     _write_csv_atomic(out_dir / "summary.csv", SUMMARY_CSV_HEADER, csv_text(summary_rows))
     return 0
@@ -205,13 +192,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     rows = ([p.sweep_value] + _summary_row(p.policy, p.summary) for p in points)
     _write_csv_atomic(out_dir / f"sweep_{args.figure}.csv", SWEEP_CSV_HEADER, csv_text(rows))
 
+    # a sweep line shows the point's means alone
+    means = [column for column in SUMMARY_COLUMNS if column[0].startswith("mean_")]
     for p in points:
-        print(
-            f"{sweep.axis}={p.sweep_value:.4g} policy={p.policy.value}"
-            f" mean_SL={p.summary.mean_satisfaction:.4f}"
-            f" mean_util={p.summary.mean_utilization:.4f}"
-            f" mean_N_IPTV={p.summary.mean_active_channels:.2f}"
-        )
+        print(f"{sweep.axis}={p.sweep_value:.4g} policy={p.policy.value}",
+              _summary_text(p.summary, means))
     return 0
 
 

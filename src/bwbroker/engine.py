@@ -7,24 +7,27 @@ broker: its history gets each step's offered demand right after
 allocation, so a reservation only ever sees past steps.  Without an SLA no
 history is kept and the reservation stays zero.
 
-A policy plays a replication in two phases.  Until it first blocks or drops
-a channel, its cell is the trace's free play, the cell that admitted every
-viewer (traffic.Trace), so a step is scored from the free play's on-air
-count and live calls alone.  Step t is free while on_air[t] is 0 or the
-policy's per-channel rate with on_air[t] channels on air clears the minimum.
-That test is exact: allocation.per_channel never rises as channels are
-added, and the step-by-step play tests this same value at the step's last
-channel activation and again in allocation, so a free step blocks and drops
-nothing.  Since it sheds nothing, allocation never reads which channels are
-on air: a free step passes it range(on_air[t]), still calls the reservation,
-the allocator and the history once each, and records its on_air[t] channels
-with no block or drop, and no drop loop.  At the first step that
-fails the test, the policy builds its cell, a model.CellState viewer ledger,
-from the earlier steps' viewers, every one admitted, and from then on plays
-the viewers itself, with admission: a step's leaving ids depart, then its
-new ids arrive, each viewer on its channel, trace.channels[id].  The engine
-never reads the trace's event lists.  Calls are never played: both phases
-take the step's non-IPTV demand from the trace's running count, live_calls,
+A policy plays a replication in two phases, through one step body.  Until
+it first blocks or drops a channel, its cell is the trace's free play, the
+cell that admitted every viewer (traffic.Trace), so a step is scored from
+the free play's on-air count and live calls alone.  Step t is free while
+on_air[t] is 0 or the policy's per-channel rate with on_air[t] channels on
+air clears the minimum.  That test is exact: allocation.per_channel never
+rises as channels are added, and the step-by-step play tests this same
+value at the step's last channel activation and again in allocation, so a
+free step blocks and drops nothing.  Since it sheds nothing, allocation
+never reads which channels are on air.  The phase decides only where a
+step's channels come from: a free step takes range(on_air[t]) and demands
+full quality for them.  At the first step that fails the test, the policy
+builds its cell, a model.CellState viewer ledger, from the earlier steps'
+viewers, every one admitted, and from then on plays the viewers itself,
+with admission: a step's leaving ids depart, then its new ids arrive, each
+viewer on its channel, trace.channels[id]; its demand adds full quality for
+each blocked activation.  Either way the step then calls the reservation,
+the allocator and the history once each, and records the step; only the
+policy's own cell drops the channels the allocator shed.  The engine never
+reads the trace's event lists.  Calls are never played: both phases take
+the step's non-IPTV demand from the trace's running count, live_calls,
 which the call side derives as it draws.
 
 The step records of a replication stay in the process that played it:
@@ -76,9 +79,11 @@ def _admitted_cell(trace: Trace, steps: int) -> CellState:
 def run_trace(config: ScenarioConfig, policy_kind: PolicyKind, trace: Trace) -> list[StepRecord]:
     """Play a trace through one policy: one replication, one record a step.
 
-    What no step changes is bound once, before the loop.  The rules are
-    looked up in this module on each call, so a wrapper put on it is the one
-    called.
+    Free and played steps share one body: the free test only decides where
+    the step's channels, and its demand, come from (see the module
+    docstring).  What no step changes is bound once, before the loop.  The
+    rules are looked up in this module on each call, so a wrapper put on it
+    is the one called.
     """
     sla = policy_kind is PolicyKind.SLA
     admit, reservation, rate = admit_channel, compute_reservation, per_channel
@@ -94,57 +99,50 @@ def run_trace(config: ScenarioConfig, policy_kind: PolicyKind, trace: Trace) -> 
     records: list[StepRecord] = []
     append, new_record = records.append, tuple.__new__
     reserved = 0.0
+    blocks = drops = 0  # free steps come first, and block and drop nothing
     for step, calls in enumerate(trace.live_calls):
         # the reservation depends only on past samples, so it is fixed for the
         # whole step and already governs this step's admissions
         if sla:
             reserved = reservation(history, reservation_cap)
         non_iptv = calls * call_bw
-        if state is None:
-            n = on_air[step]
-            if not n or rate(policy_kind, n, non_iptv, reserved, config) >= floor:
-                # a free step blocks, drops and sheds nothing, so no channel id is read
-                if sla:
-                    decision = by_reservation(range(n), non_iptv, reserved, config)
-                    record_sample(n)
+        if state is None and (not (n := on_air[step]) or
+                              rate(policy_kind, n, non_iptv, reserved, config) >= floor):
+            # a free step blocks, drops and sheds nothing, so no channel id is read
+            active, demand = range(n), full * n
+        else:
+            if state is None:
+                state = _admitted_cell(trace, step)
+                active = state.active_channels
+                admit_viewer, viewer_departs = state.admit_viewer, state.viewer_departs
+                drop_channel = state.drop_channel
+            blocks = 0
+            for viewer_id in leaving[step]:
+                viewer_departs(viewer_id, channels[viewer_id])
+            for viewer_id in range(starts[step], starts[step + 1]):
+                if (channel_id := channels[viewer_id]) in active or admit(
+                        policy_kind, len(active), non_iptv, reserved, config):
+                    admit_viewer(viewer_id, channel_id)
                 else:
-                    decision = by_equal_degradation(range(n), non_iptv, config)
-                append(new_record(StepRecord, (
-                    step * dt, non_iptv, reserved, n, decision.per_channel_bw_mbps,
-                    step_satisfaction(decision, full * n), step_utilization(decision, config),
-                    0, 0)))
-                continue
-            state = _admitted_cell(trace, step)
-            active = state.active_channels
-            admit_viewer, viewer_departs = state.admit_viewer, state.viewer_departs
-            drop_channel = state.drop_channel
-        blocks = 0
-        for viewer_id in leaving[step]:
-            viewer_departs(viewer_id, channels[viewer_id])
-        for viewer_id in range(starts[step], starts[step + 1]):
-            if (channel_id := channels[viewer_id]) in active or admit(
-                    policy_kind, len(active), non_iptv, reserved, config):
-                admit_viewer(viewer_id, channel_id)
-            else:
-                blocks += 1
+                    blocks += 1
+            # offered demand of this step: what is on air now, before any drops; blocked
+            # activations demanded full quality and got nothing this step
+            n = len(active)
+            demand = full * n + full * blocks
 
-        # offered demand of this step: what is on air now, before any drops
-        offered_channels = len(active)
         if sla:
             decision = by_reservation(active, non_iptv, reserved, config)
-            record_sample(offered_channels)  # after allocation: only later steps see it
+            record_sample(n)  # after allocation: only later steps see it
         else:
             decision = by_equal_degradation(active, non_iptv, config)
-        dropped = decision.dropped_channel_ids
-        for channel_id in dropped:
-            drop_channel(channel_id)
-
-        # blocked activations demanded full quality and got nothing this step
-        sl_demand = full * offered_channels + full * blocks
+        if state is not None:
+            drops = len(dropped := decision.dropped_channel_ids)
+            for channel_id in dropped:
+                drop_channel(channel_id)
         append(new_record(StepRecord, (
-            step * dt, non_iptv, reserved, offered_channels,
-            decision.per_channel_bw_mbps, step_satisfaction(decision, sl_demand),
-            step_utilization(decision, config), blocks, len(dropped))))
+            step * dt, non_iptv, reserved, n, decision.per_channel_bw_mbps,
+            step_satisfaction(decision, demand), step_utilization(decision, config),
+            blocks, drops)))
     return records
 
 
@@ -222,8 +220,8 @@ MAX_BLOCK_RECORDS = 50_000
 
 def run_policies(config: ScenarioConfig, jobs: int = 1) -> dict[PolicyKind, PolicyRun]:
     """All configured replications of both policies on shared traces, in replication order.
-    A pool worker plays them a block of consecutive replications at a time."""
-    check_run(config)
+    A pool worker plays them a block of consecutive replications at a time.  The caller
+    checks the run against the step-record ceiling first (check_run)."""
     n = config.replications
     block = max(1, MAX_BLOCK_RECORDS // (config.n_steps * len(PolicyKind)))
     results = _map(paired_steps, jobs, [config] * n, range(n), run=block)

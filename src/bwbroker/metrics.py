@@ -18,7 +18,7 @@ from itertools import compress, repeat
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .broker import compute_borrowing
-from .model import BW_TOL, AllocationDecision, ScenarioConfig, available_bandwidth
+from .model import BW_TOL, WARMUP_TOL, AllocationDecision, ScenarioConfig, available_bandwidth
 
 
 class StepRecord(NamedTuple):
@@ -164,11 +164,11 @@ class ReplicationMeans(NamedTuple):
 def replication_means(records: Sequence[StepRecord], warmup_min: float) -> ReplicationMeans:
     """Average each post-warmup column exactly as statistics.fmean would,
     and take the extremes over every step."""
-    if not records or records[-1].t_min < warmup_min - 1e-9:
+    if not records or records[-1].t_min < warmup_min - WARMUP_TOL:
         raise ValueError("no post-warmup steps in a replication")
     column = StepRecord._make(zip(*records))
     # the records are in time order, so the warmup is a prefix
-    start = bisect_left(column.t_min, warmup_min - 1e-9)
+    start = bisect_left(column.t_min, warmup_min - WARMUP_TOL)
     n = len(records) - start
     survivors = map(operator.gt, column.active_channels, column.drops)
     # the integer columns sum exactly, so their int sum is fmean's float sum

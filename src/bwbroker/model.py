@@ -20,6 +20,10 @@ from typing import NamedTuple
 # produce non-terminating fractions, so every threshold test is fuzzy.
 BW_TOL = 1e-9
 
+# Slack, in minutes, when a step's start time is compared with warmup_min: step
+# times are products of floats, so a step meant to start at the warmup may miss it.
+WARMUP_TOL = 1e-9
+
 # Smallest iptv_channel_min_bw_mbps, so BW_TOL is at most 0.1% of the minimum
 # rate.  At or below BW_TOL the fuzzy floor test passes even at 0.0 Mbps, and
 # admission and shedding silently stop.
@@ -167,8 +171,8 @@ class ScenarioConfig:
                 f" more than the {MAX_ARRIVALS} one may take"
             )
         # the last step starts at (n_steps - 1) * sample_interval_min; a warmup past it
-        # leaves no step to average (the tolerance is metrics.replication_means')
-        if c.warmup_min < 0 or (c.n_steps - 1) * c.sample_interval_min < c.warmup_min - 1e-9:
+        # leaves no step to average
+        if c.warmup_min < 0 or (c.n_steps - 1) * c.sample_interval_min < c.warmup_min - WARMUP_TOL:
             raise ConfigError("warmup_min must lie between 0 and the start of the last step,"
                               " sim_duration_min - sample_interval_min")
         if not 1 <= c.replications <= MAX_REPLICATIONS:

@@ -24,9 +24,10 @@ live_calls[t], its live calls.  Both are policy-blind.  Each side derives
 its series as it draws, so sweep points that share a side share its series
 too.  The viewer side draws a viewer's departure step as it arrives, so it
 knows each channel's runs of steps on air as it goes, and counts on_air
-from the steps at which runs start and end; the call side sums live_calls
-(live_call_series).  A Trace is made only from its two
-sides: a hand-made one from hand-made sides, which supply their own series.
+from the steps at which runs start and end; the call side sums live_calls,
+its running count of arrivals less departures.  A Trace is made only from
+its two sides: a hand-made one from hand-made sides, which supply their own
+series (tests/free_play.py computes both from a side's draws alone).
 The engine scores a policy's steps from these series until the policy first
 blocks or drops a channel (see engine.run_trace).
 """
@@ -42,6 +43,7 @@ from enum import Enum
 from functools import lru_cache
 from itertools import accumulate, islice
 from math import ceil, log1p
+from operator import sub
 from typing import NamedTuple
 
 from .model import ScenarioConfig
@@ -98,8 +100,9 @@ class Trace(list):
     viewers is (leaving, channels, starts, on_air), as viewer_side returns it;
     calls is (calls_out, calls_in, live_calls), as call_side returns it: per
     step, the call departure and arrival counts, and the calls live after it.
-    The Trace takes both series as given: the sides count them as they draw,
-    and a hand-made side supplies its own.  ValueError unless leaving, on_air,
+    The Trace takes both series as given and checks neither: the sides count
+    them as they draw, and a hand-made side supplies its own, which the tests
+    compute with tests/free_play.py.  ValueError unless leaving, on_air,
     calls_out and calls_in have one entry a step, starts one more, and
     starts[-1] is len(channels).  As a list, a Trace holds one list a step
     of shared, id-free markers, in play order: viewer departures, call
@@ -124,21 +127,6 @@ class Trace(list):
         steps = zip(leaving, calls_out, calls_in, starts, islice(starts, 1, None))
         super().__init__([[*leave[len(ids)], *hang_up[out], *call[into], *join[end - start]]
                           for ids, out, into, start, end in steps])
-
-
-def live_call_series(calls_out, calls_in) -> tuple[int, ...]:
-    """Per step, the calls live after it: the running sum of arrivals less departures.
-
-    A step's call departures go before its arrivals; ValueError if more
-    calls depart than are live.
-    """
-    live, series = 0, []
-    for step, (out, into) in enumerate(zip(calls_out, calls_in)):
-        if out > live:
-            raise ValueError(f"step {step}: {out} calls depart, but {live} are live")
-        live += into - out
-        series.append(live)
-    return tuple(series)
 
 
 # Largest mean drawn with one run of the product method: exp(-500) is far
@@ -303,8 +291,10 @@ def viewer_side(seed: int, n_steps: int, dt_min: float, rate_per_min: float,
 @lru_cache(maxsize=1)
 def call_side(seed: int, n_steps: int, dt_min: float, rate_per_min: float,
               mean_hold_min: float) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
-    """Per step, the call departure and arrival counts and the calls then live; stream 1
-    draws a count, then each hold."""
+    """Per step, the call departure and arrival counts and the calls then live, their
+    running sum of arrivals less departures; stream 1 draws a count, then each hold.  A
+    call departs only at a step after its arrival, so no step has more departures than
+    live calls."""
     rng = RngStream(seed, 1)
     draw, arrivals_in_step = rng.random, poisson_counter(rate_per_min, dt_min, rng)
     departures = [0] * n_steps
@@ -315,8 +305,8 @@ def call_side(seed: int, n_steps: int, dt_min: float, rate_per_min: float,
             hold_steps = -mean_hold_min * log1p(-draw()) / dt_min
             if hold_steps < n_steps and (depart := step + (ceil(hold_steps) or 1)) < n_steps:
                 departures[depart] += 1
-    departures, arrivals = tuple(departures), tuple(arrivals)
-    return departures, arrivals, live_call_series(departures, arrivals)
+    live = accumulate(map(sub, arrivals, departures))
+    return tuple(departures), tuple(arrivals), tuple(live)
 
 
 def build_trace(config: ScenarioConfig, seed: int) -> Trace:

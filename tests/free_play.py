@@ -1,11 +1,15 @@
-"""Oracles of the viewer side: its on-air series, and its draws as event lists.
+"""Oracles of the free play: its on-air and live-call series, and the viewer side's
+draws as event lists.
 
 traffic.viewer_side counts its on_air series as it draws.  on_air_series
 recomputes it from the side's viewers alone, with a set of viewers a
 channel: the oracle for the drawn series, and the series of a hand-made
-side.  event_viewer_side draws the same viewers as lists of events, one a
-step and each a (channel, viewer) pair, with its own copy of the side's
-arithmetic: the oracle that viewer_side draws exactly these viewers.
+side.  live_call_series does the same for traffic.call_side's live_calls,
+from its departure and arrival counts, and checks that no step has more
+departures than live calls, which a hand-made side could break.
+event_viewer_side draws the same viewers as lists of events, one a step and
+each a (channel, viewer) pair, with its own copy of the side's arithmetic:
+the oracle that viewer_side draws exactly these viewers.
 """
 
 from bisect import bisect_right
@@ -36,6 +40,21 @@ def on_air_series(leaving, channels, starts) -> tuple[int, ...]:
             watching.setdefault(channels[viewer], set()).add(viewer)
         on_air.append(len(watching))
     return tuple(on_air)
+
+
+def live_call_series(calls_out, calls_in) -> tuple[int, ...]:
+    """Per step, the calls live after it: the running sum of arrivals less departures.
+
+    A step's call departures go before its arrivals; ValueError if more
+    calls depart than are live.
+    """
+    live, series = 0, []
+    for step, (out, into) in enumerate(zip(calls_out, calls_in)):
+        if out > live:
+            raise ValueError(f"step {step}: {out} calls depart, but {live} are live")
+        live += into - out
+        series.append(live)
+    return tuple(series)
 
 
 def event_viewer_side(seed, n_steps, dt_min, rate_per_min, mean_hold_min, catalog_size, skew):

@@ -17,6 +17,7 @@ from bwbroker.engine import (
     FIG3_LOAD_FRACTIONS,
     FIG5_CHANNEL_TARGETS,
     Sweep,
+    check_run,
     fig3_sweep,
     fig5_sweep,
     paired_means,
@@ -31,8 +32,8 @@ from bwbroker.engine import (
 from bwbroker.metrics import aggregate, replication_means
 from bwbroker.model import ConfigError
 from bwbroker.traffic import RngStream, Trace
-from bwbroker.traffic import build_trace, call_side, live_call_series, viewer_side
-from free_play import on_air_series
+from bwbroker.traffic import build_trace, call_side, viewer_side
+from free_play import live_call_series, on_air_series
 from test_metrics import written_rows
 
 
@@ -336,7 +337,7 @@ def test_only_runs_are_bounded_by_the_step_record_ceiling(short_cfg, monkeypatch
     # short_cfg's run keeps 2 replications * 120 steps * 2 policies = 480 records
     monkeypatch.setattr(engine, "MAX_STEP_RECORDS", 479)
     with pytest.raises(ConfigError, match="480 step records"):
-        run_policies(short_cfg)
+        check_run(short_cfg)
     # a sweep keeps only each replication's means, so nothing bounds its records
     assert len(run_experiment(_viewer_sweep(short_cfg, (0.8,)))) == 2
 

@@ -25,12 +25,11 @@ from bwbroker.traffic import (
     call_side,
     channel_probabilities,
     effective_hold_min,
-    live_call_series,
     poisson_counter,
     viewer_rate_for_mean_channels,
     viewer_side,
 )
-from free_play import event_viewer_side, on_air_series
+from free_play import event_viewer_side, live_call_series, on_air_series
 
 
 def test_stream_values_are_frozen():
@@ -424,11 +423,20 @@ def test_a_traces_free_play_is_that_of_its_events():
 
 
 # holds far below one step depart the next step; holds far past the run never do
-viewer_sides = given(
+side_args = dict(
     seed=st.integers(0, 2**32), n_steps=st.integers(1, 150), dt=st.floats(0.5, 2.0),
     rate=st.one_of(st.just(0.0), st.floats(0.0, 30.0)),
-    hold=st.one_of(st.floats(1e-6, 0.01), st.floats(0.01, 60.0), st.floats(1e4, 1e9)),
-    catalog=st.one_of(st.just(1), st.integers(1, 60)), skew=st.floats(0.0, 2.0))
+    hold=st.one_of(st.floats(1e-6, 0.01), st.floats(0.01, 60.0), st.floats(1e4, 1e9)))
+viewer_sides = given(**side_args, catalog=st.one_of(st.just(1), st.integers(1, 60)),
+                     skew=st.floats(0.0, 2.0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(**side_args)
+def test_the_live_calls_a_call_side_counts_are_those_of_its_counts(
+        seed, n_steps, dt, rate, hold):
+    calls_out, calls_in, live_calls = call_side(seed, n_steps, dt, rate, hold)
+    assert live_calls == live_call_series(calls_out, calls_in)
 
 
 @settings(max_examples=150, deadline=None)
