@@ -1,62 +1,42 @@
-"""Demand history and the reservation arithmetic of the bandwidth broker.
+"""The reservation arithmetic of the bandwidth broker.
 
 The broker watches the IPTV demand the cell has seen recently and
 reserves the windowed mean, capped by a configured ceiling, for the next
-step.  When the reservation exceeds what is currently left over after
-non-IPTV traffic, the difference is borrowed back from the non-IPTV
-share.
+step.  The demand is kept as prefix sums of a play's offered channel
+counts: one step's offered IPTV demand is the full per-channel rate times
+the channels on air, not what was granted; recording grants would make the
+reservation feed on its own throttling.  When the reservation exceeds what
+is currently left over after non-IPTV traffic, the difference is borrowed
+back from the non-IPTV share.
 """
 
 from __future__ import annotations
 
-from collections import deque
-
-from .model import ScenarioConfig
+from itertools import accumulate
 
 
-class DemandHistory:
-    """Ring buffer of the most recent on-air channel counts.
+def demand_sums(counts) -> list[int]:
+    """S with S[0] = 0 and S[t + 1] = S[t] + counts[t], for the channel counts of a play's
+    steps; ValueError on a negative count."""
+    if min(counts, default=0) < 0:
+        raise ValueError("channel count must be non-negative")
+    return list(accumulate(counts, initial=0))
 
-    A sample is one step's offered IPTV demand: the full per-channel rate
-    times the channels on air, not what was granted; recording grants
-    would make the reservation feed on its own throttling.  Only the
-    integer count is kept, with a running total of the window, so the
-    windowed mean is exact and takes one division.
+
+def compute_reservation(sums: list[int], step: int, window: int, full_mbps: float,
+                        cap_mbps: float) -> float:
+    """The reservation at step: the mean demand of the last min(step, window) steps, capped.
+
+    sums are the play's demand_sums through at least step.  The counts are
+    integers, so the windowed mean is exact and takes one division.  While
+    the window is still filling up the mean is over the steps seen so far;
+    step 0 reserves nothing, so a cold start degrades to plain leftover
+    allocation.
     """
-
-    def __init__(self, capacity: int, channel_demand_mbps: float):
-        if capacity < 1:
-            raise ValueError("history capacity must be at least 1")
-        self._window: deque[int] = deque(maxlen=capacity)
-        self._total = 0
-        self._channel_demand_mbps = channel_demand_mbps
-
-    @classmethod
-    def for_config(cls, config: ScenarioConfig) -> "DemandHistory":
-        return cls(config.history_samples, config.iptv_channel_max_bw_mbps)
-
-    def record_sample(self, channels: int) -> None:
-        """Append one step's on-air channel count, evicting the oldest on overflow."""
-        if channels < 0:
-            raise ValueError("channel count must be non-negative")
-        window = self._window
-        if len(window) == window.maxlen:
-            self._total -= window[0]
-        window.append(channels)
-        self._total += channels
-
-
-def compute_reservation(history: DemandHistory, cap_mbps: float) -> float:
-    """Windowed mean of recent demand, capped by the reservation ceiling.
-
-    While the window is still filling up the mean is over the samples
-    seen so far; an empty window reserves nothing, so a cold start
-    degrades to plain leftover allocation.
-    """
-    n = len(history._window)
-    if not n:
+    k = step if step < window else window
+    if k < 1:
         return 0.0
-    mean = history._channel_demand_mbps * history._total / n
+    mean = full_mbps * (sums[step] - sums[step - k]) / k
     return cap_mbps if cap_mbps < mean else mean
 
 

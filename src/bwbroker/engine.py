@@ -3,9 +3,9 @@
 run_trace plays one replication of one policy.  Each step runs a fixed
 sequence: fix the reservation, apply departures, admit arrivals, allocate,
 then record what the step was given and decided.  Only the SLA has a
-broker: its history gets each step's offered demand right after
-allocation, so a reservation only ever sees past steps.  Without an SLA no
-history is kept and the reservation stays zero.
+broker: step t reserves the capped mean of the channels its policy offered
+in the min(t, W) steps before it, so a reservation only ever sees past
+steps; without an SLA it stays zero.
 
 A policy plays a replication in two phases, through one step body.  Until
 it first blocks or drops a channel, its cell is the trace's free play, the
@@ -23,9 +23,11 @@ builds its cell, a model.CellState viewer ledger, from the earlier steps'
 viewers, every one admitted, and from then on plays the viewers itself,
 with admission: a step's leaving ids depart, then its new ids arrive, each
 viewer on its channel, trace.channels[id]; its demand adds full quality for
-each blocked activation.  Either way the step then calls the reservation,
-the allocator and the history once each, and records the step; only the
-policy's own cell drops the channels the allocator shed.  The engine never
+each blocked activation.  Either way the step then calls the allocator once
+and records the step; only the policy's own cell drops the channels the
+allocator shed.  Free SLA steps read their reservations from one list a
+viewer side (the last is kept, so sweep points share it); from its fork the
+policy's own demand sums grow by its count.  The engine never
 reads the trace's event lists.  Calls are never played: both phases take
 the step's non-IPTV demand from the trace's running count, live_calls,
 which the call side derives as it draws.
@@ -57,7 +59,7 @@ from dataclasses import dataclass, replace
 from functools import wraps
 
 from .allocation import PolicyKind, admit_channel, allocate_non_sla, allocate_sla, per_channel
-from .broker import DemandHistory, compute_reservation
+from .broker import compute_reservation, demand_sums
 from .metrics import ReplicationMeans, RunSummary, StepRecord, replication_means
 from .metrics import step_rows_csv, step_satisfaction, step_utilization, summarize
 from .metrics import aggregate  # noqa: F401 - uncalled; perfbench/layers.py wraps engine.aggregate
@@ -76,25 +78,38 @@ def _admitted_cell(trace: Trace, steps: int) -> CellState:
     return state
 
 
+# The SLA's reservations over the free play of the last viewer side and broker run_trace
+# played: (on_air, broker, reservations).  Holding on_air keeps its identity its own.
+_free_memo: tuple = (None, None, None)
+
+
+def _reservations(counts, window: int, full_mbps: float, cap_mbps: float) -> list[float]:
+    """The reservation at each step of a play whose step t offers counts[t] channels."""
+    sums, reservation = demand_sums(counts), compute_reservation
+    return [reservation(sums, t, window, full_mbps, cap_mbps) for t in range(len(counts))]
+
+
 def run_trace(config: ScenarioConfig, policy_kind: PolicyKind, trace: Trace) -> list[StepRecord]:
     """Play a trace through one policy: one replication, one record a step.
 
     Free and played steps share one body: the free test only decides where
-    the step's channels, and its demand, come from (see the module
-    docstring).  What no step changes is bound once, before the loop.  The
-    rules are looked up in this module on each call, so a wrapper put on it
-    is the one called.
+    the step's channels, its demand and the SLA's reservation come from (see
+    the module docstring).  What no step changes is bound once, before the
+    loop.  The rules are looked up in this module on each call, so a wrapper
+    put on it is the one called.
     """
+    global _free_memo
     sla = policy_kind is PolicyKind.SLA
     admit, reservation, rate = admit_channel, compute_reservation, per_channel
     by_reservation, by_equal_degradation = allocate_sla, allocate_non_sla
-    if sla:
-        history = DemandHistory.for_config(config)
-        record_sample = history.record_sample
     full, call_bw = config.iptv_channel_max_bw_mbps, config.non_iptv_call_bw_mbps
-    floor = config.iptv_channel_min_bw_mbps - BW_TOL
-    dt, reservation_cap = config.sample_interval_min, config.iptv_reservation_cap_mbps
+    dt, floor = config.sample_interval_min, config.iptv_channel_min_bw_mbps - BW_TOL
     leaving, channels, starts, on_air = trace.leaving, trace.channels, trace.starts, trace.on_air
+    if sla:
+        window, cap = config.history_samples, config.iptv_reservation_cap_mbps
+        if _free_memo[0] is not on_air or _free_memo[1] != (window, full, cap):
+            _free_memo = (on_air, (window, full, cap), _reservations(on_air, window, full, cap))
+        free_reserved = _free_memo[2]
     state = None  # the policy's own cell, from its first step that is not free
     records: list[StepRecord] = []
     append, new_record = records.append, tuple.__new__
@@ -104,7 +119,8 @@ def run_trace(config: ScenarioConfig, policy_kind: PolicyKind, trace: Trace) -> 
         # the reservation depends only on past samples, so it is fixed for the
         # whole step and already governs this step's admissions
         if sla:
-            reserved = reservation(history, reservation_cap)
+            reserved = free_reserved[step] if state is None else reservation(
+                sums, step, window, full, cap)
         non_iptv = calls * call_bw
         if state is None and (not (n := on_air[step]) or
                               rate(policy_kind, n, non_iptv, reserved, config) >= floor):
@@ -116,6 +132,8 @@ def run_trace(config: ScenarioConfig, policy_kind: PolicyKind, trace: Trace) -> 
                 active = state.active_channels
                 admit_viewer, viewer_departs = state.admit_viewer, state.viewer_departs
                 drop_channel = state.drop_channel
+                if sla:  # the policy's own demand from here on
+                    sums = demand_sums(on_air[:step])
             blocks = 0
             for viewer_id in leaving[step]:
                 viewer_departs(viewer_id, channels[viewer_id])
@@ -132,7 +150,8 @@ def run_trace(config: ScenarioConfig, policy_kind: PolicyKind, trace: Trace) -> 
 
         if sla:
             decision = by_reservation(active, non_iptv, reserved, config)
-            record_sample(n)  # after allocation: only later steps see it
+            if state is not None:
+                sums.append(sums[-1] + n)  # after allocation: only later steps see it
         else:
             decision = by_equal_degradation(active, non_iptv, config)
         if state is not None:

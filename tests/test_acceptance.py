@@ -20,7 +20,7 @@ from statistics import fmean, stdev
 import pytest
 
 from bwbroker.allocation import PolicyKind, allocate_non_sla, allocate_sla
-from bwbroker.broker import DemandHistory, compute_borrowing, compute_reservation
+from bwbroker.broker import compute_borrowing, compute_reservation, demand_sums
 from bwbroker.cli import main
 from bwbroker.engine import fig3_sweep, fig5_sweep, paired_means, replication_seed, run_experiment
 from bwbroker.metrics import step_satisfaction
@@ -123,13 +123,10 @@ def test_criterion_equations_match_reference_oracles():
         worst = max(worst, abs(compute_borrowing(r, a) - max(0.0, r - a)))
 
         full = cfg.iptv_channel_max_bw_mbps
-        hist = DemandHistory(60, full)
         counts = [rng.randint(0, 40) for _ in range(rng.randint(1, 60))]
-        for k in counts:
-            hist.record_sample(k)
         res_cap = rng.uniform(2.0, 40.0)
-        worst = max(worst, abs(compute_reservation(hist, res_cap)
-                               - min(fmean(full * k for k in counts), res_cap)))
+        got = compute_reservation(demand_sums(counts), len(counts), 60, full, res_cap)
+        worst = max(worst, abs(got - min(fmean(full * k for k in counts), res_cap)))
 
         n = rng.randint(0, 50)
         b_i = rng.uniform(0.0, 120.0)

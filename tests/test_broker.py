@@ -1,4 +1,4 @@
-"""Demand history window, reservation sizing and borrowing."""
+"""Demand sums, the windowed reservation over them, and borrowing."""
 
 from statistics import fmean
 
@@ -6,61 +6,52 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bwbroker.broker import DemandHistory, compute_borrowing, compute_reservation
+from bwbroker.broker import compute_borrowing, compute_reservation, demand_sums
 
 CAP40 = 40.0
 
 
-def test_history_rejects_bad_capacity():
-    with pytest.raises(ValueError):
-        DemandHistory(0, 2.0)
+def _after(counts, window, full, cap):
+    """The reservation of the step after a play of the given channel counts."""
+    return compute_reservation(demand_sums(counts), len(counts), window, full, cap)
 
 
-def test_history_rejects_negative_samples():
-    h = DemandHistory(3, 2.0)
-    with pytest.raises(ValueError):
-        h.record_sample(-1)
+def test_sums_reject_a_negative_count():
+    assert demand_sums([]) == [0]
+    assert demand_sums((3, 0, 2)) == [0, 3, 3, 5]
+    with pytest.raises(ValueError, match="non-negative"):
+        demand_sums((3, -1, 2))
 
 
 def test_history_evicts_oldest():
-    h = DemandHistory(60, 1.0)
-    for i in range(61):
-        h.record_sample(i)
-    # sample 0 fell out: the mean is over 1..60
-    assert compute_reservation(h, 100.0) == 30.5
+    # sample 0 fell out of the 60-step window: the mean is over 1..60
+    assert _after(range(61), 60, 1.0, 100.0) == 30.5
 
 
 def test_history_for_config_matches_window(cfg):
-    h = DemandHistory.for_config(cfg)
-    h.record_sample(20)
-    for _ in range(59):
-        h.record_sample(0)
-    assert compute_reservation(h, CAP40) == 2.0 * 20 / 60
-    h.record_sample(0)                  # the 61st sample evicts the first
-    assert compute_reservation(h, CAP40) == 0.0
+    window, full = cfg.history_samples, cfg.iptv_channel_max_bw_mbps
+    counts = [20] + [0] * 59
+    assert _after(counts, window, full, CAP40) == 2.0 * 20 / 60
+    assert _after(counts + [0], window, full, CAP40) == 0.0  # the 61st step drops the first
 
 
 def test_reservation_examples():
-    h = DemandHistory(60, 2.0)
-    assert compute_reservation(h, CAP40) == 0.0      # cold start
-    for k in (10, 15, 20):
-        h.record_sample(k)
-    assert compute_reservation(h, CAP40) == 30.0
+    assert _after([], 60, 2.0, CAP40) == 0.0      # cold start
+    assert _after([10, 15, 20], 60, 2.0, CAP40) == 30.0
+    assert _after([25] * 60, 60, 2.0, CAP40) == 40.0  # capped
 
-    full = DemandHistory(60, 2.0)
-    for _ in range(60):
-        full.record_sample(25)
-    assert compute_reservation(full, CAP40) == 40.0  # capped
+
+def test_each_step_reads_only_the_sums_before_it():
+    sums = demand_sums([10, 15, 20, 1000])
+    assert [compute_reservation(sums, t, 2, 2.0, 100.0) for t in range(4)] == [
+        0.0, 20.0, 25.0, 35.0]
 
 
 @given(counts=st.lists(st.integers(0, 50), min_size=1, max_size=200),
        rate=st.floats(0.5, 5.0), cap=st.floats(1.0, 60.0))
 def test_reservation_is_capped_windowed_mean(counts, rate, cap):
-    h = DemandHistory(60, rate)
-    for k in counts:
-        h.record_sample(k)
     window = counts[-60:]
-    got = compute_reservation(h, cap)
+    got = _after(counts, 60, rate, cap)
     assert got == min(rate * sum(window) / len(window), cap)   # exact integer total
     assert got == pytest.approx(min(fmean(rate * k for k in window), cap), rel=1e-12)
     assert 0.0 <= got <= cap

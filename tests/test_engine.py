@@ -12,7 +12,6 @@ import pytest
 
 from bwbroker import engine, traffic
 from bwbroker.allocation import PolicyKind
-from bwbroker.broker import DemandHistory
 from bwbroker.engine import (
     FIG3_LOAD_FRACTIONS,
     FIG5_CHANNEL_TARGETS,
@@ -407,6 +406,8 @@ def test_a_replication_makes_no_reference_cycles(short_cfg):
     try:
         paired_steps(short_cfg, 1)
         means = paired_means(heavy, 6)
+        # another point on the same viewer side reads the SLA's shared free-play list
+        means += paired_means(replace(heavy, non_iptv_arrival_rate_per_min=3.0), 6)
         found = gc.collect()
         garbage = list(gc.garbage)
     finally:
@@ -472,23 +473,80 @@ def test_run_policies_matches_aggregate_over_run_paired(short_cfg):
             _csv_writer_text(rep, rep_records, short_cfg) for rep, rep_records in zip(reps, records))
 
 
-def test_only_the_sla_run_keeps_a_broker_history(short_cfg, monkeypatch):
-    built = []
+def _windowed_means(counts, config):
+    """Per step, the capped mean of full * counts over the min(t, W) steps before it."""
+    window, full = config.history_samples, config.iptv_channel_max_bw_mbps
+    means = []
+    for t in range(len(counts)):
+        past = counts[max(0, t - window):t]
+        means.append(min(config.iptv_reservation_cap_mbps, full * sum(past) / len(past))
+                     if past else 0.0)
+    return means
 
-    class CountedHistory(DemandHistory):
-        def __init__(self, *args):
-            built.append(args)
-            super().__init__(*args)
 
-    monkeypatch.setattr(engine, "DemandHistory", CountedHistory)
-    trace = build_trace(short_cfg, 7)
-    for policy, builds in ((PolicyKind.NON_SLA, 0), (PolicyKind.SLA, 1)):
-        built.clear()
-        run_trace(short_cfg, policy, trace)
-        assert len(built) == builds, policy
+def test_only_the_sla_run_reserves_the_windowed_mean_of_its_own_demand(short_cfg,
+                                                                      monkeypatch):
+    steps = []  # the step of each reservation made through the engine's name
+
+    def counted(sums, step, *broker):
+        steps.append(step)
+        return reservation(sums, step, *broker)
+
+    reservation = engine.compute_reservation
+    monkeypatch.setattr(engine, "compute_reservation", counted)
+    monkeypatch.setattr(engine, "_free_memo", (None, None, None))
+    heavy = replace(short_cfg, non_iptv_arrival_rate_per_min=4.5)
+    trace = build_trace(heavy, 6)    # both policies block or drop, sla first
+    non = run_trace(heavy, PolicyKind.NON_SLA, trace)
+    assert steps == []
+    sla = run_trace(heavy, PolicyKind.SLA, trace)
+    assert all(r.reserved_mbps == 0.0 for r in non)
+    first = {kind: next(t for t, r in enumerate(records) if r.blocks or r.drops)
+             for kind, records in ((PolicyKind.SLA, sla), (PolicyKind.NON_SLA, non))}
+    assert first[PolicyKind.SLA] < first[PolicyKind.NON_SLA]
+    # the free-play list, one a step, then each step after the fork on the policy's own sums
+    n = heavy.n_steps
+    assert steps == [*range(n), *range(first[PolicyKind.SLA] + 1, n)]
+    own = [r.active_channels for r in sla]
+    assert [r.reserved_mbps for r in sla] == _windowed_means(own, heavy)
+    # after its fork the SLA's own counts leave the free play's, and so do its reservations
+    assert _windowed_means(own, heavy) != _windowed_means(trace.on_air, heavy)
+
+
+def test_a_negative_on_air_count_never_enters_the_sums(cfg):
+    trace = _trace((0, 0, 2), (0, 0, 0))
+    trace.on_air = (2, -1)
+    with pytest.raises(ValueError, match="non-negative"):
+        run_trace(cfg, PolicyKind.SLA, trace)
+
+
+def test_a_sweep_builds_the_free_reservations_once_per_seed(short_cfg, monkeypatch):
+    built = []  # the broker (window, full rate, cap) of each free-reservations list built
+
+    def counted(counts, *broker):
+        built.append(broker)
+        return reservations(counts, *broker)
+
+    reservations = engine._reservations
+    monkeypatch.setattr(engine, "_reservations", counted)
+    monkeypatch.setattr(engine, "_free_memo", (None, None, None))
+    sweep = fig3_sweep(short_cfg)
+    run_experiment(sweep, jobs=1)
+    broker = (short_cfg.history_samples, short_cfg.iptv_channel_max_bw_mbps,
+              short_cfg.iptv_reservation_cap_mbps)
+    assert built == [broker] * short_cfg.replications
+    # a config on the same viewer side with another window or cap gets its own list
+    config = sweep.points[0][1]
+    trace = build_trace(config, 7)
     built.clear()
-    run_paired(short_cfg, 7)
-    assert len(built) == 1
+    reserved = []
+    for other in (config, replace(config, history_window_min=30.0),
+                  replace(config, iptv_reservation_cap_mbps=30.0), config):
+        reserved.append([r.reserved_mbps for r in run_trace(other, PolicyKind.SLA, trace)])
+        assert reserved[-1] == _windowed_means(trace.on_air, other)
+    # one entry is kept, so the first config's list is built again after the others
+    assert built == [(60, 2.0, 40.0), (30, 2.0, 40.0), (60, 2.0, 30.0), (60, 2.0, 40.0)]
+    assert reserved[1] != reserved[0] != reserved[2]
 
 
 def test_replication_seeds_are_consecutive():

@@ -54,20 +54,26 @@ def test_traced_run_sees_every_hook_the_kernel_must_call(tmp_path):
     # CellState mutators through the names the harness wraps
     layers = _traced(tmp_path, HEAVY, ["run", "--seed", "7"])
     totals = {"blocks": 0, "drops": 0}
-    forked = set()  # the (replication, policy) runs that block or drop
+    forked = {}  # (replication, policy) -> the run's first step that blocks or drops
     for policy in ("sla", "nonsla"):
         with open(tmp_path / "out" / f"steps_{policy}.csv", newline="") as f:
+            steps_seen = {}  # replication -> its rows read so far
             for row in csv.DictReader(f):
                 for column in totals:
                     totals[column] += int(row[column])
+                rep = int(row["replication"])
+                step = steps_seen[rep] = steps_seen.get(rep, -1) + 1
                 if int(row["blocks"]) or int(row["drops"]):
-                    forked.add((int(row["replication"]), policy))
+                    forked.setdefault((rep, policy), step)
     assert totals["blocks"] >= 101 and totals["drops"] >= 40
     assert layers["allocation.blocks"] == totals["blocks"]
     assert layers["allocation.drops"] == totals["drops"]
     replications, steps = 2, 120
     assert layers["engine.steps"] == 2 * replications * steps
-    assert layers["broker.compute_reservation.calls"] == replications * steps
+    # the SLA's free-play reservations are built once a viewer side, one call a step, and
+    # each step after the SLA's first block or drop calls the rule on the policy's own sums
+    assert layers["broker.compute_reservation.calls"] == replications * steps + sum(
+        steps - 1 - first for (_, policy), first in forked.items() if policy == "sla")
     assert layers["allocation.allocate_sla.calls"] == replications * steps
     assert layers["allocation.allocate_non_sla.calls"] == replications * steps
     # a run plays its viewer events through the mutators only if it blocks or
