@@ -1,8 +1,8 @@
 """Per-step measurements, their rows in the steps CSV, and cross-replication aggregation.
 
-The steps CSV's float columns are formatted through a memo of repr that each
-process keeps and bounds: a table1 run formats about 260,000 floats that hold
-about 5,400 distinct values.
+The steps CSV's columns are formatted through memos of repr, one per type, that
+each process keeps and bounds: a table1 run formats about 260,000 floats that hold
+about 5,400 distinct values, and 86,400 counts.
 """
 
 from __future__ import annotations
@@ -15,6 +15,8 @@ import statistics
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import compress, repeat
+from math import copysign
+from operator import not_
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .broker import compute_borrowing
@@ -50,40 +52,45 @@ def csv_text(rows: Iterable[Sequence]) -> str:
     return text.getvalue()
 
 
-# Most values the repr memo holds before it is emptied.  An entry is a (type, value) key
-# and its text, about 165 bytes with the dict's slots for 17-digit floats (tracemalloc:
-# a full memo holds 5.4 MB); table1's whole run has about 5,400 distinct values.
+# Most values a repr memo holds before it is emptied.  An entry is a value and its text,
+# about 130 bytes with the dict's slots for 17-digit floats (tracemalloc: a full float
+# memo holds 4.3 MB); table1's whole run has about 5,400 distinct floats.
 REPR_MEMO_CAP = 1 << 15
 
 
 class _ReprMemo(dict):
-    """repr of the values formatted in this process, keyed by (type, value) so that 3 and
-    3.0 keep their own text.  A zero is never kept, since 0.0 == -0.0 would hand one the
-    other's text, and the memo is emptied before it would pass REPR_MEMO_CAP entries, so
-    its text is repr's whatever was formatted before."""
+    """repr of the values of one type formatted in this process, keyed by value.  It is
+    emptied before it would pass REPR_MEMO_CAP entries, so its text is repr's whatever was
+    formatted before."""
 
-    def __missing__(self, key: tuple) -> str:
-        text = repr(key[1])
-        if key[1]:
-            if len(self) >= REPR_MEMO_CAP:
-                self.clear()
-            self[key] = text
+    def __missing__(self, value: object) -> str:
+        if len(self) >= REPR_MEMO_CAP:
+            self.clear()
+        self[value] = text = repr(value)
         return text
 
 
-_repr_memo = _ReprMemo()
+# one memo per type, so that 3 and 3.0 keep their own text
+_repr_memos = {int: _ReprMemo(), float: _ReprMemo()}
 
 
-def _reprs(values: Sequence) -> Iterator[str]:
-    """repr of each of values, through the memo: a run repeats few distinct values."""
-    return map(_repr_memo.__getitem__, zip(map(type, values), values))
+def _reprs(column: Sequence) -> Iterator[str]:
+    """repr of each of column's values, which csv.writer writes for an int, a bool or a float:
+    from their type's memo when they share one, since a run repeats few distinct values.  The
+    float memo may hold 0.0 (0.0 == -0.0), so a column with a -0.0 keeps off it."""
+    kind, *others = set(map(type, column))
+    memo = None if others else _repr_memos.get(kind)
+    if memo is None or (kind is float and 0.0 in column and -1.0 in map(
+            copysign, repeat(1.0), compress(column, map(not_, column)))):
+        return map(repr, column)
+    return map(memo.__getitem__, column)
 
 
 def step_rows_csv(replication: int, records: Sequence[StepRecord], config: ScenarioConfig) -> str:
     """The steps-CSV rows of one replication as text, formatted a column at a time as csv_text
     would write them: a float by repr, an int by str, neither quoted.  B_IPTV_demand, B_A and
     B_B follow from the record: the full rate times N_IPTV, the leftover after B_I, the
-    borrowing.  The float columns take their text from the memo of repr."""
+    borrowing.  Each column takes its text from _reprs."""
     if not records:
         return ""
     full, capacity = config.iptv_channel_max_bw_mbps, config.capacity_mbps
@@ -91,8 +98,8 @@ def step_rows_csv(replication: int, records: Sequence[StepRecord], config: Scena
     available = tuple(map(available_bandwidth, repeat(capacity), non_iptv))
     columns = (repeat(str(replication)), _reprs(t), _reprs(non_iptv),
                _reprs([full * k for k in n]), _reprs(available), _reprs(reserved),
-               _reprs(tuple(map(compute_borrowing, reserved, available))), map(str, n),
-               _reprs(rate), _reprs(sl), _reprs(util), map(str, blocks), map(str, drops))
+               _reprs(tuple(map(compute_borrowing, reserved, available))), _reprs(n),
+               _reprs(rate), _reprs(sl), _reprs(util), _reprs(blocks), _reprs(drops))
     return "\n".join(map(",".join, zip(*columns))) + "\n"
 
 

@@ -63,10 +63,10 @@ MAX_SEED = 2**63 - 1
 # keeps each as its steps-CSV row, about 80 bytes of text (tracemalloc over
 # run_policies at table1: 77 bytes a record held), so that is about 240 MB.  A pool
 # worker adds its block of replications (engine.MAX_BLOCK_RECORDS) and the steps
-# CSV's repr memo: at --jobs 2 and 1,041 table1 replications (1,499,040 records, half
+# CSV's repr memos: at --jobs 2 and 1,041 table1 replications (1,499,040 records, half
 # the ceiling), blocks of 34 (48,960 records) took a worker's peak RSS from 19.6 MB to
-# 33.7 MB, about 8 MB of it the block and 6 MB the memo; the parent's peaked at
-# 139-145 MB, and the run wrote 113 MB of steps CSVs, about 75 bytes a row.
+# 32.5-34.4 MB, about 8 MB of it the block and 4.3 MB the full float memo; the parent's
+# peaked at 139-146 MB, and the run wrote 113 MB of steps CSVs, about 75 bytes a row.
 MAX_STEP_RECORDS = 3_000_000
 
 

@@ -89,20 +89,56 @@ def same_value_record(v):
     return StepRecord(v, v, v, 1, v, v, v, 0, 0)
 
 
+def clear_repr_memos():
+    for memo in metrics._repr_memos.values():
+        memo.clear()
+
+
 @pytest.mark.parametrize("first, then", [(-0.0, 0.0), (0.0, -0.0), (3.0, 3), (3, 3.0)])
 def test_step_rows_keep_equal_values_of_other_sign_or_type_apart(first, then):
-    metrics._repr_memo.clear()  # so the first value formatted is first
+    clear_repr_memos()  # so the first value formatted is first
     cfg = table1()
     for records in ([same_value_record(first)], [same_value_record(then)],
                     [same_value_record(first), same_value_record(then)]):
         assert step_rows_csv(0, records, cfg) == rows_one_at_a_time(0, records, cfg)
 
 
+@pytest.mark.parametrize("column", [
+    (1.5, 0.0, 2.25, -0.0, 0.0, 1.5),  # both signs among other values, 0.0 first
+    (1.5, -0.0, 2.25, 0.0, -0.0, 1.5),  # and -0.0 first
+    (0.0, 0.0, 0.0),
+    (-0.0, -0.0, -0.0),
+])
+def test_a_float_column_keeps_the_sign_of_each_zero(column):
+    clear_repr_memos()
+    cfg = table1()
+    # a column of 0.0 first, so that the float memo may hold 0.0 when the column comes
+    for records in ([same_value_record(0.0)] * 2, [same_value_record(v) for v in column],
+                    [same_value_record(-0.0)] * 2, [same_value_record(v) for v in column[::-1]]):
+        assert step_rows_csv(0, records, cfg) == rows_one_at_a_time(0, records, cfg)
+
+
+def same_count_record(k):
+    """A record whose N_IPTV, blocks and drops are k."""
+    return StepRecord(0.5, 0.5, 0.5, k, 0.5, 0.5, 0.5, k, k)
+
+
+@pytest.mark.parametrize("counts", [(3, 3.0, True, 1), (True, 1, 3.0, 3)])
+def test_count_columns_keep_equal_values_of_other_type_apart(counts):
+    clear_repr_memos()
+    cfg = table1()
+    # each value alone, so that its type's memo holds it, then all of them in one column
+    for records in (*([same_count_record(k)] for k in counts),
+                    list(map(same_count_record, counts))):
+        assert step_rows_csv(0, records, cfg) == rows_one_at_a_time(0, records, cfg)
+
+
 # equal values that csv.writer writes differently, so that two lists often share one
 alike = st.sampled_from((0, 0.0, -0.0, 3, 3.0, 0.5, 10**16, 1e16))
 any_float = st.one_of(alike, finite)
-memo_record = st.builds(StepRecord, any_float, st.one_of(alike, non_negative), any_float, count,
-                        any_float, any_float, any_float, count, count)
+any_count = st.one_of(count, alike, st.booleans())
+memo_record = st.builds(StepRecord, any_float, st.one_of(alike, non_negative), any_float, any_count,
+                        any_float, any_float, any_float, any_count, any_count)
 
 
 @settings(max_examples=150, deadline=None)
@@ -115,22 +151,28 @@ def test_step_rows_are_exact_whatever_was_formatted_before(first, then):
 
 @pytest.mark.parametrize("cap", [20, metrics.REPR_MEMO_CAP])
 def test_the_repr_memo_stays_within_its_cap(monkeypatch, cap):
-    sizes = []
+    sizes = {int: [], float: []}
 
     class WatchedMemo(metrics._ReprMemo):
+        def __init__(self, kind):
+            self.kind = kind
+
         def __setitem__(self, key, text):
             super().__setitem__(key, text)
-            sizes.append(len(self))
+            sizes[self.kind].append(len(self))
 
-    monkeypatch.setattr(metrics, "_repr_memo", WatchedMemo())
+    monkeypatch.setattr(metrics, "_repr_memos", {kind: WatchedMemo(kind) for kind in sizes})
     monkeypatch.setattr(metrics, "REPR_MEMO_CAP", cap)
     cfg = table1()
-    # seven or eight distinct floats a record, the leftover and the borrowing among them
-    records = [StepRecord(i + 0.25, 1 / (i + 2), i + 0.5, 1, i + 0.75, -i - 0.25, -i - 0.5, 0, 0)
-               for i in range(cap // 2)]
+    # eight or nine distinct floats a record, the leftover and the borrowing among them,
+    # and three distinct counts
+    records = [StepRecord(i + 0.25, 1 / (i + 2), i + 0.5, 3 * i, i + 0.75, -i - 0.25, -i - 0.5,
+                          3 * i + 1, 3 * i + 2) for i in range(cap // 2)]
     for chunk in (records[:cap // 4], records, records[cap // 4:]):
         assert step_rows_csv(0, chunk, cfg) == rows_one_at_a_time(0, chunk, cfg)
-    assert len(sizes) > 2 * cap and max(sizes) == cap and sizes.count(1) > 1
+    assert len(sizes[float]) > 2 * cap
+    for kind_sizes in sizes.values():
+        assert max(kind_sizes) == cap and kind_sizes.count(1) > 1
 
 
 def test_step_satisfaction_examples():
