@@ -56,7 +56,7 @@ from __future__ import annotations
 import gc
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from functools import wraps
+from functools import lru_cache, wraps
 
 from .allocation import PolicyKind, admit_channel, allocate_non_sla, allocate_sla, per_channel
 from .broker import compute_reservation, demand_sums
@@ -78,13 +78,12 @@ def _admitted_cell(trace: Trace, steps: int) -> CellState:
     return state
 
 
-# The SLA's reservations over the free play of the last viewer side and broker run_trace
-# played: (on_air, broker, reservations).  Holding on_air keeps its identity its own.
-_free_memo: tuple = (None, None, None)
-
-
-def _reservations(counts, window: int, full_mbps: float, cap_mbps: float) -> list[float]:
-    """The reservation at each step of a play whose step t offers counts[t] channels."""
+@lru_cache(maxsize=1)
+def _reservations(counts: tuple[int, ...], window: int, full_mbps: float,
+                  cap_mbps: float) -> list[float]:
+    """The reservation at each step of a play whose step t offers counts[t] channels: for
+    the free play of the last viewer side and broker run_trace played, which sweep points
+    on one viewer side share.  Read it, never change it."""
     sums, reservation = demand_sums(counts), compute_reservation
     return [reservation(sums, t, window, full_mbps, cap_mbps) for t in range(len(counts))]
 
@@ -98,7 +97,6 @@ def run_trace(config: ScenarioConfig, policy_kind: PolicyKind, trace: Trace) -> 
     loop.  The rules are looked up in this module on each call, so a wrapper
     put on it is the one called.
     """
-    global _free_memo
     sla = policy_kind is PolicyKind.SLA
     admit, reservation, rate = admit_channel, compute_reservation, per_channel
     by_reservation, by_equal_degradation = allocate_sla, allocate_non_sla
@@ -107,9 +105,7 @@ def run_trace(config: ScenarioConfig, policy_kind: PolicyKind, trace: Trace) -> 
     leaving, channels, starts, on_air = trace.leaving, trace.channels, trace.starts, trace.on_air
     if sla:
         window, cap = config.history_samples, config.iptv_reservation_cap_mbps
-        if _free_memo[0] is not on_air or _free_memo[1] != (window, full, cap):
-            _free_memo = (on_air, (window, full, cap), _reservations(on_air, window, full, cap))
-        free_reserved = _free_memo[2]
+        free_reserved = _reservations(on_air, window, full, cap)
     state = None  # the policy's own cell, from its first step that is not free
     records: list[StepRecord] = []
     append, new_record = records.append, tuple.__new__

@@ -11,7 +11,6 @@ import csv
 import io
 import math
 import operator
-import statistics
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import compress, repeat
@@ -195,6 +194,31 @@ def replication_means(records: Sequence[StepRecord], warmup_min: float) -> Repli
     )
 
 
+# bits of the scaled variance whose integer square root _stdev rounds to float once:
+# 2 * 53 + 3, so the root keeps two bits past a float's 53
+_SQRT_BITS = 109
+
+
+def _stdev(values: Sequence[float]) -> float:
+    """The sample standard deviation of two or more finite floats, correctly rounded: the
+    square root of their exact variance, taken in integers and rounded to float once.  This
+    is what statistics.stdev computes from Python 3.11 on; 3.10's is not correctly rounded."""
+    ratios = [v.as_integer_ratio() for v in values]
+    # a float's denominator is a power of two, so the largest is a multiple of each
+    scale = max(d for _, d in ratios)
+    scaled = [numerator * (scale // d) for numerator, d in ratios]
+    n = len(scaled)
+    num = n * sum(x * x for x in scaled) - sum(scaled) ** 2
+    den = n * (n - 1) * scale * scale
+    # num / den times 4**-shift has about _SQRT_BITS bits; its isqrt is made odd when
+    # inexact (round to odd), so the one rounding to float below is correct
+    shift = (num.bit_length() - den.bit_length() - _SQRT_BITS) // 2
+    num, den = (num, den << 2 * shift) if shift >= 0 else (num << -2 * shift, den)
+    root = math.isqrt(num // den)
+    root |= root * root * den != num
+    return float(root << shift) if shift >= 0 else root / (1 << -shift)
+
+
 def summarize(per_rep: Sequence[ReplicationMeans]) -> RunSummary:
     """Average the per-replication means, and fold their extremes, across replications."""
     if not per_rep:
@@ -203,17 +227,20 @@ def summarize(per_rep: Sequence[ReplicationMeans]) -> RunSummary:
     if len(set(column.steps)) != 1:
         raise ValueError("replications disagree on post-warmup step count")
 
+    def mean(values: tuple[float, ...]) -> float:
+        return math.fsum(values) / len(values)
+
     def se(values: tuple[float, ...]) -> float:
-        return statistics.stdev(values) / math.sqrt(len(values)) if len(values) > 1 else 0.0
+        return _stdev(values) / math.sqrt(len(values)) if len(values) > 1 else 0.0
 
     return RunSummary(
-        mean_satisfaction=statistics.fmean(column.satisfaction),
+        mean_satisfaction=mean(column.satisfaction),
         se_satisfaction=se(column.satisfaction),
-        mean_utilization=statistics.fmean(column.utilization),
+        mean_utilization=mean(column.utilization),
         se_utilization=se(column.utilization),
-        block_rate=statistics.fmean(column.blocks),
-        drop_rate=statistics.fmean(column.drops),
-        mean_active_channels=statistics.fmean(column.active_channels),
+        block_rate=mean(column.blocks),
+        drop_rate=mean(column.drops),
+        mean_active_channels=mean(column.active_channels),
         replications=len(per_rep),
         scanned_steps=sum(column.scanned_steps),
         max_utilization=max(column.max_utilization),

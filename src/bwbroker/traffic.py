@@ -40,10 +40,10 @@ import random
 from bisect import bisect_right
 from collections.abc import Callable
 from enum import Enum
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import accumulate, islice
 from math import ceil, log1p
-from operator import sub
+from operator import add, sub
 from typing import NamedTuple
 
 from .model import ScenarioConfig
@@ -169,16 +169,11 @@ def poisson_counter(rate_per_min: float, dt_min: float, rng: RngStream) -> Calla
 
 @lru_cache(maxsize=64)
 def _popularity_cdf(catalog_size: int, skew: float) -> tuple[float, ...]:
-    # weight of channel k is 1 / k^skew; skew 0 makes the lineup uniform
-    weights = [1.0 / (k ** skew) for k in range(1, catalog_size + 1)]
-    total = sum(weights)
-    cdf = []
-    acc = 0.0
-    for w in weights:
-        acc += w
-        cdf.append(acc / total)
-    cdf[-1] = 1.0
-    return tuple(cdf)
+    # weight of channel k is 1 / k^skew; skew 0 makes the lineup uniform.  The running sums
+    # fold left, and the last, which ends the table at exactly 1.0, is the total
+    cumulative = list(accumulate(1.0 / (k ** skew) for k in range(1, catalog_size + 1)))
+    total = cumulative[-1]
+    return tuple(acc / total for acc in cumulative)
 
 
 def channel_probabilities(catalog_size: int, skew: float) -> tuple[float, ...]:
@@ -224,7 +219,8 @@ def viewer_rate_for_mean_channels(
     h = effective_hold_min(mean_hold_min, sample_interval_min)
 
     def mean_active(lam: float) -> float:
-        return sum(1.0 - math.exp(-lam * p * h) for p in probs)
+        # a left fold: the builtin sum of floats is compensated from Python 3.12 on
+        return reduce(add, [1.0 - math.exp(-lam * p * h) for p in probs])
 
     lo, hi = 0.0, 1.0
     while mean_active(hi) < target_mean_channels:

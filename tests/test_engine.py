@@ -29,7 +29,7 @@ from bwbroker.engine import (
     with_offered_load,
 )
 from bwbroker.metrics import aggregate, replication_means
-from bwbroker.model import ConfigError
+from bwbroker.model import ConfigError, table1
 from bwbroker.traffic import RngStream, Trace
 from bwbroker.traffic import build_trace, call_side, viewer_side
 from free_play import live_call_series, on_air_series
@@ -388,26 +388,50 @@ def _csv_writer_text(replication, records, config):
     return text.getvalue()
 
 
-def test_run_worker_formats_and_reduces_the_records_of_run_paired(short_cfg):
-    by_policy = run_paired(short_cfg, replication_seed(short_cfg.base_seed, 1))
-    task = paired_steps(short_cfg, 1)
-    assert task == [(replication_means(records, short_cfg.warmup_min),
-                     _csv_writer_text(1, records, short_cfg)) for records in by_policy.values()]
+@pytest.mark.parametrize("full_size_seed", [None, 42, 1009],
+                         ids=["120-minutes", "table1-seed42", "table1-seed1009"])
+def test_run_worker_formats_and_reduces_the_records_of_run_paired(short_cfg, full_size_seed):
+    if full_size_seed is None:
+        config, replications = short_cfg, [1]
+    else:  # every replication of a table1 run, whose repr memos fill with real values
+        config = replace(table1(), base_seed=full_size_seed)
+        replications = range(config.replications)
+    for replication in replications:
+        by_policy = run_paired(config, replication_seed(config.base_seed, replication))
+        task = paired_steps(config, replication)
+        assert task == [(replication_means(records, config.warmup_min),
+                         _csv_writer_text(replication, records, config))
+                        for records in by_policy.values()]
 
 
-def test_a_replication_makes_no_reference_cycles(short_cfg):
+def _short_heavy_points(short):
+    """The run and seed 6 of short_cfg, where both policies fork at a load of 4.5 calls a
+    minute, and a lighter point on the same viewer side."""
+    heavy = replace(short, non_iptv_arrival_rate_per_min=4.5)
+    return (short, 1), 6, [heavy, replace(heavy, non_iptv_arrival_rate_per_min=3.0)]
+
+
+def _table1_top_fig3_points(short):
+    """table1's first run replication at seed 1009, and fig3's top two points: only
+    fig3's top load forks and plays the tail at full size."""
+    config = replace(table1(), base_seed=1009)
+    return (config, 0), 1009, [c for _, c in fig3_sweep(config).points[:-3:-1]]
+
+
+@pytest.mark.parametrize("tasks", [_short_heavy_points, _table1_top_fig3_points],
+                         ids=["120-minutes", "table1-seed1009"])
+def test_a_replication_makes_no_reference_cycles(short_cfg, tasks):
     # the premise of running the tasks with the cyclic collector paused: with
     # DEBUG_SAVEALL a collection keeps, in gc.garbage, every object it would free
-    heavy = replace(short_cfg, non_iptv_arrival_rate_per_min=4.5)  # both policies fork at seed 6
+    (run_config, replication), seed, points = tasks(short_cfg)
     gc.collect()
     enabled = gc.isenabled()
     gc.disable()
     gc.set_debug(gc.DEBUG_SAVEALL)
     try:
-        paired_steps(short_cfg, 1)
-        means = paired_means(heavy, 6)
-        # another point on the same viewer side reads the SLA's shared free-play list
-        means += paired_means(replace(heavy, non_iptv_arrival_rate_per_min=3.0), 6)
+        paired_steps(run_config, replication)
+        # the second point is on the same viewer side: it reads the SLA's shared free-play list
+        means = [m for config in points for m in paired_means(config, seed)]
         found = gc.collect()
         garbage = list(gc.garbage)
     finally:
@@ -494,7 +518,7 @@ def test_only_the_sla_run_reserves_the_windowed_mean_of_its_own_demand(short_cfg
 
     reservation = engine.compute_reservation
     monkeypatch.setattr(engine, "compute_reservation", counted)
-    monkeypatch.setattr(engine, "_free_memo", (None, None, None))
+    engine._reservations.cache_clear()
     heavy = replace(short_cfg, non_iptv_arrival_rate_per_min=4.5)
     trace = build_trace(heavy, 6)    # both policies block or drop, sla first
     non = run_trace(heavy, PolicyKind.NON_SLA, trace)
@@ -523,13 +547,14 @@ def test_a_negative_on_air_count_never_enters_the_sums(cfg):
 def test_a_sweep_builds_the_free_reservations_once_per_seed(short_cfg, monkeypatch):
     built = []  # the broker (window, full rate, cap) of each free-reservations list built
 
-    def counted(counts, *broker):
-        built.append(broker)
-        return reservations(counts, *broker)
+    def counted(sums, step, *broker):
+        if step == 0:  # a list starts at step 0; a policy's own sums only after its fork
+            built.append(broker)
+        return reservation(sums, step, *broker)
 
-    reservations = engine._reservations
-    monkeypatch.setattr(engine, "_reservations", counted)
-    monkeypatch.setattr(engine, "_free_memo", (None, None, None))
+    reservation = engine.compute_reservation
+    monkeypatch.setattr(engine, "compute_reservation", counted)
+    engine._reservations.cache_clear()
     sweep = fig3_sweep(short_cfg)
     run_experiment(sweep, jobs=1)
     broker = (short_cfg.history_samples, short_cfg.iptv_channel_max_bw_mbps,

@@ -5,6 +5,8 @@ import io
 import math
 import random
 import statistics
+import struct
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -221,6 +223,28 @@ def test_aggregate_two_replications():
     assert s.mean_satisfaction == pytest.approx(0.875)
     assert s.se_satisfaction == pytest.approx(0.125)
     assert s.replications == 2
+
+
+finite = st.floats(min_value=-1e300, max_value=1e300)
+
+
+@given(st.one_of(
+    st.lists(finite, min_size=2, max_size=30),
+    # values a few ulps apart, where a float formula would cancel
+    st.tuples(finite, st.lists(st.integers(-2**20, 2**20), min_size=2, max_size=30)).map(
+        lambda drawn: [drawn[0] + k * math.ulp(drawn[0]) for k in drawn[1]])))
+def test_stdev_is_the_correctly_rounded_root_of_the_exact_variance(values):
+    s = metrics._stdev(values)
+    data = list(map(Fraction, values))
+    mean = sum(data) / len(data)
+    variance = sum((x - mean) ** 2 for x in data) / (len(data) - 1)
+    # s is the float nearest the root when the root lies between the midpoints from s to
+    # its neighbours, and a root at a midpoint rounds to the float with an even significand
+    below = (Fraction(math.nextafter(s, 0.0)) + Fraction(s)) / 2
+    above = (Fraction(s) + Fraction(math.nextafter(s, math.inf))) / 2
+    assert below ** 2 <= variance <= above ** 2
+    if variance in (below ** 2, above ** 2):
+        assert struct.unpack("<q", struct.pack("<d", s))[0] % 2 == 0
 
 
 def test_aggregate_order_of_replications_is_irrelevant():

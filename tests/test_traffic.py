@@ -1,7 +1,9 @@
 """Seeded random streams, draw procedures and the per-step event feed."""
 
 import dataclasses
+import functools
 import math
+import operator
 from math import exp as math_exp
 from dataclasses import replace
 
@@ -11,7 +13,7 @@ from hypothesis import strategies as st
 
 from bwbroker import traffic
 from bwbroker.allocation import PolicyKind
-from bwbroker.engine import FIG5_CHANNEL_TARGETS, run_trace
+from bwbroker.engine import FIG5_CHANNEL_TARGETS, fig5_sweep, run_trace
 from bwbroker.model import ScenarioConfig, table1
 from bwbroker.traffic import (
     CALL_ARRIVAL,
@@ -233,13 +235,21 @@ def test_viewer_rate_calibration_hits_target():
     assert mean == pytest.approx(20.0, abs=1e-6)
 
 
+def test_fig5_calibrated_viewer_rates_are_frozen():
+    # fig5's sweep_value column prints these; the calibration sums by a left fold, which
+    # every supported Python computes alike (the builtin sum compensates from 3.12 on)
+    assert [rate for rate, _ in fig5_sweep(table1()).points] == [
+        0.5205057027664848, 1.1575531975170517, 1.97885026149538,
+        3.1364034590124312, 5.115253720507816, 16.283600017486215]
+
+
 def _bisect_200(target, catalog, skew, hold, dt=1.0):
-    """Reference: the same bisection, run for all 200 halvings."""
+    """Reference: the same bisection, run for all 200 halvings, summing by a left fold."""
     probs = channel_probabilities(catalog, skew)
     h = effective_hold_min(hold, dt)
 
     def mean_active(lam):
-        return sum(1.0 - math.exp(-lam * p * h) for p in probs)
+        return functools.reduce(operator.add, (1.0 - math.exp(-lam * p * h) for p in probs))
 
     lo, hi = 0.0, 1.0
     while mean_active(hi) < target:

@@ -4,11 +4,15 @@
 
 runs `run table1`, `sweep table1 --figure fig3` and `--figure fig5`, at
 seeds 42 and 1009, at `--jobs 1` and `--jobs 2`, against the `src/` of the
-checkout this script sits in.  Each command writes its CSVs and its stdout
-(`stdout.txt`) under OUT/<command>-seed<seed>-jobs<jobs>/, and OUT must not
-exist yet.
+checkout this script sits in.  A `--jobs 1` command runs with
+PYTHONHASHSEED=0 and its `--jobs 2` twin with PYTHONHASHSEED=12345, so the
+twins also differ in string hashing.  Each command writes its CSVs and its
+stdout (`stdout.txt`) under OUT/<command>-seed<seed>-jobs<jobs>/, and OUT
+must not exist yet.
 Two checkouts agree when `diff -r` finds nothing between their OUTs; within
-one OUT, each -jobs1 directory should equal its -jobs2 twin.
+one OUT, each -jobs1 directory should equal its -jobs2 twin.  The script
+needs only the standard library, so any Python the package supports can
+run it.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ COMMANDS = {"run": ["run", "table1"],
             "sweep-fig3": ["sweep", "table1", "--figure", "fig3"],
             "sweep-fig5": ["sweep", "table1", "--figure", "fig5"]}
 SEEDS = (42, 1009)
-JOBS = (1, 2)
+HASH_SEED_OF_JOBS = {1: "0", 2: "12345"}
 
 
 def main(argv: list[str]) -> int:
@@ -38,11 +42,12 @@ def main(argv: list[str]) -> int:
            "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
     for name, args in COMMANDS.items():
         for seed in SEEDS:
-            for jobs in JOBS:
+            for jobs, hash_seed in HASH_SEED_OF_JOBS.items():
                 target = out / f"{name}-seed{seed}-jobs{jobs}"
                 cmd = [sys.executable, "-m", "bwbroker.cli", *args, "--seed", str(seed),
                        "--jobs", str(jobs), "--out", str(target)]
-                done = subprocess.run(cmd, env=env, stdout=subprocess.PIPE, check=True)
+                done = subprocess.run(cmd, env={**env, "PYTHONHASHSEED": hash_seed},
+                                      stdout=subprocess.PIPE, check=True)
                 (target / "stdout.txt").write_bytes(done.stdout)
     return 0
 
