@@ -54,9 +54,11 @@ MAX_MBPS = 1e9
 MAX_REPLICATIONS = 10_000
 
 # Largest seed magnitude, the largest signed 64-bit integer.  A replication's seed
-# enters its streams' SHA-256 material as decimal text (traffic.RngStream), and
-# Python by default refuses to format an integer of more than 4,300 digits, so
-# without this bound a run could fail at a later replication, after --out was made.
+# enters its streams' SHA-256 material as decimal text (traffic.RngStream; the
+# interpreter's built-in SHA-256, or hashlib's where there is none, the same
+# digest either way, so that no command loads OpenSSL), and Python by default
+# refuses to format an integer of more than 4,300 digits, so without this bound a
+# run could fail at a later replication, after --out was made.
 MAX_SEED = 2**63 - 1
 
 # Most step records a `run` may hold, about 100 times table1's 28,800.  The parent

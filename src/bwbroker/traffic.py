@@ -4,11 +4,15 @@ Determinism contract
 --------------------
 Every random draw comes from a Mersenne Twister stream (random.Random)
 whose initial state is derived from a (seed, stream_id) pair with
-SHA-256.  The only primitive consumed is Random.random(), whose output
-is guaranteed stable across Python releases and platforms; all
-distributions are built on top of it with the fixed inversion formulas
-in this module.  A (seed, stream_id) pair therefore pins the entire
-event sequence, bit for bit, everywhere.
+SHA-256.  That SHA-256 is the interpreter's built-in module (_sha2 from
+3.12, _sha256 before), as random takes its SHA-512, with hashlib only as
+the fallback: the digest is the same either way, and hashlib loads
+OpenSSL's libcrypto, about 3.6 MB of every command's peak memory, for two
+digests a replication.  The only primitive consumed is Random.random(),
+whose output is guaranteed stable across Python releases and platforms;
+all distributions are built on top of it with the fixed inversion
+formulas in this module.  A (seed, stream_id) pair therefore pins the
+entire event sequence, bit for bit, everywhere.
 
 Each traffic class has its own stream, drawn only by its side (viewer_side,
 call_side): a pure function of the seed and that side's own config fields,
@@ -34,7 +38,6 @@ blocks or drops a channel (see engine.run_trace).
 
 from __future__ import annotations
 
-import hashlib
 import math
 import random
 from bisect import bisect_right
@@ -48,13 +51,22 @@ from typing import NamedTuple
 
 from .model import ScenarioConfig
 
+# the built-in SHA-256 first (see the determinism contract above)
+try:
+    from _sha2 import sha256  # 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # 3.10, 3.11
+    except ImportError:
+        from hashlib import sha256
+
 
 class RngStream:
     """An independent, portable random stream named by (seed, stream_id)."""
 
     def __init__(self, seed: int, stream_id: int = 0):
         material = f"bwbroker|{seed}|{stream_id}".encode()
-        rng = random.Random(int.from_bytes(hashlib.sha256(material).digest(), "big"))
+        rng = random.Random(int.from_bytes(sha256(material).digest(), "big"))
         # uniform draw in [0, 1), bound once: it is called per arrival
         self.random = rng.random
 

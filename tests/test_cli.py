@@ -2,6 +2,7 @@
 
 import csv
 import hashlib
+import importlib.util
 import math
 import os
 import re
@@ -442,12 +443,24 @@ def test_every_readme_command_line_parses():
             pytest.fail(f"README line does not parse: {line}")
 
 
+def _cli_import_leaves_out(module):
+    """Whether a fresh interpreter that imports bwbroker.cli from src/ has not loaded module."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = f"import sys, bwbroker.cli; sys.exit({module!r} in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
 def test_a_preset_run_never_imports_pyyaml():
     # only a config file is YAML; PyYAML is a fifth of the CLI's import time
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    code = "import sys, bwbroker.cli; sys.exit('yaml' in sys.modules)"
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    assert _cli_import_leaves_out("yaml")
+
+
+@pytest.mark.skipif(not any(map(importlib.util.find_spec, ("_sha2", "_sha256"))),
+                    reason="no built-in SHA-256: traffic falls back to hashlib")
+def test_no_command_loads_openssl():
+    # the streams' SHA-256 is the built-in one; hashlib's _hashlib loads libcrypto, 3.6 MB
+    assert _cli_import_leaves_out("_hashlib")
 
 
 def test_a_write_that_fails_is_a_config_error_and_keeps_what_was_at_the_temp_name(tmp_path):

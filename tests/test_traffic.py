@@ -2,8 +2,10 @@
 
 import dataclasses
 import functools
+import hashlib
 import math
 import operator
+import random
 from math import exp as math_exp
 from dataclasses import replace
 
@@ -14,7 +16,7 @@ from hypothesis import strategies as st
 from bwbroker import traffic
 from bwbroker.allocation import PolicyKind
 from bwbroker.engine import FIG5_CHANNEL_TARGETS, fig5_sweep, run_trace
-from bwbroker.model import ScenarioConfig, table1
+from bwbroker.model import MAX_SEED, ScenarioConfig, table1
 from bwbroker.traffic import (
     CALL_ARRIVAL,
     CALL_DEPARTURE,
@@ -50,6 +52,15 @@ def test_stream_values_are_frozen():
         0.10249281174196512,
         0.5827177689399224,
     ]
+
+
+@pytest.mark.parametrize("stream_id", [0, 1])
+@pytest.mark.parametrize("seed", [0, 42, -MAX_SEED, MAX_SEED])
+def test_a_stream_is_seeded_with_the_sha256_of_its_name(seed, stream_id):
+    # the contract is SHA-256, whichever module supplies it (traffic takes the built-in one)
+    material = f"bwbroker|{seed}|{stream_id}".encode()
+    expected = random.Random(int.from_bytes(hashlib.sha256(material).digest(), "big"))
+    assert RngStream(seed, stream_id).random() == expected.random()
 
 
 def test_streams_with_same_seed_do_not_collide():
