@@ -59,8 +59,8 @@ def per_channel(
     if policy is NON_SLA:
         total = full * n + non_iptv_mbps
         return full if total <= cap + BW_TOL else cap / total * full
-    # min(cap, max(leftover, reserved)), spelled out: the builtins and the checks of
-    # model.available_bandwidth cost more.  Clamping at zero last gives the same budget.
+    # min(cap, max(leftover, reserved)) with the leftover clamped at zero, spelled out
+    # since the builtins cost more.  Clamping at zero last gives the same budget.
     budget = cap - non_iptv_mbps
     if reserved_mbps > budget:
         budget = reserved_mbps
@@ -101,13 +101,14 @@ def _shed_until_viable(
 
 
 def allocate_non_sla(
-    active: OnAir, non_iptv_mbps: float, config: ScenarioConfig
+    active: OnAir, non_iptv_mbps: float, reserved_mbps: float, config: ScenarioConfig
 ) -> AllocationDecision:
     """Equal-degradation allocation: both classes share one scale factor.
 
     If everything fits, everyone gets full rate.  Otherwise demand is
     scaled to capacity uniformly, and channels are shed (least watched
     first) while the scaled per-channel rate sits below the minimum.
+    reserved_mbps is ignored: it makes the signature allocate_sla's.
     """
     cap = config.capacity_mbps
     survivors, dropped = len(active), ()

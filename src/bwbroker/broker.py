@@ -5,9 +5,10 @@ reserves the windowed mean, capped by a configured ceiling, for the next
 step.  The demand is kept as prefix sums of a play's offered channel
 counts: one step's offered IPTV demand is the full per-channel rate times
 the channels on air, not what was granted; recording grants would make the
-reservation feed on its own throttling.  When the reservation exceeds what
-is currently left over after non-IPTV traffic, the difference is borrowed
-back from the non-IPTV share.
+reservation feed on its own throttling.  Borrowing has no rule of its own:
+the SLA's budget (allocation.per_channel) is the larger of the reservation
+and the leftover after non-IPTV traffic, so any excess of the reservation
+comes out of the non-IPTV share, and metrics reports it as B_B.
 """
 
 from __future__ import annotations
@@ -38,12 +39,3 @@ def compute_reservation(sums: list[int], step: int, window: int, full_mbps: floa
         return 0.0
     mean = full_mbps * (sums[step] - sums[step - k]) / k
     return cap_mbps if cap_mbps < mean else mean
-
-
-def compute_borrowing(reserved_mbps: float, available_mbps: float) -> float:
-    """Bandwidth the reservation takes back from the non-IPTV share.
-
-    Zero whenever the leftover already covers the reservation.
-    """
-    shortfall = reserved_mbps - available_mbps
-    return shortfall if shortfall > 0.0 else 0.0

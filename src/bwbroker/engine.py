@@ -99,7 +99,7 @@ def run_trace(config: ScenarioConfig, policy_kind: PolicyKind, trace: Trace) -> 
     """
     sla = policy_kind is PolicyKind.SLA
     admit, reservation, rate = admit_channel, compute_reservation, per_channel
-    by_reservation, by_equal_degradation = allocate_sla, allocate_non_sla
+    allocate = allocate_sla if sla else allocate_non_sla
     full, call_bw = config.iptv_channel_max_bw_mbps, config.non_iptv_call_bw_mbps
     dt, floor = config.sample_interval_min, config.iptv_channel_min_bw_mbps - BW_TOL
     leaving, channels, starts, on_air = trace.leaving, trace.channels, trace.starts, trace.on_air
@@ -144,13 +144,10 @@ def run_trace(config: ScenarioConfig, policy_kind: PolicyKind, trace: Trace) -> 
             n = len(active)
             demand = full * n + full * blocks
 
-        if sla:
-            decision = by_reservation(active, non_iptv, reserved, config)
-            if state is not None:
-                sums.append(sums[-1] + n)  # after allocation: only later steps see it
-        else:
-            decision = by_equal_degradation(active, non_iptv, config)
+        decision = allocate(active, non_iptv, reserved, config)
         if state is not None:
+            if sla:
+                sums.append(sums[-1] + n)  # after allocation: only later steps see it
             drops = len(dropped := decision.dropped_channel_ids)
             for channel_id in dropped:
                 drop_channel(channel_id)

@@ -18,8 +18,7 @@ from math import copysign
 from operator import not_
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .broker import compute_borrowing
-from .model import BW_TOL, WARMUP_TOL, AllocationDecision, ScenarioConfig, available_bandwidth
+from .model import BW_TOL, WARMUP_TOL, AllocationDecision, ScenarioConfig
 
 
 class StepRecord(NamedTuple):
@@ -88,16 +87,17 @@ def _reprs(column: Sequence) -> Iterator[str]:
 def step_rows_csv(replication: int, records: Sequence[StepRecord], config: ScenarioConfig) -> str:
     """The steps-CSV rows of one replication as text, formatted a column at a time as csv_text
     would write them: a float by repr, an int by str, neither quoted.  B_IPTV_demand, B_A and
-    B_B follow from the record: the full rate times N_IPTV, the leftover after B_I, the
-    borrowing.  Each column takes its text from _reprs."""
+    B_B follow from the record: the full rate times N_IPTV, the leftover after B_I, and what
+    B_R borrows beyond B_A, both clamped at zero.  Each column takes its text from _reprs."""
     if not records:
         return ""
     full, capacity = config.iptv_channel_max_bw_mbps, config.capacity_mbps
     t, non_iptv, reserved, n, rate, sl, util, blocks, drops = zip(*records)
-    available = tuple(map(available_bandwidth, repeat(capacity), non_iptv))
+    available = [x if (x := capacity - b) > 0.0 else 0.0 for b in non_iptv]
+    borrowed = [x if (x := r - a) > 0.0 else 0.0 for r, a in zip(reserved, available)]
     columns = (repeat(str(replication)), _reprs(t), _reprs(non_iptv),
                _reprs([full * k for k in n]), _reprs(available), _reprs(reserved),
-               _reprs(tuple(map(compute_borrowing, reserved, available))), _reprs(n),
+               _reprs(borrowed), _reprs(n),
                _reprs(rate), _reprs(sl), _reprs(util), _reprs(blocks), _reprs(drops))
     return "\n".join(map(",".join, zip(*columns))) + "\n"
 

@@ -7,6 +7,9 @@ Everything else (voice, data) is lumped into "non-IPTV" calls that each
 hold the same fixed bandwidth for their lifetime, so they are only ever
 counted, and the trace counts them (traffic.Trace.live_calls); the cell
 ledger tracks viewers alone.  All bandwidth is in Mbps, all times in minutes.
+The leftover for IPTV after non-IPTV demand, and what the SLA borrows back
+from it, are implied by the SLA's budget (allocation.per_channel); metrics
+reports them as B_A and B_B.
 """
 
 from __future__ import annotations
@@ -296,19 +299,3 @@ class AllocationDecision(NamedTuple):
     non_iptv_grant_mbps: float
     num_active_channels: int
     dropped_channel_ids: tuple[int, ...] = ()
-
-
-# ---------------------------------------------------------------------------
-# pure bandwidth arithmetic
-
-
-def available_bandwidth(capacity_mbps: float, non_iptv_demand_mbps: float) -> float:
-    """Bandwidth left over for IPTV once non-IPTV demand is served.
-
-    Clamped at zero: under overload the other class can ask for more than
-    the cell holds, and a negative leftover is meaningless.
-    """
-    if capacity_mbps < 0 or non_iptv_demand_mbps < 0:
-        raise ValueError("capacity and demand must be non-negative")
-    leftover = capacity_mbps - non_iptv_demand_mbps
-    return leftover if leftover > 0.0 else 0.0

@@ -20,11 +20,11 @@ from statistics import fmean, stdev
 import pytest
 
 from bwbroker.allocation import PolicyKind, allocate_non_sla, allocate_sla
-from bwbroker.broker import compute_borrowing, compute_reservation, demand_sums
+from bwbroker.broker import compute_reservation, demand_sums
 from bwbroker.cli import main
 from bwbroker.engine import fig3_sweep, fig5_sweep, paired_means, replication_seed, run_experiment
 from bwbroker.metrics import step_satisfaction
-from bwbroker.model import AllocationDecision, available_bandwidth, table1
+from bwbroker.model import AllocationDecision, table1
 from bwbroker.traffic import (
     EventKind,
     RngStream,
@@ -32,6 +32,7 @@ from bwbroker.traffic import (
     channel_probabilities,
     poisson_counter,
 )
+from test_metrics import leftover_and_borrowing
 
 EQ_TOL = 1e-9     # closed-form agreement
 SL_TOL = 0.05     # band on comparisons of replication means
@@ -106,21 +107,20 @@ def test_criterion_equations_match_reference_oracles():
     rng = random.Random(123456)
     cases = 10_000
     worst = 0.0
+    # each step as (B_I, B_R) and the B_A and B_B that the closed forms give it
+    steps = []
     t0 = time.perf_counter()
     for _ in range(cases):
-        cap = rng.uniform(0.0, 100.0)
         d = rng.uniform(0.0, 150.0)
-        worst = max(worst, abs(available_bandwidth(cap, d) - max(0.0, cap - d)))
+        r = rng.uniform(0.0, 60.0)
+        leftover = max(0.0, cfg.capacity_mbps - d)
+        steps.append((d, r, leftover, max(0.0, r - leftover)))
 
         avail = rng.uniform(0.0, 100.0)
         dem = rng.uniform(0.0, 100.0)
         delivers_avail = AllocationDecision(avail, 0.0, 1)
         worst = max(worst, abs(step_satisfaction(delivers_avail, dem)
                                - _ref_satisfaction(avail, dem)))
-
-        r = rng.uniform(0.0, 60.0)
-        a = rng.uniform(0.0, 60.0)
-        worst = max(worst, abs(compute_borrowing(r, a) - max(0.0, r - a)))
 
         full = cfg.iptv_channel_max_bw_mbps
         counts = [rng.randint(0, 40) for _ in range(rng.randint(1, 60))]
@@ -130,7 +130,7 @@ def test_criterion_equations_match_reference_oracles():
 
         n = rng.randint(0, 50)
         b_i = rng.uniform(0.0, 120.0)
-        got = allocate_non_sla(_state_with(n), b_i, cfg)
+        got = allocate_non_sla(_state_with(n), b_i, 0.0, cfg)
         k, per, grant = _ref_non_sla(n, b_i, cfg)
         assert got.num_active_channels == k
         worst = max(worst, abs(got.per_channel_bw_mbps - per),
@@ -140,10 +140,12 @@ def test_criterion_equations_match_reference_oracles():
         got = allocate_sla(_state_with(n), b_i, reserved, cfg)
         k, per, grant, borrowed = _ref_sla(n, b_i, reserved, cfg)
         assert got.num_active_channels == k
-        got_borrowed = compute_borrowing(reserved, available_bandwidth(cfg.capacity_mbps, b_i))
         worst = max(worst, abs(got.per_channel_bw_mbps - per),
-                    abs(got.non_iptv_grant_mbps - grant),
-                    abs(got_borrowed - borrowed))
+                    abs(got.non_iptv_grant_mbps - grant))
+        steps.append((b_i, reserved, max(0.0, cfg.capacity_mbps - b_i), borrowed))
+    written = leftover_and_borrowing([(b_i, r) for b_i, r, _, _ in steps], cfg)
+    for (_, _, leftover, borrowed), (got_leftover, got_borrowed) in zip(steps, written):
+        worst = max(worst, abs(got_leftover - leftover), abs(got_borrowed - borrowed))
     elapsed = time.perf_counter() - t0
     ok = worst <= EQ_TOL and elapsed < 10.0
     print(f"ACCEPTANCE closed-form-relations: {'PASS' if ok else 'FAIL'} "

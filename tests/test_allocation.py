@@ -15,11 +15,12 @@ from bwbroker.allocation import (
     allocate_sla,
     per_channel,
 )
-from bwbroker.broker import compute_borrowing
 from bwbroker.engine import run_paired
-from bwbroker.model import available_bandwidth, table1
+from bwbroker.model import table1
+from test_metrics import leftover_and_borrowing
 
 BW_TOL = 1e-9
+ALLOCATORS = {PolicyKind.SLA: allocate_sla, PolicyKind.NON_SLA: allocate_non_sla}
 
 
 def make_state(n_channels):
@@ -29,7 +30,7 @@ def make_state(n_channels):
 
 def test_non_sla_scales_both_classes(cfg):
     # 20 channels wanting 40 plus 30 of call traffic, in a 60 cell
-    d = allocate_non_sla(make_state(20), 30.0, cfg)
+    d = allocate_non_sla(make_state(20), 30.0, 0.0, cfg)
     scale = 60.0 / 70.0
     assert d.per_channel_bw_mbps == pytest.approx(2.0 * scale, rel=1e-12)
     assert d.non_iptv_grant_mbps == pytest.approx(30.0 * scale, rel=1e-12)
@@ -39,7 +40,7 @@ def test_non_sla_scales_both_classes(cfg):
 
 
 def test_non_sla_underload_passes_demand_through(cfg):
-    d = allocate_non_sla(make_state(10), 20.0, cfg)    # 20 + 20 = 40 <= 60
+    d = allocate_non_sla(make_state(10), 20.0, 0.0, cfg)    # 20 + 20 = 40 <= 60
     assert d.per_channel_bw_mbps == 2.0
     assert d.non_iptv_grant_mbps == 20.0
     assert d.dropped_channel_ids == ()
@@ -48,7 +49,7 @@ def test_non_sla_underload_passes_demand_through(cfg):
 def test_non_sla_sheds_channels_below_floor(cfg):
     # 30 channels against 90 of call traffic: equal scaling would leave
     # 0.8 per channel, under the 1.0 floor, so channels must come off air
-    d = allocate_non_sla(make_state(30), 90.0, cfg)
+    d = allocate_non_sla(make_state(30), 90.0, 0.0, cfg)
     assert d.num_active_channels == 15
     assert d.per_channel_bw_mbps == pytest.approx(1.0, abs=1e-12)
     assert len(d.dropped_channel_ids) == 15
@@ -62,7 +63,7 @@ def test_non_sla_sheds_channels_below_floor(cfg):
 def test_drop_order_prefers_fewest_viewers(cfg):
     active = make_state(30)
     active[25].add(100)            # channel 25 now has two viewers
-    d = allocate_non_sla(active, 90.0, cfg)
+    d = allocate_non_sla(active, 90.0, 0.0, cfg)
     assert 25 not in d.dropped_channel_ids
     assert d.dropped_channel_ids[0] == 30
 
@@ -73,10 +74,8 @@ def test_sla_reservation_shields_channels(cfg):
     assert d.per_channel_bw_mbps == 2.0
     assert d.non_iptv_grant_mbps == 20.0
     assert d.dropped_channel_ids == ()
-    # the leftover and the borrowing are the step's, not the allocator's
-    available = available_bandwidth(cfg.capacity_mbps, 30.0)
-    assert available == 30.0
-    assert compute_borrowing(40.0, available) == 10.0
+    # the leftover and the borrowing are the steps CSV's, not the allocator's
+    assert leftover_and_borrowing([(30.0, 40.0)], cfg) == [(30.0, 10.0)]
 
 
 def test_sla_splits_budget_across_channels(cfg):
@@ -84,9 +83,7 @@ def test_sla_splits_budget_across_channels(cfg):
     assert d.per_channel_bw_mbps == pytest.approx(4.0 / 3.0, rel=1e-12)
     assert d.non_iptv_grant_mbps == 20.0
     assert d.num_active_channels == 30
-    available = available_bandwidth(cfg.capacity_mbps, 50.0)
-    assert available == 10.0
-    assert compute_borrowing(40.0, available) == 30.0
+    assert leftover_and_borrowing([(50.0, 40.0)], cfg) == [(10.0, 30.0)]
 
 
 def test_sla_rejects_nonsense_reservation(cfg):
@@ -142,10 +139,11 @@ reservations = st.floats(min_value=0.0, max_value=60.0)
 
 
 @settings(max_examples=200, deadline=None)
-@given(n=channels, b_i=call_load)
-def test_non_sla_never_oversubscribes(n, b_i):
+@given(n=channels, b_i=call_load, reserved=reservations)
+def test_non_sla_never_oversubscribes(n, b_i, reserved):
     cfg = table1()
-    d = allocate_non_sla(make_state(n), b_i, cfg)
+    d = allocate_non_sla(make_state(n), b_i, reserved, cfg)
+    assert d == allocate_non_sla(make_state(n), b_i, 0.0, cfg)  # the reservation is ignored
     used = d.per_channel_bw_mbps * d.num_active_channels + d.non_iptv_grant_mbps
     assert used <= cfg.capacity_mbps + BW_TOL
     assert 0.0 <= d.per_channel_bw_mbps <= cfg.iptv_channel_max_bw_mbps + BW_TOL
@@ -157,7 +155,7 @@ def test_non_sla_never_oversubscribes(n, b_i):
 @given(n=channels, b_i=call_load)
 def test_non_sla_scales_classes_equally(n, b_i):
     cfg = table1()
-    d = allocate_non_sla(make_state(n), b_i, cfg)
+    d = allocate_non_sla(make_state(n), b_i, 0.0, cfg)
     if b_i > 0 and d.num_active_channels == n and n > 0:
         # no drops: both classes shrink by one common factor
         # (compare products, not ratios: dividing by a tiny b_i turns one
@@ -176,9 +174,9 @@ def test_sla_never_oversubscribes(n, b_i, reserved):
     assert 0.0 <= d.per_channel_bw_mbps <= cfg.iptv_channel_max_bw_mbps + BW_TOL
     if d.num_active_channels:
         assert d.per_channel_bw_mbps >= cfg.iptv_channel_min_bw_mbps - BW_TOL
-    available = available_bandwidth(cfg.capacity_mbps, b_i)
+    [(available, borrowed)] = leftover_and_borrowing([(b_i, reserved)], cfg)
     assert available == max(0.0, cfg.capacity_mbps - b_i)
-    assert compute_borrowing(reserved, available) == max(0.0, reserved - available)
+    assert borrowed == max(0.0, reserved - available)
 
 
 @settings(max_examples=100, deadline=None)
@@ -216,9 +214,7 @@ def test_a_viable_allocation_reads_only_the_channel_count(monkeypatch, cfg, poli
     # the allocators test the channels on air as they are and shed only below the
     # floor, so a viable step may pass range(n) for its n channels (a free step)
     def allocate(active, non_iptv):
-        if policy is PolicyKind.SLA:
-            return allocate_sla(active, non_iptv, 0.0, cfg)
-        return allocate_non_sla(active, non_iptv, cfg)
+        return ALLOCATORS[policy](active, non_iptv, 0.0, cfg)
 
     cases = [(n, load) for n in range(cfg.num_channels_catalog + 1)
              for load in _loads_about_the_floor(policy, n, cfg)]
@@ -257,7 +253,7 @@ def _ref_rate(policy, non_iptv, reserved, cfg):
                 return full
             return cap / total * full
     else:
-        budget = min(cap, max(available_bandwidth(cap, non_iptv), reserved))
+        budget = min(cap, max(max(0.0, cap - non_iptv), reserved))
 
         def rate(n):
             share = budget / n
@@ -338,10 +334,7 @@ def test_per_channel_rule_matches_one_at_a_time_shed():
             survivors, per, dropped = _ref_shed(active, rate, cfg)
             # a step that sheds nothing may pass range(n) for its channels (a free step)
             for channels in (active, range(n)) if not dropped else (active,):
-                if policy is PolicyKind.SLA:
-                    d = allocate_sla(channels, non_iptv, reserved, cfg)
-                else:
-                    d = allocate_non_sla(channels, non_iptv, cfg)
+                d = ALLOCATORS[policy](channels, non_iptv, reserved, cfg)
                 assert d.num_active_channels == survivors == min(n, k)
                 assert d.per_channel_bw_mbps == per
                 assert d.dropped_channel_ids == dropped

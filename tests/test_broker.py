@@ -1,4 +1,4 @@
-"""Demand sums, the windowed reservation over them, and borrowing."""
+"""Demand sums, the windowed reservation over them, and the borrowing column."""
 
 from statistics import fmean
 
@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bwbroker.broker import compute_borrowing, compute_reservation, demand_sums
+from bwbroker.broker import compute_reservation, demand_sums
+from bwbroker.model import table1
+from test_metrics import leftover_and_borrowing
 
 CAP40 = 40.0
 
@@ -57,13 +59,13 @@ def test_reservation_is_capped_windowed_mean(counts, rate, cap):
     assert 0.0 <= got <= cap
 
 
-def test_borrowing_examples():
-    assert compute_borrowing(40.0, 25.0) == 15.0
-    assert compute_borrowing(40.0, 45.0) == 0.0
-    assert compute_borrowing(40.0, 40.0) == 0.0
+def test_borrowing_examples(cfg):
+    # B_I of 35, 15 and 20 leave B_A of 25, 45 and 40 in table1's 60 Mbps cell
+    got = leftover_and_borrowing([(35.0, 40.0), (15.0, 40.0), (20.0, 40.0)], cfg)
+    assert got == [(25.0, 15.0), (45.0, 0.0), (40.0, 0.0)]
 
 
-@given(reserved=st.floats(0.0, 60.0), available=st.floats(0.0, 60.0))
-def test_borrowing_is_clamped_shortfall(reserved, available):
-    assert compute_borrowing(reserved, available) == max(0.0, reserved - available)
-
+@given(reserved=st.floats(0.0, 60.0), non_iptv=st.floats(0.0, 120.0))
+def test_borrowing_is_clamped_shortfall(reserved, non_iptv):
+    [(available, borrowed)] = leftover_and_borrowing([(non_iptv, reserved)], table1())
+    assert borrowed == max(0.0, reserved - available)

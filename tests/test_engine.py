@@ -1,6 +1,5 @@
 """Step composition, paired runs, sweeps and reproducibility."""
 
-import csv
 import gc
 import io
 import multiprocessing
@@ -33,7 +32,7 @@ from bwbroker.model import ConfigError, table1
 from bwbroker.traffic import RngStream, Trace
 from bwbroker.traffic import build_trace, call_side, viewer_side
 from free_play import live_call_series, on_air_series
-from test_metrics import written_rows
+from test_metrics import rows_one_at_a_time, written_rows
 
 
 def _viewer_sweep(config, rates):
@@ -372,22 +371,6 @@ def test_run_worker_returns_no_step_record(short_cfg):
     assert [type(text) for _, text in result] == [str, str]
 
 
-def _csv_writer_text(replication, records, config):
-    """The steps-CSV rows of records as csv.writer writes them, each derived column
-    stated afresh: the full rate a channel on air, the leftover, the borrowing."""
-    full, capacity = config.iptv_channel_max_bw_mbps, config.capacity_mbps
-    rows = []
-    for r in records:
-        available = max(0.0, capacity - r.non_iptv_demand_mbps)
-        rows.append((replication, r.t_min, r.non_iptv_demand_mbps, full * r.active_channels,
-                     available, r.reserved_mbps, max(0.0, r.reserved_mbps - available),
-                     r.active_channels, r.per_channel_bw_mbps, r.satisfaction, r.utilization,
-                     r.blocks, r.drops))
-    text = io.StringIO()
-    csv.writer(text, lineterminator="\n").writerows(rows)
-    return text.getvalue()
-
-
 @pytest.mark.parametrize("full_size_seed", [None, 42, 1009],
                          ids=["120-minutes", "table1-seed42", "table1-seed1009"])
 def test_run_worker_formats_and_reduces_the_records_of_run_paired(short_cfg, full_size_seed):
@@ -400,7 +383,7 @@ def test_run_worker_formats_and_reduces_the_records_of_run_paired(short_cfg, ful
         by_policy = run_paired(config, replication_seed(config.base_seed, replication))
         task = paired_steps(config, replication)
         assert task == [(replication_means(records, config.warmup_min),
-                         _csv_writer_text(replication, records, config))
+                         rows_one_at_a_time(replication, records, config))
                         for records in by_policy.values()]
 
 
@@ -494,7 +477,7 @@ def test_run_policies_matches_aggregate_over_run_paired(short_cfg):
         records = [by_policy[policy] for by_policy in paired]
         assert out[policy].summary == aggregate(records, short_cfg.warmup_min)
         assert out[policy].steps_csv == tuple(
-            _csv_writer_text(rep, rep_records, short_cfg) for rep, rep_records in zip(reps, records))
+            rows_one_at_a_time(rep, rep_records, short_cfg) for rep, rep_records in zip(reps, records))
 
 
 def _windowed_means(counts, config):

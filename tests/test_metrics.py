@@ -13,7 +13,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bwbroker import metrics
-from bwbroker.broker import compute_borrowing
 from bwbroker.metrics import (
     STEP_CSV_HEADER,
     RunSummary,
@@ -25,7 +24,7 @@ from bwbroker.metrics import (
     step_satisfaction,
     step_utilization,
 )
-from bwbroker.model import AllocationDecision, available_bandwidth, table1
+from bwbroker.model import AllocationDecision, table1
 
 bw = st.floats(min_value=0.0, max_value=1e6, allow_nan=False)
 
@@ -57,12 +56,19 @@ def written_rows(records, config, replication=0):
             for row in csv.DictReader(text, fieldnames=STEP_CSV_HEADER)]
 
 
+def leftover_and_borrowing(steps, config):
+    """(B_A, B_B) of each steps-CSV row written for steps given as (B_I, B_R) pairs."""
+    records = [StepRecord(0.0, b_i, b_r, 0, 0.0, 1.0, 0.0, 0, 0) for b_i, b_r in steps]
+    return [(row["B_A"], row["B_B"]) for row in written_rows(records, config)]
+
+
 def rows_one_at_a_time(replication, records, config):
-    """The steps-CSV text as csv.writer writes it, a row at a time: step_rows_csv's oracle."""
+    """The steps-CSV text as csv.writer writes it, a row at a time: step_rows_csv's oracle.
+    B_A is the leftover after B_I and B_B what B_R borrows beyond it, both clamped at zero."""
     full, capacity = config.iptv_channel_max_bw_mbps, config.capacity_mbps
     return csv_text(
-        (replication, t, non_iptv, full * n, (available := available_bandwidth(capacity, non_iptv)),
-         reserved, compute_borrowing(reserved, available), n, rate, sl, util, blocks, drops)
+        (replication, t, non_iptv, full * n, (available := max(0.0, capacity - non_iptv)),
+         reserved, max(0.0, reserved - available), n, rate, sl, util, blocks, drops)
         for t, non_iptv, reserved, n, rate, sl, util, blocks, drops in records)
 
 
@@ -71,16 +77,19 @@ def rows_one_at_a_time(replication, records, config):
 EDGE_FLOATS = (0.0, -0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e-05, 1e16,
                1.7976931348623157e308)
 finite = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(allow_nan=False, allow_infinity=False))
-# available_bandwidth refuses a negative B_I; -0.0 is not negative
-non_negative = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(min_value=0.0, allow_infinity=False))
 count = st.integers(0, 2**40)
-step_record = st.builds(StepRecord, finite, non_negative, finite, count, finite, finite, finite,
+step_record = st.builds(StepRecord, finite, finite, finite, count, finite, finite, finite,
                         count, count)
 
 
 @settings(max_examples=300, deadline=None)
 @given(replication=count, records=st.lists(step_record, max_size=30))
 @example(replication=3, records=[])
+# table1's capacity is 60 Mbps: B_I above it leaves B_A at zero, one below zero leaves more
+@example(replication=0, records=[StepRecord(0.0, 75.0, 40.0, 20, 1.0, 0.5, 0.9, 1, 0),
+                                 StepRecord(1.0, -5.0, 40.0, 20, 2.0, 1.0, 0.9, 0, 0)])
+# B_R equal to B_A borrows nothing
+@example(replication=1, records=[StepRecord(0.0, 30.0, 30.0, 15, 2.0, 1.0, 1.0, 0, 0)])
 def test_step_rows_are_the_text_csv_writer_writes(replication, records):
     cfg = table1()
     assert step_rows_csv(replication, records, cfg) == rows_one_at_a_time(replication, records, cfg)
@@ -139,7 +148,7 @@ def test_count_columns_keep_equal_values_of_other_type_apart(counts):
 alike = st.sampled_from((0, 0.0, -0.0, 3, 3.0, 0.5, 10**16, 1e16))
 any_float = st.one_of(alike, finite)
 any_count = st.one_of(count, alike, st.booleans())
-memo_record = st.builds(StepRecord, any_float, st.one_of(alike, non_negative), any_float, any_count,
+memo_record = st.builds(StepRecord, any_float, any_float, any_float, any_count,
                         any_float, any_float, any_float, any_count, any_count)
 
 

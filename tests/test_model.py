@@ -1,4 +1,4 @@
-"""Core state containers and the closed-form leftover bandwidth."""
+"""Core state containers, the scenario config, and the leftover bandwidth column."""
 
 import dataclasses
 
@@ -15,30 +15,23 @@ from bwbroker.model import (
     MAX_STEPS,
     CellState,
     ConfigError,
-    available_bandwidth,
     table1,
 )
-from test_metrics import written_rows
+from test_metrics import leftover_and_borrowing, written_rows
 
 bw = st.floats(min_value=0.0, max_value=1e6, allow_nan=False)
 
 
-def test_available_bandwidth_examples():
-    assert available_bandwidth(60.0, 30.0) == 30.0
-    assert available_bandwidth(60.0, 0.0) == 60.0
-    assert available_bandwidth(60.0, 75.0) == 0.0
+def test_leftover_column_examples(cfg):
+    # table1's capacity is 60 Mbps
+    got = leftover_and_borrowing([(30.0, 0.0), (0.0, 0.0), (75.0, 0.0)], cfg)
+    assert [b_a for b_a, _ in got] == [30.0, 60.0, 0.0]
 
 
-def test_available_bandwidth_rejects_negative():
-    with pytest.raises(ValueError):
-        available_bandwidth(60.0, -1.0)
-    with pytest.raises(ValueError):
-        available_bandwidth(-60.0, 1.0)
-
-
-@given(capacity=bw, demand=bw)
-def test_available_bandwidth_is_clamped_leftover(capacity, demand):
-    left = available_bandwidth(capacity, demand)
+@given(capacity=st.floats(min_value=40.0, max_value=1e6), demand=bw)
+def test_leftover_column_is_clamped_leftover(capacity, demand):
+    config = dataclasses.replace(table1(), capacity_mbps=capacity)
+    [(left, _)] = leftover_and_borrowing([(demand, 0.0)], config)
     assert left == max(0.0, capacity - demand)
     assert 0.0 <= left <= capacity
 
