@@ -134,11 +134,6 @@ def allocate_sla(
     borrowed bandwidth comes straight out of its share.
     """
     cap = config.capacity_mbps
-    if reserved_mbps < -BW_TOL:
-        raise ValueError("reservation must be non-negative")
-    if reserved_mbps > cap + BW_TOL:
-        raise ValueError("reservation exceeds cell capacity")
-
     survivors, dropped = len(active), ()
     per = per_channel(SLA, survivors, non_iptv_mbps, reserved_mbps, config) if survivors else 0.0
     if survivors and per < config.iptv_channel_min_bw_mbps - BW_TOL:

@@ -18,9 +18,7 @@ from itertools import accumulate
 
 def demand_sums(counts) -> list[int]:
     """S with S[0] = 0 and S[t + 1] = S[t] + counts[t], for the channel counts of a play's
-    steps; ValueError on a negative count."""
-    if min(counts, default=0) < 0:
-        raise ValueError("channel count must be non-negative")
+    steps, taken as given."""
     return list(accumulate(counts, initial=0))
 
 

@@ -135,8 +135,6 @@ def step_satisfaction(decision: AllocationDecision, demand_mbps: float) -> float
     requests that were blocked or dropped this step; those delivered
     nothing, which is exactly how they depress the ratio.
     """
-    if demand_mbps < 0:
-        raise ValueError("demand must be non-negative")
     if demand_mbps <= BW_TOL:
         return 1.0
     # the delivered IPTV: the survivors' rate times their count
@@ -153,7 +151,6 @@ def step_utilization(decision: AllocationDecision, config: ScenarioConfig) -> fl
 class ReplicationMeans(NamedTuple):
     """One policy in one replication, in RunSummary's terms: its means and its extremes."""
 
-    steps: int
     satisfaction: float
     utilization: float
     blocks: float
@@ -170,8 +167,6 @@ class ReplicationMeans(NamedTuple):
 def replication_means(records: Sequence[StepRecord], warmup_min: float) -> ReplicationMeans:
     """Average each post-warmup column exactly as statistics.fmean would,
     and take the extremes over every step."""
-    if not records or records[-1].t_min < warmup_min - WARMUP_TOL:
-        raise ValueError("no post-warmup steps in a replication")
     column = StepRecord._make(zip(*records))
     # the records are in time order, so the warmup is a prefix
     start = bisect_left(column.t_min, warmup_min - WARMUP_TOL)
@@ -179,7 +174,6 @@ def replication_means(records: Sequence[StepRecord], warmup_min: float) -> Repli
     survivors = map(operator.gt, column.active_channels, column.drops)
     # the integer columns sum exactly, so their int sum is fmean's float sum
     return ReplicationMeans(
-        n,
         math.fsum(column.satisfaction[start:]) / n,
         math.fsum(column.utilization[start:]) / n,
         sum(column.blocks[start:]) / n,
@@ -221,11 +215,7 @@ def _stdev(values: Sequence[float]) -> float:
 
 def summarize(per_rep: Sequence[ReplicationMeans]) -> RunSummary:
     """Average the per-replication means, and fold their extremes, across replications."""
-    if not per_rep:
-        raise ValueError("need at least one replication")
     column = ReplicationMeans._make(zip(*per_rep))
-    if len(set(column.steps)) != 1:
-        raise ValueError("replications disagree on post-warmup step count")
 
     def mean(values: tuple[float, ...]) -> float:
         return math.fsum(values) / len(values)

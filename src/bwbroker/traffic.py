@@ -154,13 +154,9 @@ def poisson_counter(rate_per_min: float, dt_min: float, rng: RngStream) -> Calla
     whose counts add up to a Poisson count of the whole mean (sums of
     independent Poisson variables are Poisson), so the threshold
     exp(-chunk) never underflows and the count is exact at any mean.
-    The arguments are checked, and the threshold found, once: each call
-    of the returned function draws one count from rng.
+    The threshold is found once: each call of the returned function
+    draws one count from rng.
     """
-    if rate_per_min < 0:
-        raise ValueError("rate must be non-negative")
-    if dt_min <= 0:
-        raise ValueError("dt must be positive")
     mean = rate_per_min * dt_min
     if mean == 0.0:
         return lambda: 0  # and no draw
@@ -225,8 +221,6 @@ def viewer_rate_for_mean_channels(
     h is the step-rounded mean residency.  The total on-air mean is
     monotone in lam, so a bisection nails the target.
     """
-    if not 0 < target_mean_channels < catalog_size:
-        raise ValueError("target must lie strictly between 0 and the catalog size")
     probs = channel_probabilities(catalog_size, skew)
     h = effective_hold_min(mean_hold_min, sample_interval_min)
 

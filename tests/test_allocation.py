@@ -86,14 +86,6 @@ def test_sla_splits_budget_across_channels(cfg):
     assert leftover_and_borrowing([(50.0, 40.0)], cfg) == [(10.0, 30.0)]
 
 
-def test_sla_rejects_nonsense_reservation(cfg):
-    active = make_state(5)
-    with pytest.raises(ValueError):
-        allocate_sla(active, 0.0, -0.5, cfg)
-    with pytest.raises(ValueError):
-        allocate_sla(active, 0.0, 61.0, cfg)
-
-
 def test_sla_share_trails_equal_degradation_when_the_reservation_fits_the_leftover():
     # with B_R <= cap - B_I and full*n + B_I > cap, SLA splits the leftover n ways
     # and non-SLA gives cap*full/(full*n + B_I): the ratio of the two is below 1

@@ -137,7 +137,7 @@ def test_run_writes_steps_and_summary(tiny_file, tmp_path, capsys):
     assert "sla" in printed and "nonsla" in printed
 
 
-def test_single_policy_run_plays_only_that_policy(tiny_file, tmp_path, monkeypatch):
+def test_run_plays_each_policy_once_per_replication(tiny_file, tmp_path, monkeypatch):
     played = []
     run_trace = engine.run_trace
 

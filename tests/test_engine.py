@@ -520,13 +520,6 @@ def test_only_the_sla_run_reserves_the_windowed_mean_of_its_own_demand(short_cfg
     assert _windowed_means(own, heavy) != _windowed_means(trace.on_air, heavy)
 
 
-def test_a_negative_on_air_count_never_enters_the_sums(cfg):
-    trace = _trace((0, 0, 2), (0, 0, 0))
-    trace.on_air = (2, -1)
-    with pytest.raises(ValueError, match="non-negative"):
-        run_trace(cfg, PolicyKind.SLA, trace)
-
-
 def test_a_sweep_builds_the_free_reservations_once_per_seed(short_cfg, monkeypatch):
     built = []  # the broker (window, full rate, cap) of each free-reservations list built
 

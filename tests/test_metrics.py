@@ -194,11 +194,6 @@ def test_step_satisfaction_examples():
     assert step_satisfaction(decision(2.0, 30), 40.0) == 1.0
 
 
-def test_step_satisfaction_rejects_negative_demand():
-    with pytest.raises(ValueError):
-        step_satisfaction(decision(1.0, 1), -1.0)
-
-
 @given(delivered=bw, demand=bw)
 def test_step_satisfaction_in_unit_interval(delivered, demand):
     assert 0.0 <= step_satisfaction(decision(delivered, 1), demand) <= 1.0
@@ -280,20 +275,10 @@ def test_aggregate_mean_channel_count():
     assert aggregate(reps, 0.0).mean_active_channels == 15.0
 
 
-def test_aggregate_rejects_degenerate_input():
-    with pytest.raises(ValueError):
-        aggregate([], 0.0)
-    with pytest.raises(ValueError):
-        aggregate([[rec(0.0, 1.0)]], warmup_min=1.0)       # nothing post-warmup
-    with pytest.raises(ValueError):
-        aggregate([[rec(0.0, 1.0), rec(1.0, 1.0)], [rec(1.0, 1.0)]], 0.0)
-
-
 def _fmean_means(records, warmup_min):
     """The per-replication means as statistics.fmean over the post-warmup steps gives them."""
     post = [r for r in records if r.t_min >= warmup_min - 1e-9]
     return (
-        len(post),
         statistics.fmean(r.satisfaction for r in post),
         statistics.fmean(r.utilization for r in post),
         statistics.fmean(r.blocks for r in post),
@@ -317,7 +302,7 @@ def test_replication_means_equal_fmean_bit_for_bit():
             for t in sorted(times)
         ]
         # the fields past the means are the extremes, checked on their own below
-        assert replication_means(records, warmup)[:6] == _fmean_means(records, warmup)
+        assert replication_means(records, warmup)[:5] == _fmean_means(records, warmup)
 
 
 def test_extremes_cover_every_step_and_only_survivors():
@@ -332,7 +317,7 @@ def test_extremes_cover_every_step_and_only_survivors():
         step(3.0, util=0.5, reserved=5.0, per=0.0, n=0),       # nothing on air
     ]
     m = replication_means(records, warmup_min=1.0)
-    assert (m.steps, m.scanned_steps) == (3, 4)
+    assert m.scanned_steps == 4
     assert m.utilization == 0.5                    # the means still skip the warmup
     assert m.max_utilization == 0.9
     assert (m.min_reserved_mbps, m.max_reserved_mbps) == (4.0, 9.0)

@@ -91,6 +91,8 @@ def test_zero_arrival_rates_are_legal():
     ("replications", MAX_REPLICATIONS + 1),       # a seed list past the ceiling
     ("capacity_mbps", float("nan")),
     ("non_iptv_arrival_rate_per_min", float("inf")),
+    ("non_iptv_arrival_rate_per_min", -0.1),
+    ("non_iptv_mean_hold_min", 0.0),
     ("sample_interval_min", 1.0e-300),            # 7.2e302 steps, past MAX_STEPS
     ("sample_interval_min", 5e-324),              # the step ratio overflows to inf
     ("sim_duration_min", 60.0 * (MAX_STEPS + 1)),  # one step past MAX_STEPS
