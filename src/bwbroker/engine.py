@@ -7,30 +7,32 @@ broker: step t reserves the capped mean of the channels its policy offered
 in the min(t, W) steps before it, so a reservation only ever sees past
 steps; without an SLA it stays zero.
 
-A policy plays a replication in two phases, through one step body.  Until
-it first blocks or drops a channel, its cell is the trace's free play, the
-cell that admitted every viewer (traffic.Trace), so a step is scored from
-the free play's on-air count and live calls alone.  Step t is free while
-on_air[t] is 0 or the policy's per-channel rate with on_air[t] channels on
-air clears the minimum.  That test is exact: allocation.per_channel never
-rises as channels are added, and the step-by-step play tests this same
-value at the step's last channel activation and again in allocation, so a
-free step blocks and drops nothing.  Since it sheds nothing, allocation
-never reads which channels are on air.  The phase decides only where a
-step's channels come from: a free step takes range(on_air[t]) and demands
-full quality for them.  At the first step that fails the test, the policy
-builds its cell, a model.CellState viewer ledger, from the earlier steps'
-viewers, every one admitted, and from then on plays the viewers itself,
-with admission: a step's leaving ids depart, then its new ids arrive, each
-viewer on its channel, trace.channels[id]; its demand adds full quality for
-each blocked activation.  Either way the step then calls the allocator once
-and records the step; only the policy's own cell drops the channels the
-allocator shed.  Free SLA steps read their reservations from one list a
-viewer side (the last is kept, so sweep points share it); from its fork the
-policy's own demand sums grow by its count.  The engine never
-reads the trace's event lists.  Calls are never played: both phases take
-the step's non-IPTV demand from the trace's running count, live_calls,
-which the call side derives as it draws.
+A policy plays a replication in two phases.  Until it first blocks or
+drops a channel, its cell is the trace's free play, the cell that admitted
+every viewer (traffic.Trace), so a step is scored from the free play's
+on-air count and live calls alone.  Step t is free while on_air[t] is 0 or
+the policy's per-channel rate with on_air[t] channels on air clears the
+minimum.  That test is exact: allocation.per_channel never rises as
+channels are added, and the step-by-step play tests this same value at the
+step's last channel activation and again in allocation, so a free step
+blocks, drops and sheds nothing, and its allocator may take range(n).  So
+its decision repeats across steps, replications and sweep points, and comes
+from a memo (_FreeSteps) keyed (n, calls), and for the SLA (n, calls,
+budget): the budget, the larger of the leftover after the calls and the
+reservation, is all per_channel reads of the reservation, and the allocator,
+SL and utilization read none of it.  A miss runs the rules with the budget
+as the reservation; a memo stores at most FREE_MEMO_CAP (2,048) decisions,
+and fig5 meets 20,536 SLA keys.  At the first step that is not free, the
+fork, the policy builds its cell, a model.CellState viewer ledger, from the
+earlier steps' viewers, every one admitted, and from then on plays the
+viewers itself, with admission: a step's leaving ids depart, then its new
+ids arrive, each viewer on its channel, trace.channels[id]; its demand adds
+full quality for each blocked activation, and its cell drops the channels
+shed.  Free SLA steps and the fork read their reservations from one list a
+viewer side (the last is kept, so sweep points share it), later steps from
+the policy's own demand sums.  The engine never reads the trace's event
+lists.  Calls are never played: both phases take the step's non-IPTV demand
+from the trace's running count, live_calls, which the call side derives.
 
 The step records of a replication stay in the process that played it:
 a pool worker returns only what the parent needs of them, each policy's
@@ -57,6 +59,8 @@ import gc
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import lru_cache, wraps
+from itertools import repeat, takewhile
+from operator import mul, sub
 
 from .allocation import PolicyKind, admit_channel, allocate_non_sla, allocate_sla, per_channel
 from .broker import compute_reservation, demand_sums
@@ -78,7 +82,7 @@ def _admitted_cell(trace: Trace, steps: int) -> CellState:
     return state
 
 
-@lru_cache(maxsize=1)
+@lru_cache(maxsize=1, typed=True)  # a cap of 40 reserves 40, not 40.0
 def _reservations(counts: tuple[int, ...], window: int, full_mbps: float,
                   cap_mbps: float) -> list[float]:
     """The reservation at each step of a play whose step t offers counts[t] channels: for
@@ -88,73 +92,104 @@ def _reservations(counts: tuple[int, ...], window: int, full_mbps: float,
     return [reservation(sums, t, window, full_mbps, cap_mbps) for t in range(len(counts))]
 
 
+# Most decisions a free-step memo stores (fig5 meets 20,536 SLA keys in 86,400 steps).
+# At this cap fig5's peak RSS did not move; at 4096 it rose 2.0-2.7%, uncapped 15.6%.
+FREE_MEMO_CAP = 1 << 11
+
+
+class _FreeSteps(dict):
+    """One policy's free-step decisions, (rate, SL, utilization) or None where the step
+    is not free, keyed as run_trace says.  A miss runs the rules by this module's names."""
+
+    def __missing__(self, key: tuple) -> tuple[float, float, float] | None:
+        n, calls, budget = key if len(key) == 3 else (*key, 0.0)
+        policy, config, decision = self.policy, self.config, None
+        non_iptv = calls * config.non_iptv_call_bw_mbps
+        if not n or per_channel(policy, n, non_iptv, budget, config) >= (
+                config.iptv_channel_min_bw_mbps - BW_TOL):
+            grant = (allocate_sla if policy is PolicyKind.SLA else allocate_non_sla)(
+                range(n), non_iptv, budget, config)
+            decision = (grant.per_channel_bw_mbps, step_satisfaction(
+                grant, config.iptv_channel_max_bw_mbps * n), step_utilization(grant, config))
+        if len(self) < FREE_MEMO_CAP:
+            self[key] = decision
+        return decision
+
+
+@lru_cache(maxsize=len(PolicyKind), typed=True)  # a rate of 2 records 2, not 2.0
+def _free_steps(policy: PolicyKind, *rates: float) -> _FreeSteps:
+    """policy's memo for the rates its rules read, which sweep points and seeds share."""
+    return _FreeSteps()
+
+
 def run_trace(config: ScenarioConfig, policy_kind: PolicyKind, trace: Trace) -> list[StepRecord]:
     """Play a trace through one policy: one replication, one record a step.
 
-    Free and played steps share one body: the free test only decides where
-    the step's channels, its demand and the SLA's reservation come from (see
-    the module docstring).  What no step changes is bound once, before the
-    loop.  The rules are looked up in this module on each call, so a wrapper
-    put on it is the one called.
+    The free prefix is one pass of lookups in the policy's memo, keyed (n,
+    calls), or (n, calls, budget) for the SLA since the rules read the
+    reservation only through the budget; it keeps FREE_MEMO_CAP decisions,
+    as uncapped fig5's peak RSS rose 15.6%.  From the fork on the policy
+    plays its own cell (see the module docstring).  The rules are looked up
+    in this module on each call, so a wrapper put on it is the one called.
     """
     sla = policy_kind is PolicyKind.SLA
-    admit, reservation, rate = admit_channel, compute_reservation, per_channel
-    allocate = allocate_sla if sla else allocate_non_sla
     full, call_bw = config.iptv_channel_max_bw_mbps, config.non_iptv_call_bw_mbps
-    dt, floor = config.sample_interval_min, config.iptv_channel_min_bw_mbps - BW_TOL
-    leaving, channels, starts, on_air = trace.leaving, trace.channels, trace.starts, trace.on_air
+    dt, live_calls, on_air = config.sample_interval_min, trace.live_calls, trace.on_air
+    memo = _free_steps(policy_kind, config.capacity_mbps, full,
+                       config.iptv_channel_min_bw_mbps, call_bw)
+    memo.policy, memo.config = policy_kind, config  # a miss reads only the rates above
+    non_iptv = list(map(mul, live_calls, repeat(call_bw)))
+    keys, reserved = zip(on_air, live_calls), repeat(0.0)
     if sla:
         window, cap = config.history_samples, config.iptv_reservation_cap_mbps
-        free_reserved = _reservations(on_air, window, full, cap)
-    state = None  # the policy's own cell, from its first step that is not free
-    records: list[StepRecord] = []
-    append, new_record = records.append, tuple.__new__
-    reserved = 0.0
-    blocks = drops = 0  # free steps come first, and block and drop nothing
-    for step, calls in enumerate(trace.live_calls):
+        reserved = free_reserved = _reservations(on_air, window, full, cap)
+        # no budget is -0.0, which would share 0.0's entry (0.0 == -0.0, compare
+        # metrics._reprs): the capacity and the cap are positive, the counts non-negative
+        keys = zip(on_air, live_calls, map(
+            max, map(sub, repeat(config.capacity_mbps), non_iptv), free_reserved))
+    fork = len(prefix := list(takewhile(bool, map(memo.__getitem__, keys))))
+    # with no free step the times are empty, and so are the records
+    records = list(map(tuple.__new__, repeat(StepRecord), zip(
+        map(mul, range(fork), repeat(dt)), non_iptv, reserved, on_air, *zip(*prefix),
+        repeat(0), repeat(0))))
+    if fork == len(live_calls):
+        return records
+    admit, allocate = admit_channel, allocate_sla if sla else allocate_non_sla
+    leaving, channels, starts = trace.leaving, trace.channels, trace.starts
+    state = _admitted_cell(trace, fork)
+    active, admit_viewer = state.active_channels, state.admit_viewer
+    viewer_departs, drop_channel = state.viewer_departs, state.drop_channel
+    append, new_record, reserved = records.append, tuple.__new__, 0.0
+    if sla:  # the policy's own demand from here on
+        sums, reservation = demand_sums(on_air[:fork]), compute_reservation
+    for step in range(fork, len(live_calls)):
         # the reservation depends only on past samples, so it is fixed for the
         # whole step and already governs this step's admissions
         if sla:
-            reserved = free_reserved[step] if state is None else reservation(
+            reserved = free_reserved[step] if step == fork else reservation(
                 sums, step, window, full, cap)
-        non_iptv = calls * call_bw
-        if state is None and (not (n := on_air[step]) or
-                              rate(policy_kind, n, non_iptv, reserved, config) >= floor):
-            # a free step blocks, drops and sheds nothing, so no channel id is read
-            active, demand = range(n), full * n
-        else:
-            if state is None:
-                state = _admitted_cell(trace, step)
-                active = state.active_channels
-                admit_viewer, viewer_departs = state.admit_viewer, state.viewer_departs
-                drop_channel = state.drop_channel
-                if sla:  # the policy's own demand from here on
-                    sums = demand_sums(on_air[:step])
-            blocks = 0
-            for viewer_id in leaving[step]:
-                viewer_departs(viewer_id, channels[viewer_id])
-            for viewer_id in range(starts[step], starts[step + 1]):
-                if (channel_id := channels[viewer_id]) in active or admit(
-                        policy_kind, len(active), non_iptv, reserved, config):
-                    admit_viewer(viewer_id, channel_id)
-                else:
-                    blocks += 1
-            # offered demand of this step: what is on air now, before any drops; blocked
-            # activations demanded full quality and got nothing this step
-            n = len(active)
-            demand = full * n + full * blocks
-
-        decision = allocate(active, non_iptv, reserved, config)
-        if state is not None:
-            if sla:
-                sums.append(sums[-1] + n)  # after allocation: only later steps see it
-            drops = len(dropped := decision.dropped_channel_ids)
-            for channel_id in dropped:
-                drop_channel(channel_id)
+        blocks, b_i = 0, non_iptv[step]
+        for viewer_id in leaving[step]:
+            viewer_departs(viewer_id, channels[viewer_id])
+        for viewer_id in range(starts[step], starts[step + 1]):
+            if (channel_id := channels[viewer_id]) in active or admit(
+                    policy_kind, len(active), b_i, reserved, config):
+                admit_viewer(viewer_id, channel_id)
+            else:
+                blocks += 1
+        # offered demand of this step: what is on air now, before any drops; blocked
+        # activations demanded full quality and got nothing this step
+        n = len(active)
+        decision = allocate(active, b_i, reserved, config)
+        if sla:
+            sums.append(sums[-1] + n)  # after allocation: only later steps see it
+        drops = len(dropped := decision.dropped_channel_ids)
+        for channel_id in dropped:
+            drop_channel(channel_id)
         append(new_record(StepRecord, (
-            step * dt, non_iptv, reserved, n, decision.per_channel_bw_mbps,
-            step_satisfaction(decision, demand), step_utilization(decision, config),
-            blocks, drops)))
+            step * dt, b_i, reserved, n, decision.per_channel_bw_mbps,
+            step_satisfaction(decision, full * n + full * blocks),
+            step_utilization(decision, config), blocks, drops)))
     return records
 
 

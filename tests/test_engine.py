@@ -33,6 +33,7 @@ from bwbroker.traffic import RngStream, Trace
 from bwbroker.traffic import build_trace, call_side, viewer_side
 from free_play import live_call_series, on_air_series
 from test_metrics import rows_one_at_a_time, written_rows
+from test_reference_kernel import FORK_AT_LAST_STEP, _compare
 
 
 def _viewer_sweep(config, rates):
@@ -548,6 +549,101 @@ def test_a_sweep_builds_the_free_reservations_once_per_seed(short_cfg, monkeypat
     # one entry is kept, so the first config's list is built again after the others
     assert built == [(60, 2.0, 40.0), (30, 2.0, 40.0), (60, 2.0, 30.0), (60, 2.0, 40.0)]
     assert reserved[1] != reserved[0] != reserved[2]
+
+
+def test_a_free_reservation_keeps_the_type_of_its_cap(short_cfg):
+    # a cap of 30 equals 30.0, but a step reserves it as the int 30, and the steps CSV
+    # writes 30; played back to back on one viewer side, each cap keeps its own list
+    light = replace(short_cfg, non_iptv_arrival_rate_per_min=0.5)  # no step forks
+    configs = [replace(light, iptv_reservation_cap_mbps=cap) for cap in (30, 30.0)]
+    trace = build_trace(light, 7)
+
+    def types(config):
+        return [type(r.reserved_mbps) for r in run_trace(config, PolicyKind.SLA, trace)]
+
+    cold = []
+    for config in configs:
+        engine._reservations.cache_clear()
+        cold.append(types(config))
+    assert int in cold[0] and int not in cold[1]
+    for order, want in ((configs, cold), (configs[::-1], cold[::-1])):
+        engine._reservations.cache_clear()
+        assert [types(config) for config in order] == want
+
+
+@pytest.fixture
+def emptied_memo():
+    """The free-step memos emptied before the test and after it."""
+    engine._free_steps.cache_clear()
+    yield
+    engine._free_steps.cache_clear()
+
+
+def _memo(config, kind):
+    """The free-step memo run_trace keeps for config under a policy."""
+    return engine._free_steps(kind, config.capacity_mbps, config.iptv_channel_max_bw_mbps,
+                              config.iptv_channel_min_bw_mbps, config.non_iptv_call_bw_mbps)
+
+
+def _played_cold(config, kind, seed):
+    """run_trace's records of the config's trace at seed, played from emptied memos."""
+    engine._free_steps.cache_clear()
+    return run_trace(config, kind, build_trace(config, seed))
+
+
+def test_a_warm_free_memo_matches_the_reference_kernel_over_consecutive_seeds(emptied_memo):
+    # an overloaded cell, where most runs fork, some late, after free steps whose
+    # decisions the earlier seeds stored
+    config = replace(FORK_AT_LAST_STEP, capacity_mbps=26.0, iptv_reservation_cap_mbps=26.0,
+                     sim_duration_min=60.0)
+    forks = [fork for seed in range(30)
+             for fork, _ in _compare(replace(config, base_seed=seed)).values()]
+    free_steps = sum(config.n_steps if fork is None else fork for fork in forks)
+    assert None in forks and max(fork or 0 for fork in forks) > config.n_steps // 2
+    # the seeds shared the memo: it decided fewer keys than there were free steps
+    assert sum(len(_memo(config, kind)) for kind in PolicyKind) < free_steps
+
+
+@pytest.mark.parametrize("field,value", [
+    ("capacity_mbps", 54.0), ("iptv_channel_max_bw_mbps", 1.8),
+    ("iptv_channel_min_bw_mbps", 1.5), ("non_iptv_call_bw_mbps", 1.25), ("policy", None),
+    ("iptv_channel_max_bw_mbps", 2)])  # 2 == 2.0, but a step records 2 where it is uncapped
+def test_a_warm_free_memo_decides_as_an_emptied_one(short_cfg, emptied_memo, field, value):
+    # two plays of one seed that differ only in the field, so that their memo keys meet;
+    # records are compared by repr, which is what the steps CSV writes
+    if field == "policy":
+        pairs = [[(short_cfg, kind) for kind in PolicyKind]]
+    else:
+        other = replace(short_cfg, **{field: value})
+        pairs = [[(config, kind) for config in (short_cfg, other)] for kind in PolicyKind]
+    for pair in pairs:
+        cold = [repr(_played_cold(config, kind, 7)) for config, kind in pair]
+        assert cold[0] != cold[1]
+        for order, want in ((pair, cold), (pair[::-1], cold[::-1])):
+            engine._free_steps.cache_clear()
+            assert [repr(run_trace(c, kind, build_trace(c, 7))) for c, kind in order] == want
+
+
+@pytest.mark.parametrize("cap", [0, 16])
+def test_the_free_memo_stays_within_its_cap(short_cfg, emptied_memo, monkeypatch, cap):
+    sizes = []
+
+    class WatchedMemo(engine._FreeSteps):
+        def __setitem__(self, key, decision):
+            super().__setitem__(key, decision)
+            sizes.append(len(self))
+
+    seeds = range(3)
+    want = {(seed, kind): _played_cold(short_cfg, kind, seed)
+            for seed in seeds for kind in PolicyKind}
+    monkeypatch.setattr(engine, "_FreeSteps", WatchedMemo)
+    monkeypatch.setattr(engine, "FREE_MEMO_CAP", cap)
+    engine._free_steps.cache_clear()
+    for seed in seeds:
+        for kind in PolicyKind:
+            assert run_trace(short_cfg, kind, build_trace(short_cfg, seed)) == want[seed, kind]
+    assert max(sizes, default=0) == cap
+    assert all(len(_memo(short_cfg, kind)) == cap for kind in PolicyKind)
 
 
 def test_replication_seeds_are_consecutive():

@@ -74,8 +74,11 @@ def test_traced_run_sees_every_hook_the_kernel_must_call(tmp_path):
     # each step after the SLA's first block or drop calls the rule on the policy's own sums
     assert layers["broker.compute_reservation.calls"] == replications * steps + sum(
         steps - 1 - first for (_, policy), first in forked.items() if policy == "sla")
-    assert layers["allocation.allocate_sla.calls"] == replications * steps
-    assert layers["allocation.allocate_non_sla.calls"] == replications * steps
+    # every step from a policy's first block or drop on calls its allocator; a free step
+    # calls it only where the policy's memo of free decisions misses
+    for policy, allocator in (("sla", "allocate_sla"), ("nonsla", "allocate_non_sla")):
+        played = sum(steps - first for (_, p), first in forked.items() if p == policy)
+        assert played <= layers[f"allocation.{allocator}.calls"] <= replications * steps
     # a run plays its viewer events through the mutators only if it blocks or
     # drops: then one call per viewer event of its trace (those before its first
     # block or drop build its cell), less the blocked arrivals, plus one per
